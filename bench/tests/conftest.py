@@ -1,0 +1,11 @@
+"""Self-tests of the benchmark: ``python -m pytest bench/tests -q``.
+
+Not part of tier-1 (``pyproject.toml`` collects ``tests/`` only)."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
