@@ -47,27 +47,29 @@ identical on every run with the same config.
 
 from __future__ import annotations
 
-import hashlib
-import random
-import time
 from dataclasses import dataclass, field
 
-from repro.analysis.costmodel import CostAuditor, CostModel
 from repro.analysis.invariants import (
     STRIPE_INVARIANTS,
-    check_history,
     check_no_corruption_served,
     check_stripe,
 )
-from repro.analysis.registers import HistoryRecorder
-from repro.client.config import ClientConfig, WriteStrategy
-from repro.client.scrub import SamplingAuditor, Scrubber
+from repro.chaos.harness import (
+    VALUE_WIDTH,
+    SettledCore,
+    SoakHarness,
+    client_config,
+    verdict_line,
+)
+from repro.client.scrub import SamplingAuditor
 from repro.core.cluster import Cluster
-from repro.errors import ReproError
 from repro.net.chaos import FaultPlan
-from repro.obs import Observability
 from repro.storage.state import OpMode, content_fingerprint
 from repro.storage.wal import WalStore
+
+#: Payload letter and op-stream seed salt: this soak's own constants.
+TAG = "c"
+SALT = (6007, 13)
 
 
 @dataclass(frozen=True)
@@ -102,18 +104,10 @@ class CorruptionSoakConfig:
 
 
 @dataclass
-class CorruptionSoakReport:
+class CorruptionSoakReport(SettledCore):
     """Outcome of one corruption soak run."""
 
-    seed: int
-    ops_run: int = 0
-    op_failures: int = 0
-    duration: float = 0.0
-    history_digest: str = ""
-    ledger_digest: str = ""
     media_digest: str = ""
-    ledger_counts: dict[str, int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
 
     # -- wire axis -------------------------------------------------------
     wire_injected: int = 0  # ledger "corrupt" events
@@ -137,91 +131,48 @@ class CorruptionSoakReport:
     scrub_located: int = 0  # laundered damage caught by settle parity scrub
     reads_verified: int = 0
     corruptions_logged: int = 0
-
-    parity_clean: bool = False
-    store_clean: bool = True
-    store_mismatches: list[str] = field(default_factory=list)
     final_audit_clean: bool = False
     recoveries: int = 0
-    metrics: dict = field(default_factory=dict)
-    trace_events: int = 0
-    chaos_reconciled: bool | None = None
-    cost_conformant: bool | None = None
-    cost_report: dict = field(default_factory=dict)
-    flight_path: str | None = None
 
     @property
     def passed(self) -> bool:
         return (
-            not self.violations
-            and self.op_failures == 0
+            self.ok
             and self.wire_reconciled
             and self.media_covered
-            and self.parity_clean
-            and self.store_clean
             and self.final_audit_clean
             and self.wire_detected > 0
             and self.media_detected > 0
-            and self.chaos_reconciled is not False
-            and self.cost_conformant is not False
         )
 
     def summary(self) -> str:
-        lines = [
-            f"corruption soak: seed={self.seed} ops={self.ops_run} "
-            f"failures={self.op_failures} duration={self.duration:.2f}s",
-            f"  wire: injected={self.wire_injected} "
-            f"detected={self.wire_detected} "
-            f"reconciled={self.wire_reconciled}",
-            f"  media: crashes={self.flips_forced} "
-            f"effective={self.media_injected} detected={self.media_detected} "
-            f"overwritten={self.media_overwritten} "
-            f"covered={self.media_covered}",
-            f"  audit: sweeps={self.audit_sweeps} probes={self.audit_probes} "
-            f"hits={self.audit_hits} scrub-located={self.scrub_located}",
-            f"  reads verified={self.reads_verified} "
-            f"corruption log entries={self.corruptions_logged} "
-            f"recoveries={self.recoveries}",
-            f"  history digest: {self.history_digest}",
-            f"  ledger  digest: {self.ledger_digest}",
-            f"  media   digest: {self.media_digest}",
-            f"  invariant violations: {len(self.violations)}",
-            f"  final parity scrub clean: {self.parity_clean}",
-            f"  final full audit clean: {self.final_audit_clean}",
-            f"  store-vs-memory clean: {self.store_clean}"
-            + (
-                f" ({len(self.store_mismatches)} mismatches)"
-                if self.store_mismatches
-                else ""
-            ),
-        ]
-        if self.chaos_reconciled is not None:
-            lines.append(
-                f"  observability: trace events={self.trace_events} "
-                f"ledger-vs-metrics reconciled={self.chaos_reconciled}"
-            )
-        if self.cost_conformant is not None:
-            excess = self.cost_report.get("total_excess_messages", 0)
-            lines.append(
-                f"  cost conformance (bounded): "
-                f"{'ok' if self.cost_conformant else 'VIOLATION'} "
-                f"excess={excess} msgs"
-            )
-        if self.flight_path:
-            lines.append(f"  flight recorder: {self.flight_path}")
-        lines.append(
-            ("PASS" if self.passed else "FAIL")
-            + f" (reproduce with --seed {self.seed})"
+        return "\n".join(
+            [
+                self.header("corruption soak"),
+                f"  wire: injected={self.wire_injected} "
+                f"detected={self.wire_detected} "
+                f"reconciled={self.wire_reconciled}",
+                f"  media: crashes={self.flips_forced} "
+                f"effective={self.media_injected} "
+                f"detected={self.media_detected} "
+                f"overwritten={self.media_overwritten} "
+                f"covered={self.media_covered}",
+                f"  audit: sweeps={self.audit_sweeps} "
+                f"probes={self.audit_probes} hits={self.audit_hits} "
+                f"scrub-located={self.scrub_located}",
+                f"  reads verified={self.reads_verified} "
+                f"corruption log entries={self.corruptions_logged} "
+                f"recoveries={self.recoveries}",
+                f"  history digest: {self.history_digest}",
+                f"  ledger  digest: {self.ledger_digest}",
+                f"  media   digest: {self.media_digest}",
+                f"  invariant violations: {len(self.violations)}",
+                *self.settle_lines(),
+                f"  final full audit clean: {self.final_audit_clean}",
+                *self.tail_lines(),
+                verdict_line(self.passed, self.seed),
+            ]
         )
-        return "\n".join(lines)
-
-
-def _value(seed: int, i: int) -> bytes:
-    """The i-th written payload: fixed width so reads map back exactly."""
-    return f"c{seed % 997:03d}i{i:06d}".encode()
-
-
-_VALUE_WIDTH = len(_value(0, 0))
 
 
 def _scan_node(cluster: Cluster, slot: int) -> set[tuple[int, int]]:
@@ -245,102 +196,58 @@ def _scan_node(cluster: Cluster, slot: int) -> set[tuple[int, int]]:
 def run_corruption_soak(config: CorruptionSoakConfig) -> CorruptionSoakReport:
     """Run one seeded corruption soak; deterministic for a fixed config."""
     report = CorruptionSoakReport(seed=config.seed)
-    started = time.perf_counter()
-
-    storage_ids = [f"storage-{slot}" for slot in range(config.n)]
-    plan = FaultPlan.generate(
-        config.seed, storage_ids, corrupt=config.corrupt
-    )
-    obs = Observability.create() if config.observe else None
-    cluster = Cluster(
-        k=config.k,
-        n=config.n,
-        block_size=config.block_size,
-        seed=config.seed,
-        chaos_plan=plan,
+    clients = client_config(config, verified_reads=True)
+    h = SoakHarness(
+        config,
+        report,
+        name="corruption-soak",
+        tag=TAG,
+        salt=SALT,
+        plan=FaultPlan.generate(
+            config.seed,
+            [f"storage-{slot}" for slot in range(config.n)],
+            corrupt=config.corrupt,
+        ),
+        client_ids=[f"soak-{i}" for i in range(config.clients)],
+        clients=clients,
+        gc_every=config.gc_every,
         # Fault-free media plan: the only disk damage is the forced
         # flip at each crash, so injections are exactly enumerable.
         store_factory=lambda slot: WalStore(tag=f"slot{slot}"),
-        observability=obs,
     )
-    client_config = ClientConfig(
-        strategy=WriteStrategy.PARALLEL,
-        rpc_timeout=config.rpc_timeout,
-        suspicion_threshold=config.suspicion_threshold,
-        degraded_reads=True,
-        verified_reads=True,
-    )
-    volumes = [
-        cluster.client(f"soak-{i}", client_config)
-        for i in range(config.clients)
-    ]
-    audit_client = cluster.protocol_client("soak-audit", client_config)
+    cluster, stripes = h.cluster, h.stripes
+    audit_client = cluster.protocol_client("soak-audit", clients)
     auditor = SamplingAuditor(
         audit_client,
         seed=config.seed,
         samples_per_sweep=config.audit_samples,
         repair=True,
     )
-    protocols = [v.protocol for v in volumes] + [audit_client]
-
-    stripes = sorted(
-        {cluster.layout.locate(block).stripe for block in range(config.blocks)}
-    )
-    rng = random.Random(config.seed * 6007 + 13)
-    recorder = HistoryRecorder()
-    oplog: list[str] = []
-    initial = bytes(_VALUE_WIDTH)
     injected: set[tuple[int, int]] = set()
-    crash_cycle = 0
 
-    for i in range(config.ops):
-        volume = volumes[i % len(volumes)]
-        block = rng.randrange(config.blocks)
-        is_read = rng.random() < config.read_fraction
-        try:
-            if is_read:
-                with recorder.operation("read", key=block) as ctx:
-                    data = volume.read_block(block)
-                    ctx.value = bytes(data[:_VALUE_WIDTH])
-                oplog.append(
-                    f"{i} {volume.client_id} read {block} -> {ctx.value!r}"
-                )
-            else:
-                value = _value(config.seed, i)
-                with recorder.operation("write", key=block, value=value):
-                    volume.write_block(block, value)
-                oplog.append(
-                    f"{i} {volume.client_id} write {block} <- {value!r}"
-                )
-        except ReproError as exc:
-            report.op_failures += 1
-            oplog.append(f"{i} {volume.client_id} FAILED {exc!r}")
-        report.ops_run += 1
-        if config.gc_every and (i + 1) % config.gc_every == 0:
-            volume.collect_garbage()
-        if config.flip_every and (i + 1) % config.flip_every == 0:
+    for done in range(1, config.ops + 1):
+        h.run_ops(1)
+        if config.flip_every and done % config.flip_every == 0:
             # Silent at-rest damage: sync (so the restored image is
             # exactly the pre-crash state — no write-back rollback to
             # confuse the register history), crash with a forced flip,
             # restart, then record what the flip actually hit.
-            slot = crash_cycle % config.n
-            crash_cycle += 1
+            slot = report.flips_forced % config.n
             cluster.stores[slot].sync()
             cluster.crash_storage(slot, policy="restart", media_force="flip")
             restart = cluster.restart_storage(slot)
             assert restart.clean, "flip must re-seal the CRC: replay is clean"
             report.flips_forced += 1
             injected |= _scan_node(cluster, slot)
-        if config.audit_every and (i + 1) % config.audit_every == 0:
+        if config.audit_every and done % config.audit_every == 0:
             sweep = auditor.sweep(stripes)
             report.audit_sweeps += 1
             report.audit_probes += sweep.samples
             report.audit_hits += len(sweep.hits)
 
     # -- settle: stop injecting, repair everything, audit the claims ----
-    assert cluster.chaos is not None
     cluster.chaos.disable()
-    for volume in volumes:
+    for volume in h.volumes:
         volume.collect_garbage()
         volume.collect_garbage()
 
@@ -359,13 +266,8 @@ def run_corruption_soak(config: CorruptionSoakConfig) -> CorruptionSoakReport:
     # Parity scrub: catches fingerprint-laundered damage (an ``add``
     # onto corrupt redundant bytes re-seals the digest; only the code
     # equations still witness the flip).
-    settle_client = cluster.protocol_client(
-        "soak-settle", ClientConfig(degraded_reads=False)
-    )
-    settle_scrub = Scrubber(settle_client, repair=True).scrub(stripes)
+    settle_client, settle_scrub = h.settle("soak-settle")
     report.scrub_located = len(settle_scrub.corrupt_blocks)
-    verify = Scrubber(settle_client, repair=False).scrub(stripes)
-    report.parity_clean = verify.healthy and verify.clean == len(stripes)
 
     # Final full audit sweep must come up empty-handed.
     final = SamplingAuditor(
@@ -374,27 +276,24 @@ def run_corruption_soak(config: CorruptionSoakConfig) -> CorruptionSoakReport:
     ).sweep(stripes)
     report.final_audit_clean = not final.hits and final.skipped == 0
 
-    report.store_mismatches = cluster.verify_store_consistency()
-    report.store_clean = not report.store_mismatches
-
-    # -- invariants ------------------------------------------------------
-    history = recorder.history()
-    violations = check_history(history, initial=initial)
-    violations += check_no_corruption_served(history, initial=initial)
+    # -- invariants (finish() adds the regular-register check) ----------
+    violations = check_no_corruption_served(
+        h.recorder.history(), initial=bytes(VALUE_WIDTH)
+    )
     pack = STRIPE_INVARIANTS + ("fingerprints_match",)
     for stripe in stripes:
         violations += check_stripe(cluster, stripe, invariants=pack)
     report.violations = [str(v) for v in violations]
 
     # -- reconciliation --------------------------------------------------
+    protocols = [v.protocol for v in h.volumes] + [audit_client]
     corruption_log = [c for p in protocols for c in p.corruption_log]
     report.corruptions_logged = len(corruption_log)
     report.reads_verified = sum(p.stats.verified_reads for p in protocols)
     report.recoveries = sum(
-        p.stats.recoveries_completed for p in protocols
-    ) + settle_client.stats.recoveries_completed
-    report.ledger_counts = cluster.chaos.ledger_counts()
-    report.wire_injected = report.ledger_counts.get("corrupt", 0)
+        p.stats.recoveries_completed for p in protocols + [settle_client]
+    )
+    report.wire_injected = cluster.chaos.ledger_counts().get("corrupt", 0)
     report.wire_detected = sum(
         1 for c in corruption_log if c.source == "wire"
     )
@@ -419,52 +318,9 @@ def run_corruption_soak(config: CorruptionSoakConfig) -> CorruptionSoakReport:
         report.media_detected + report.media_overwritten
         == report.media_injected
     )
-
-    report.history_digest = hashlib.sha256(
-        "\n".join(oplog).encode()
-    ).hexdigest()[:16]
-    report.ledger_digest = hashlib.sha256(
-        repr(cluster.chaos.ledger_key()).encode()
-    ).hexdigest()[:16]
-    media_keys = [
-        (slot, cluster.stores[slot].media.ledger_key())
-        for slot in sorted(cluster.stores)
-    ]
-    report.media_digest = hashlib.sha256(
-        repr(media_keys).encode()
-    ).hexdigest()[:16]
-
-    if obs is not None:
-        report.metrics = obs.registry.snapshot()
-        report.trace_events = obs.tracer.count()
-        report.chaos_reconciled = all(
-            obs.registry.counter_value("chaos_faults_total", kind=kind)
-            == count
-            for kind, count in report.ledger_counts.items()
-        ) and sum(report.ledger_counts.values()) == obs.registry.sum_counter(
-            "chaos_faults_total"
-        )
-        cost_model = CostModel(
-            n=config.n, k=config.k, block_size=config.block_size,
-            strategy="parallel",
-        )
-        cost_audit = CostAuditor(cost_model, fault_free=False).audit(
-            report.metrics, ledger_counts=report.ledger_counts
-        )
-        report.cost_conformant = cost_audit.passed
-        report.cost_report = cost_audit.to_json()
-    report.duration = time.perf_counter() - started
-    if obs is not None and config.flight_dir and not report.passed:
-        report.flight_path = obs.flight.dump(
-            f"{config.flight_dir}/corruption-soak-seed{config.seed}.json",
-            reason="corruption soak failed its invariants",
-            extra={
-                "seed": config.seed,
-                "violations": report.violations,
-                "op_failures": report.op_failures,
-                "injected_pairs": report.injected_pairs,
-                "detected_pairs": report.detected_pairs,
-                "store_mismatches": report.store_mismatches,
-            },
-        )
+    report.media_digest = h.media_digest()
+    h.finish(
+        injected_pairs=report.injected_pairs,
+        detected_pairs=report.detected_pairs,
+    )
     return report

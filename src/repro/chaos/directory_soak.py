@@ -42,27 +42,30 @@ produce all four identically.
 
 from __future__ import annotations
 
-import hashlib
-import random
-import time
 from dataclasses import dataclass, field
 
 from repro.analysis.invariants import (
     STRIPE_INVARIANTS,
     check_directory,
-    check_history,
     check_quiescence,
 )
-from repro.analysis.costmodel import CostAuditor, CostModel
-from repro.analysis.registers import HistoryRecorder
-from repro.client.config import ClientConfig, WriteStrategy
-from repro.client.gc import GcManager
+from repro.chaos.harness import (
+    VALUE_WIDTH,
+    ReportCore,
+    SoakHarness,
+    client_config,
+    network_plan,
+    verdict_line,
+)
+from repro.client.config import ClientConfig
 from repro.client.monitor import Monitor
 from repro.core.cluster import Cluster
 from repro.crashpoints import CRASH_POINT_CATALOGUE, NULL_CRASHPOINTS, CrashPlan
-from repro.errors import ClientCrash, RecoveryFailedError, ReproError
-from repro.net.chaos import FaultPlan
-from repro.obs import Observability
+from repro.errors import ClientCrash, ReproError
+
+#: Payload letter and op-stream seed salt: this soak's own constants.
+TAG = "d"
+SALT = (7877, 31)
 
 #: The directory RMW crash windows, in protocol order.
 DIRECTORY_POINTS: tuple[str, ...] = (
@@ -173,13 +176,9 @@ class QuorumLossProof:
 
 
 @dataclass
-class DirectorySoakReport:
+class DirectorySoakReport(ReportCore):
     """Outcome of one directory soak run."""
 
-    seed: int
-    ops_run: int = 0
-    op_failures: int = 0
-    duration: float = 0.0
     phases: list[str] = field(default_factory=list)
     remapped_incarnation: int = 0
     deferred_incarnation: int = 0
@@ -187,188 +186,80 @@ class DirectorySoakReport:
     monitor_recoveries: int = 0
     duplicate_triggers: int = 0
     anti_entropy_adopted: int = 0
-    violations: list[str] = field(default_factory=list)
-    history_digest: str = ""
-    ledger_digest: str = ""
     placement_digest: str = ""
     directory_digest: str = ""
-    ledger_counts: dict[str, int] = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
-    trace_events: int = 0
-    chaos_reconciled: bool | None = None
-    #: Paper-cost-model conformance (bounded mode; None = not observed).
-    cost_conformant: bool | None = None
-    cost_report: dict = field(default_factory=dict)
-    flight_path: str | None = None
 
     @property
     def passed(self) -> bool:
         return (
-            not self.violations
-            and self.op_failures == 0
+            self.ok
             and self.quorum_loss is not None
             and self.quorum_loss.holds
-            and self.chaos_reconciled is not False
-            and self.cost_conformant is not False
         )
 
     def summary(self) -> str:
-        lines = [
-            f"directory soak: seed={self.seed} ops={self.ops_run} "
-            f"failures={self.op_failures} duration={self.duration:.2f}s",
-        ]
-        lines += [f"  {phase}" for phase in self.phases]
-        lines += [
-            f"  remaps: minority-quorum incarnation="
-            f"{self.remapped_incarnation}, post-heal deferred incarnation="
-            f"{self.deferred_incarnation}",
-            "  "
-            + (
-                self.quorum_loss.summary()
-                if self.quorum_loss is not None
-                else "quorum-loss proof: NOT RUN"
-            ),
-            f"  monitor recoveries={self.monitor_recoveries} "
-            f"duplicate triggers={self.duplicate_triggers} "
-            f"anti-entropy adopted={self.anti_entropy_adopted}",
-            f"  injected faults: "
-            + (
-                ", ".join(
-                    f"{kind}={count}"
-                    for kind, count in sorted(self.ledger_counts.items())
-                )
-                or "none"
-            ),
-            f"  history   digest: {self.history_digest}",
-            f"  ledger    digest: {self.ledger_digest}",
-            f"  placement digest: {self.placement_digest}",
-            f"  directory digest: {self.directory_digest}",
-            f"  violations: {len(self.violations)}",
-        ]
-        lines += [f"    {v}" for v in self.violations[:10]]
-        if self.chaos_reconciled is not None:
-            lines.append(
-                f"  observability: trace events={self.trace_events} "
-                f"ledger-vs-metrics reconciled={self.chaos_reconciled}"
-            )
-        if self.cost_conformant is not None:
-            lines.append(
-                f"  cost conformance (bounded): "
-                f"{'ok' if self.cost_conformant else 'VIOLATION'} "
-                f"excess={self.cost_report.get('total_excess_messages', 0)} "
-                f"msgs, explainers="
-                f"{self.cost_report.get('ledger_explainers', 0)} ledger + "
-                f"{self.cost_report.get('retry_explainers', 0)} retry"
-            )
-        if self.flight_path:
-            lines.append(f"  flight recorder: {self.flight_path}")
-        lines.append(
-            ("PASS" if self.passed else "FAIL")
-            + f" (reproduce with --seed {self.seed})"
+        return "\n".join(
+            [
+                self.header("directory soak"),
+                *(f"  {phase}" for phase in self.phases),
+                f"  remaps: minority-quorum incarnation="
+                f"{self.remapped_incarnation}, post-heal deferred "
+                f"incarnation={self.deferred_incarnation}",
+                "  "
+                + (
+                    self.quorum_loss.summary()
+                    if self.quorum_loss is not None
+                    else "quorum-loss proof: NOT RUN"
+                ),
+                f"  monitor recoveries={self.monitor_recoveries} "
+                f"duplicate triggers={self.duplicate_triggers} "
+                f"anti-entropy adopted={self.anti_entropy_adopted}",
+                self.faults_line(),
+                f"  history   digest: {self.history_digest}",
+                f"  ledger    digest: {self.ledger_digest}",
+                f"  placement digest: {self.placement_digest}",
+                f"  directory digest: {self.directory_digest}",
+                f"  violations: {len(self.violations)}",
+                *self.tail_lines(),
+                verdict_line(self.passed, self.seed),
+            ]
         )
-        return "\n".join(lines)
-
-
-def _value(seed: int, i: int) -> bytes:
-    """The i-th written payload: fixed width so reads map back exactly."""
-    return f"d{seed % 997:03d}i{i:06d}".encode()
-
-
-_VALUE_WIDTH = len(_value(0, 0))
 
 
 def run_directory_soak(config: DirectorySoakConfig) -> DirectorySoakReport:
     """Run one seeded directory soak; deterministic for a fixed config."""
     config.validate()
     report = DirectorySoakReport(seed=config.seed)
-    started = time.perf_counter()
-
-    storage_ids = [f"storage-{slot}" for slot in range(config.pool)]
-    replica_ids = [f"dir-{i}" for i in range(config.directory_replicas)]
-    # The replica ids ride in the fault-plan node list: metadata traffic
-    # gets the same drops/dups/delays as data traffic, for free.
-    plan = FaultPlan.generate(
-        config.seed,
-        storage_ids + replica_ids,
-        drop=config.drop,
-        dup=config.dup,
-        delay=config.delay,
-        jitter=config.jitter,
-        gray_stall=0.0,  # no gray node: quorum membership is the subject
-    )
-    obs = Observability.create() if config.observe else None
-    cluster = Cluster(
-        k=config.k,
-        n=config.n,
-        block_size=config.block_size,
-        seed=config.seed,
-        chaos_plan=plan,
-        observability=obs,
+    clients = client_config(config)
+    h = SoakHarness(
+        config,
+        report,
+        name="directory-soak",
+        tag=TAG,
+        salt=SALT,
+        # The replica ids ride in the fault-plan node list: metadata
+        # traffic gets the same drops/dups/delays as data traffic, for
+        # free.  No gray node: quorum membership is the subject.
+        plan=network_plan(
+            config,
+            [f"storage-{slot}" for slot in range(config.pool)]
+            + [f"dir-{i}" for i in range(config.directory_replicas)],
+        ),
+        client_ids=[f"dirsoak-{i}" for i in range(config.clients)],
+        clients=clients,
         pool=config.pool,
         directory_replicas=config.directory_replicas,
     )
+    cluster, stripes, run_ops = h.cluster, h.stripes, h.run_ops
     placement = cluster.placement
     qdir = cluster.qdirectory
     assert placement is not None and qdir is not None
-    client_config = ClientConfig(
-        strategy=WriteStrategy.PARALLEL,
-        rpc_timeout=config.rpc_timeout,
-        suspicion_threshold=config.suspicion_threshold,
-        degraded_reads=True,
-    )
-    volumes = [
-        cluster.client(f"dirsoak-{i}", client_config)
-        for i in range(config.clients)
-    ]
 
-    rng = random.Random(config.seed * 7877 + 31)
-    recorder = HistoryRecorder()
-    oplog: list[str] = []
-    initial = bytes(_VALUE_WIDTH)
-    op_counter = [0]
-
-    def run_ops(count: int, reads_only: bool = False) -> int:
-        failures_before = report.op_failures
-        for _ in range(count):
-            i = op_counter[0]
-            op_counter[0] += 1
-            volume = volumes[i % len(volumes)]
-            block = rng.randrange(config.blocks)
-            is_read = reads_only or rng.random() < config.read_fraction
-            try:
-                if is_read:
-                    with recorder.operation("read", key=block) as ctx:
-                        data = volume.read_block(block)
-                        ctx.value = bytes(data[:_VALUE_WIDTH])
-                    oplog.append(
-                        f"{i} {volume.client_id} read {block} -> {ctx.value!r}"
-                    )
-                else:
-                    value = _value(config.seed, i)
-                    with recorder.operation("write", key=block, value=value):
-                        volume.write_block(block, value)
-                    oplog.append(
-                        f"{i} {volume.client_id} write {block} <- {value!r}"
-                    )
-            except ReproError as exc:
-                report.op_failures += 1
-                oplog.append(f"{i} {volume.client_id} FAILED {exc!r}")
-            report.ops_run += 1
-        return report.op_failures - failures_before
-
-    # Prefill every block: every stripe holds data and (crucially) every
-    # slot binding has been committed through the quorum at least once,
-    # so the shared last-known cache covers the whole namespace before
-    # any fault lands.
-    for block in range(config.blocks):
-        value = f"p{config.seed % 997:03d}b{block:06d}".encode()
-        assert len(value) == _VALUE_WIDTH
-        with recorder.operation("write", key=block, value=value):
-            volumes[0].write_block(block, value)
-        oplog.append(f"pre {volumes[0].client_id} write {block} <- {value!r}")
-    stripes = sorted(
-        {cluster.layout.locate(block).stripe for block in range(config.blocks)}
-    )
+    # Prefill: every stripe holds data and (crucially) every slot
+    # binding has been committed through the quorum at least once, so
+    # the shared last-known cache covers the whole namespace before any
+    # fault lands.
+    h.prefill()
     run_ops(config.ops_per_phase)
     report.phases.append(f"phase 0 baseline: stripes={len(stripes)}")
 
@@ -427,10 +318,10 @@ def run_directory_soak(config: DirectorySoakConfig) -> DirectorySoakReport:
     refused = qdir.remap(slot_b, node_b)
     # A client born during the outage has an empty per-client cache and
     # must still resolve slots through the shared last-known state.
-    outage_client = cluster.client("dirsoak-outage", client_config)
+    outage_client = cluster.client("dirsoak-outage", clients)
     try:
         data = outage_client.read_block(0)
-        fresh_resolved = bytes(data[:_VALUE_WIDTH]) != b""
+        fresh_resolved = bytes(data[:VALUE_WIDTH]) != b""
     except ReproError:
         fresh_resolved = False
     read_failures = run_ops(config.ops_per_phase, reads_only=True)
@@ -481,52 +372,11 @@ def run_directory_soak(config: DirectorySoakConfig) -> DirectorySoakReport:
     )
 
     # -- settle: stop injecting, converge, drive to quiescence ----------
-    assert cluster.chaos is not None
     cluster.chaos.disable()
     report.anti_entropy_adopted = qdir.anti_entropy()
-    driver = cluster.protocol_client("dirsoak-driver")
-    monitor = Monitor(driver, stale_after=0.0)
-    quiet = False
-    for _ in range(config.quiesce_rounds):
-        try:
-            sweep = monitor.sweep(stripes, deep=True)
-        except RecoveryFailedError as exc:
-            report.violations.append(f"quiescence: recovery failed: {exc}")
-            break
-        report.monitor_recoveries += len(sweep.recovered_stripes)
-        report.duplicate_triggers += sweep.duplicate_triggers
-        if not sweep.recovered_stripes:
-            quiet = True
-            break
-    if not quiet and not report.violations:
-        report.violations.append(
-            f"quiescence: monitor still found work after "
-            f"{config.quiesce_rounds} rounds"
-        )
-    if quiet:
-        gc = GcManager(driver)
-        gc.run_once()
-        gc.run_once()
-        final = monitor.sweep(stripes, deep=True)
-        if final.recovered_stripes:
-            report.violations.append(
-                "quiescence: GC drain re-damaged stripes "
-                f"{final.recovered_stripes}"
-            )
-        for block in range(config.blocks):
-            try:
-                with recorder.operation("read", key=block) as ctx:
-                    loc = cluster.layout.locate(block)
-                    data = driver.read(loc.stripe, loc.data_index)
-                    ctx.value = bytes(data[:_VALUE_WIDTH])
-                oplog.append(
-                    f"fin {driver.client_id} read {block} -> {ctx.value!r}"
-                )
-            except ReproError as exc:
-                report.op_failures += 1
-                oplog.append(f"fin {driver.client_id} FAILED {block} {exc!r}")
-
-    # -- invariants ------------------------------------------------------
+    report.monitor_recoveries, report.duplicate_triggers = h.quiesce(
+        "dirsoak-driver", config.quiesce_rounds
+    )
     report.violations += [
         str(v)
         for v in check_quiescence(
@@ -536,66 +386,27 @@ def run_directory_soak(config: DirectorySoakConfig) -> DirectorySoakReport:
         )
     ]
     report.violations += [str(v) for v in check_directory(cluster)]
-    report.violations += [
-        str(v) for v in check_history(recorder.history(), initial)
-    ]
-
-    # -- digests + observability audit ----------------------------------
-    report.history_digest = hashlib.sha256(
-        "\n".join(oplog).encode()
-    ).hexdigest()[:16]
-    report.ledger_digest = hashlib.sha256(
-        repr(cluster.chaos.ledger_key()).encode()
-    ).hexdigest()[:16]
-    report.placement_digest = placement.digest()
-    report.directory_digest = qdir.digest()
-    report.ledger_counts = cluster.chaos.ledger_counts()
-    if obs is not None:
-        report.metrics = obs.registry.snapshot()
-        report.trace_events = obs.tracer.count()
-        report.chaos_reconciled = all(
-            obs.registry.counter_value("chaos_faults_total", kind=kind)
-            == count
-            for kind, count in report.ledger_counts.items()
-        ) and sum(report.ledger_counts.values()) == obs.registry.sum_counter(
-            "chaos_faults_total"
-        )
-        if obs.registry.sum_counter("directory_remaps_refused_total") < 1:
+    if h.obs is not None:
+        registry = h.obs.registry
+        if registry.sum_counter("directory_remaps_refused_total") < 1:
             report.violations.append(
                 "quorum loss never recorded a refused remap: the soak did "
                 "not exercise the degraded write path"
             )
-        if obs.registry.sum_counter("directory_degraded_reads_total") < 1:
+        if registry.sum_counter("directory_degraded_reads_total") < 1:
             report.violations.append(
                 "quorum loss never recorded a degraded directory read: the "
                 "soak did not exercise the cached-binding path"
             )
-        cost_model = CostModel(
-            n=config.n, k=config.k, block_size=config.block_size,
-            strategy="parallel",
-        )
-        cost_audit = CostAuditor(cost_model, fault_free=False).audit(
-            report.metrics, ledger_counts=report.ledger_counts
-        )
-        report.cost_conformant = cost_audit.passed
-        report.cost_report = cost_audit.to_json()
-    report.duration = time.perf_counter() - started
-    if obs is not None and config.flight_dir and not report.passed:
-        report.flight_path = obs.flight.dump(
-            f"{config.flight_dir}/directory-soak-seed{config.seed}.json",
-            reason="directory soak failed its invariants",
-            extra={
-                "seed": config.seed,
-                "violations": report.violations,
-                "op_failures": report.op_failures,
-                "quorum_loss": (
-                    report.quorum_loss.summary()
-                    if report.quorum_loss is not None
-                    else None
-                ),
-                "cost_report": report.cost_report,
-            },
-        )
+    report.placement_digest = placement.digest()
+    report.directory_digest = qdir.digest()
+    h.finish(
+        quorum_loss=(
+            report.quorum_loss.summary()
+            if report.quorum_loss is not None
+            else None
+        ),
+    )
     return report
 
 

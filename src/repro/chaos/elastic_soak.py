@@ -43,26 +43,28 @@ itself — and two same-seed runs must produce all three identically.
 from __future__ import annotations
 
 import hashlib
-import random
-import time
 from dataclasses import dataclass, field
 
 from repro.analysis.invariants import (
     STRIPE_INVARIANTS,
-    check_history,
     check_quiescence,
     check_rebalance_bytes,
 )
-from repro.analysis.costmodel import CostAuditor, CostModel
-from repro.analysis.registers import HistoryRecorder
-from repro.client.config import ClientConfig, WriteStrategy
-from repro.client.gc import GcManager
-from repro.client.monitor import Monitor
+from repro.chaos.harness import (
+    ReportCore,
+    SoakHarness,
+    client_config,
+    network_plan,
+    verdict_line,
+)
+from repro.client.config import ClientConfig
 from repro.core.cluster import Cluster
 from repro.crashpoints import CrashPlan
-from repro.errors import ClientCrash, RecoveryFailedError, ReproError
-from repro.net.chaos import FaultPlan
-from repro.obs import Observability
+from repro.errors import ClientCrash
+
+#: Payload letter and op-stream seed salt: this soak's own constants.
+TAG = "e"
+SALT = (6151, 29)
 
 #: The mid-migration crash windows, in rotation across waves.
 REBALANCE_POINTS: tuple[str, ...] = (
@@ -148,13 +150,9 @@ def smoke_config(seed: int = 11) -> ElasticSoakConfig:
 
 
 @dataclass
-class ElasticSoakReport:
+class ElasticSoakReport(ReportCore):
     """Outcome of one elastic soak run."""
 
-    seed: int
-    ops_run: int = 0
-    op_failures: int = 0
-    duration: float = 0.0
     pool_final: int = 0
     generations: int = 0
     waves: list[str] = field(default_factory=list)
@@ -167,88 +165,40 @@ class ElasticSoakReport:
     monitor_recoveries: int = 0
     duplicate_triggers: int = 0
     unfinished: list[int] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
-    history_digest: str = ""
-    ledger_digest: str = ""
     placement_digest: str = ""
-    ledger_counts: dict[str, int] = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
-    trace_events: int = 0
-    chaos_reconciled: bool | None = None
-    #: Paper-cost-model conformance (bounded mode; None = not observed).
-    cost_conformant: bool | None = None
-    cost_report: dict = field(default_factory=dict)
-    flight_path: str | None = None
 
     @property
     def passed(self) -> bool:
-        return (
-            not self.violations
-            and self.op_failures == 0
-            and not self.unfinished
-            and self.chaos_reconciled is not False
-            and self.cost_conformant is not False
-        )
+        return self.ok and not self.unfinished
 
     def summary(self) -> str:
-        lines = [
-            f"elastic soak: seed={self.seed} ops={self.ops_run} "
-            f"failures={self.op_failures} duration={self.duration:.2f}s",
-            f"  pool: final={self.pool_final} "
-            f"generations={self.generations}",
-        ]
-        lines += [f"  {wave}" for wave in self.waves]
-        lines += [
-            "  migrations: "
-            + (
-                ", ".join(
-                    f"{result}={count}"
-                    for result, count in sorted(self.migrations.items())
-                )
-                or "none"
-            )
-            + f" (crash-resumes={self.crash_resumes})",
-            f"  rebalance bytes: moved={self.bytes_moved} "
-            f"owned={self.bytes_owned} "
-            f"(bound {self.bytes_factor_line()})",
-            f"  stale refetches={self.stale_refetches} "
-            f"monitor recoveries={self.monitor_recoveries} "
-            f"duplicate triggers={self.duplicate_triggers}",
-            f"  injected faults: "
-            + (
-                ", ".join(
-                    f"{kind}={count}"
-                    for kind, count in sorted(self.ledger_counts.items())
-                )
-                or "none"
-            ),
-            f"  history   digest: {self.history_digest}",
-            f"  ledger    digest: {self.ledger_digest}",
-            f"  placement digest: {self.placement_digest}",
-            f"  violations: {len(self.violations)}",
-        ]
-        lines += [f"    {v}" for v in self.violations[:10]]
-        if self.chaos_reconciled is not None:
-            lines.append(
-                f"  observability: trace events={self.trace_events} "
-                f"ledger-vs-metrics reconciled={self.chaos_reconciled}"
-            )
-        if self.cost_conformant is not None:
-            lines.append(
-                f"  cost conformance (bounded): "
-                f"{'ok' if self.cost_conformant else 'VIOLATION'} "
-                f"excess={self.cost_report.get('total_excess_messages', 0)} "
-                f"msgs, explainers="
-                f"{self.cost_report.get('ledger_explainers', 0)} ledger + "
-                f"{self.cost_report.get('retry_explainers', 0)} retry"
-            )
-        if self.flight_path:
-            lines.append(f"  flight recorder: {self.flight_path}")
-        lines.append(
-            ("PASS" if self.passed else "FAIL")
-            + f" (reproduce with --seed {self.seed})"
+        migrations = ", ".join(
+            f"{result}={count}"
+            for result, count in sorted(self.migrations.items())
         )
-        return "\n".join(lines)
+        return "\n".join(
+            [
+                self.header("elastic soak"),
+                f"  pool: final={self.pool_final} "
+                f"generations={self.generations}",
+                *(f"  {wave}" for wave in self.waves),
+                f"  migrations: {migrations or 'none'} "
+                f"(crash-resumes={self.crash_resumes})",
+                f"  rebalance bytes: moved={self.bytes_moved} "
+                f"owned={self.bytes_owned} "
+                f"(bound {self.bytes_factor_line()})",
+                f"  stale refetches={self.stale_refetches} "
+                f"monitor recoveries={self.monitor_recoveries} "
+                f"duplicate triggers={self.duplicate_triggers}",
+                self.faults_line(),
+                f"  history   digest: {self.history_digest}",
+                f"  ledger    digest: {self.ledger_digest}",
+                f"  placement digest: {self.placement_digest}",
+                f"  violations: {len(self.violations)}",
+                *self.tail_lines(),
+                verdict_line(self.passed, self.seed),
+            ]
+        )
 
     def bytes_factor_line(self) -> str:
         if not self.bytes_owned:
@@ -256,85 +206,27 @@ class ElasticSoakReport:
         return f"{self.bytes_moved / self.bytes_owned:.2f}x"
 
 
-def _value(seed: int, i: int) -> bytes:
-    """The i-th written payload: fixed width so reads map back exactly."""
-    return f"e{seed % 997:03d}i{i:06d}".encode()
-
-
-_VALUE_WIDTH = len(_value(0, 0))
-
-
 def run_elastic_soak(config: ElasticSoakConfig) -> ElasticSoakReport:
     """Run one seeded elastic soak; deterministic for a fixed config."""
     config.validate()
     report = ElasticSoakReport(seed=config.seed)
-    started = time.perf_counter()
-
-    storage_ids = [f"storage-{slot}" for slot in range(config.pool_start)]
-    plan = FaultPlan.generate(
-        config.seed,
-        storage_ids,
-        drop=config.drop,
-        dup=config.dup,
-        delay=config.delay,
-        jitter=config.jitter,
-        gray_stall=0.0,  # no gray node: membership churn is the subject
-    )
-    obs = Observability.create() if config.observe else None
-    cluster = Cluster(
-        k=config.k,
-        n=config.n,
-        block_size=config.block_size,
-        seed=config.seed,
-        chaos_plan=plan,
-        observability=obs,
+    h = SoakHarness(
+        config,
+        report,
+        name="elastic-soak",
+        tag=TAG,
+        salt=SALT,
+        # No gray node: membership churn is the subject.
+        plan=network_plan(
+            config, [f"storage-{slot}" for slot in range(config.pool_start)]
+        ),
+        client_ids=[f"elastic-{i}" for i in range(config.clients)],
+        clients=client_config(config),
         pool=config.pool_start,
     )
+    cluster, run_ops = h.cluster, h.run_ops
     placement = cluster.placement
     assert placement is not None
-    client_config = ClientConfig(
-        strategy=WriteStrategy.PARALLEL,
-        rpc_timeout=config.rpc_timeout,
-        suspicion_threshold=config.suspicion_threshold,
-        degraded_reads=True,
-    )
-    volumes = [
-        cluster.client(f"elastic-{i}", client_config)
-        for i in range(config.clients)
-    ]
-
-    rng = random.Random(config.seed * 6151 + 29)
-    recorder = HistoryRecorder()
-    oplog: list[str] = []
-    initial = bytes(_VALUE_WIDTH)
-    op_counter = [0]
-
-    def run_ops(count: int) -> None:
-        for _ in range(count):
-            i = op_counter[0]
-            op_counter[0] += 1
-            volume = volumes[i % len(volumes)]
-            block = rng.randrange(config.blocks)
-            is_read = rng.random() < config.read_fraction
-            try:
-                if is_read:
-                    with recorder.operation("read", key=block) as ctx:
-                        data = volume.read_block(block)
-                        ctx.value = bytes(data[:_VALUE_WIDTH])
-                    oplog.append(
-                        f"{i} {volume.client_id} read {block} -> {ctx.value!r}"
-                    )
-                else:
-                    value = _value(config.seed, i)
-                    with recorder.operation("write", key=block, value=value):
-                        volume.write_block(block, value)
-                    oplog.append(
-                        f"{i} {volume.client_id} write {block} <- {value!r}"
-                    )
-            except ReproError as exc:
-                report.op_failures += 1
-                oplog.append(f"{i} {volume.client_id} FAILED {exc!r}")
-            report.ops_run += 1
 
     def tally(record) -> None:
         report.migrations[record.result] = (
@@ -342,17 +234,9 @@ def run_elastic_soak(config: ElasticSoakConfig) -> ElasticSoakReport:
         )
         report.bytes_moved += record.bytes_moved
 
-    # Prefill every block so no touched stripe is INIT when a migration
-    # reaches it (an all-INIT stripe has nothing consistent to copy).
-    for block in range(config.blocks):
-        value = f"p{config.seed % 997:03d}b{block:06d}".encode()
-        assert len(value) == _VALUE_WIDTH
-        with recorder.operation("write", key=block, value=value):
-            volumes[0].write_block(block, value)
-        oplog.append(f"pre {volumes[0].client_id} write {block} <- {value!r}")
-    stripes = sorted(
-        {cluster.layout.locate(block).stripe for block in range(config.blocks)}
-    )
+    # An all-INIT stripe has nothing consistent to copy.
+    h.prefill()
+    stripes = h.stripes
 
     # -- membership waves ----------------------------------------------
     midpoint = config.pool_start + (config.pool_peak - config.pool_start) // 2
@@ -441,49 +325,9 @@ def run_elastic_soak(config: ElasticSoakConfig) -> ElasticSoakReport:
     report.generations = placement.latest_gen
 
     # -- settle: stop injecting, drive to quiescence, audit -------------
-    assert cluster.chaos is not None
-    cluster.chaos.disable()
-    driver = cluster.protocol_client("elastic-driver")
-    monitor = Monitor(driver, stale_after=0.0)
-    quiet = False
-    for _ in range(config.quiesce_rounds):
-        try:
-            sweep = monitor.sweep(stripes, deep=True)
-        except RecoveryFailedError as exc:
-            report.violations.append(f"quiescence: recovery failed: {exc}")
-            break
-        report.monitor_recoveries += len(sweep.recovered_stripes)
-        report.duplicate_triggers += sweep.duplicate_triggers
-        if not sweep.recovered_stripes:
-            quiet = True
-            break
-    if not quiet and not report.violations:
-        report.violations.append(
-            f"quiescence: monitor still found work after "
-            f"{config.quiesce_rounds} rounds"
-        )
-    if quiet:
-        gc = GcManager(driver)
-        gc.run_once()
-        gc.run_once()
-        final = monitor.sweep(stripes, deep=True)
-        if final.recovered_stripes:
-            report.violations.append(
-                "quiescence: GC drain re-damaged stripes "
-                f"{final.recovered_stripes}"
-            )
-        # Final recorded reads through the driver feed the register check.
-        for block in range(config.blocks):
-            try:
-                with recorder.operation("read", key=block) as ctx:
-                    data = driver_read_block(cluster, driver, block)
-                    ctx.value = bytes(data[:_VALUE_WIDTH])
-                oplog.append(f"fin {driver.client_id} read {block} -> {ctx.value!r}")
-            except ReproError as exc:
-                report.op_failures += 1
-                oplog.append(f"fin {driver.client_id} FAILED {block} {exc!r}")
-
-    # -- invariants ------------------------------------------------------
+    report.monitor_recoveries, report.duplicate_triggers = h.quiesce(
+        "elastic-driver", config.quiesce_rounds
+    )
     report.violations += [
         str(v)
         for v in check_quiescence(
@@ -491,9 +335,6 @@ def run_elastic_soak(config: ElasticSoakConfig) -> ElasticSoakReport:
             stripes,
             invariants=STRIPE_INVARIANTS + ("placement_agrees",),
         )
-    ]
-    report.violations += [
-        str(v) for v in check_history(recorder.history(), initial)
     ]
     report.violations += [
         str(v)
@@ -510,63 +351,15 @@ def run_elastic_soak(config: ElasticSoakConfig) -> ElasticSoakReport:
         for s in stripes
         if placement.committed_gen(s) < placement.latest_gen
     )
-    report.stale_refetches = sum(
-        v.protocol.stats.stale_refetches for v in volumes
-    )
+    report.stale_refetches = h.stat("stale_refetches")
     if report.stale_refetches == 0:
         report.violations.append(
             "no client ever took the stale-refetch path: the soak did not "
             "exercise invalidation-on-remap"
         )
-
-    # -- digests + observability audit ----------------------------------
-    report.history_digest = hashlib.sha256(
-        "\n".join(oplog).encode()
-    ).hexdigest()[:16]
-    report.ledger_digest = hashlib.sha256(
-        repr(cluster.chaos.ledger_key()).encode()
-    ).hexdigest()[:16]
     report.placement_digest = placement.digest()
-    report.ledger_counts = cluster.chaos.ledger_counts()
-    if obs is not None:
-        report.metrics = obs.registry.snapshot()
-        report.trace_events = obs.tracer.count()
-        report.chaos_reconciled = all(
-            obs.registry.counter_value("chaos_faults_total", kind=kind)
-            == count
-            for kind, count in report.ledger_counts.items()
-        ) and sum(report.ledger_counts.values()) == obs.registry.sum_counter(
-            "chaos_faults_total"
-        )
-        cost_model = CostModel(
-            n=config.n, k=config.k, block_size=config.block_size,
-            strategy="parallel",
-        )
-        cost_audit = CostAuditor(cost_model, fault_free=False).audit(
-            report.metrics, ledger_counts=report.ledger_counts
-        )
-        report.cost_conformant = cost_audit.passed
-        report.cost_report = cost_audit.to_json()
-    report.duration = time.perf_counter() - started
-    if obs is not None and config.flight_dir and not report.passed:
-        report.flight_path = obs.flight.dump(
-            f"{config.flight_dir}/elastic-soak-seed{config.seed}.json",
-            reason="elastic soak failed its invariants",
-            extra={
-                "seed": config.seed,
-                "violations": report.violations,
-                "op_failures": report.op_failures,
-                "unfinished": report.unfinished,
-                "cost_report": report.cost_report,
-            },
-        )
+    h.finish(unfinished=report.unfinished)
     return report
-
-
-def driver_read_block(cluster: Cluster, client, block: int):
-    """Read one logical block through a raw protocol client."""
-    loc = cluster.layout.locate(block)
-    return client.read(loc.stripe, loc.data_index)
 
 
 # ----------------------------------------------------------------------
@@ -600,6 +393,8 @@ class DegradationProof:
             and self.gen_unchanged_while_degraded
             and self.readable_after_resume
         )
+
+    passed = holds
 
     def summary(self) -> str:
         return (

@@ -38,18 +38,25 @@ so the margin dwarfs scheduler noise.
 
 from __future__ import annotations
 
-import hashlib
-import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.analysis.costmodel import CostAuditor, CostModel
+from repro.chaos.harness import (
+    ReportCore,
+    SoakHarness,
+    digest,
+    payload,
+    verdict_line,
+)
 from repro.client.config import ClientConfig
 from repro.core.cluster import Cluster
 from repro.errors import ReproError
 from repro.net.chaos import FaultPlan, FaultRule
 from repro.net.rpc import pfor
-from repro.obs import Observability
+
+#: Payload letter and op-stream seed salt: this soak's own constants.
+TAG = "g"
+SALT = (31, 7)
 
 
 @dataclass(frozen=True)
@@ -90,12 +97,16 @@ class GraySoakConfig:
 
 
 @dataclass
-class GrayPhaseResult:
-    """One workload run (one mode) against the shared fault plan."""
+class GrayPhaseResult(ReportCore):
+    """One workload run (one mode) against the shared fault plan.
 
-    mode: str  # "unhedged" | "hedged" | "hedged-rerun"
+    ``history_digest`` covers the observable read history;
+    ``ledger_digest`` here is over the injected-fault *multiset*
+    (kind, src, dst, op) x count — invariant to benign cross-mode count
+    shifts."""
+
+    mode: str = ""  # "unhedged" | "hedged" | "hedged-rerun"
     reads: int = 0
-    op_failures: int = 0
     #: Reads that landed on the gray node's stalled path (= stall
     #: events in the chaos ledger; the primary is always issued).
     gray_hits: int = 0
@@ -105,12 +116,6 @@ class GrayPhaseResult:
     worst: float = 0.0
     hedges_fired: int = 0
     hedge_wins: dict[str, int] = field(default_factory=dict)
-    #: sha256[:16] over (op index, block, value-read) — the observable
-    #: read history.
-    history_digest: str = ""
-    #: sha256[:16] over the injected-fault *multiset* (kind, src, dst,
-    #: op) x count — invariant to benign cross-mode count shifts.
-    ledger_digest: str = ""
 
 
 @dataclass
@@ -146,11 +151,10 @@ class GraySoakReport:
     hedged: GrayPhaseResult | None = None
     hedged_rerun: GrayPhaseResult | None = None
     overload: OverloadResult | None = None
-    #: Registry snapshot from the (first) hedged run.
+    #: Registry snapshot and cost-model audit of the observed (first
+    #: hedged) phase: hedge fan-outs and stall-timeouts must explain
+    #: all excess wire traffic.  None = not observed.
     metrics: dict = field(default_factory=dict)
-    #: Paper-cost-model conformance of the observed (hedged) phase,
-    #: bounded mode: hedge fan-outs and stall-timeouts must explain all
-    #: excess wire traffic.  None = not observed.
     cost_conformant: bool | None = None
     cost_report: dict = field(default_factory=dict)
     flight_path: str | None = None
@@ -189,14 +193,13 @@ class GraySoakReport:
         phases = (self.unhedged, self.hedged, self.hedged_rerun)
         return (
             all(p is not None for p in phases)
-            and all(p.op_failures == 0 for p in phases)
+            and all(p.passed for p in phases)
             and all(p.gray_hits > 0 for p in phases)
-            and (self.hedged.hedges_fired > 0 if self.hedged else False)
+            and self.hedged.hedges_fired > 0
             and self.p99_improved
             and self.digests_stable
             and self.plans_identical
             and (self.overload is None or self.overload.clean)
-            and self.cost_conformant is not False
         )
 
     def summary(self) -> str:
@@ -234,15 +237,8 @@ class GraySoakReport:
             f"  hedged vs un-hedged fault plans identical: "
             f"{self.plans_identical}"
         )
-        if self.cost_conformant is not None:
-            lines.append(
-                f"  cost conformance (bounded, hedged phase): "
-                f"{'ok' if self.cost_conformant else 'VIOLATION'} "
-                f"excess={self.cost_report.get('total_excess_messages', 0)} "
-                f"msgs, explainers="
-                f"{self.cost_report.get('ledger_explainers', 0)} ledger + "
-                f"{self.cost_report.get('retry_explainers', 0)} retry"
-            )
+        if self.hedged is not None:
+            lines += self.hedged.tail_lines(mode="bounded, hedged phase")
         if self.overload is not None:
             o = self.overload
             lines.append(
@@ -253,18 +249,8 @@ class GraySoakReport:
             )
         if self.flight_path:
             lines.append(f"  flight recorder: {self.flight_path}")
-        lines.append(
-            ("PASS" if self.passed else "FAIL")
-            + f" (reproduce with --seed {self.seed})"
-        )
+        lines.append(verdict_line(self.passed, self.seed))
         return "\n".join(lines)
-
-
-def _value(seed: int, block: int) -> bytes:
-    return f"g{seed % 997:03d}b{block:06d}".encode()
-
-
-_VALUE_WIDTH = len(_value(0, 0))
 
 
 def _percentile(latencies: list[float], q: float) -> float:
@@ -289,83 +275,58 @@ def _gray_plan(config: GraySoakConfig, gray_node: str) -> FaultPlan:
 
 
 def _run_phase(
-    config: GraySoakConfig,
-    mode: str,
-    hedged: bool,
-    obs: Observability | None,
-) -> GrayPhaseResult:
-    result = GrayPhaseResult(mode=mode)
-    gray_node = "storage-0"
-    cluster = Cluster(
-        k=config.k,
-        n=config.n,
-        block_size=config.block_size,
-        seed=config.seed,
-        chaos_plan=_gray_plan(config, gray_node),
-        observability=obs,
-    )
-    assert cluster.chaos is not None
-
-    # Preload fault-free: the measured phase is read-only, so every
-    # run (and mode) starts from byte-identical stripes.
-    cluster.chaos.disable()
-    loader = cluster.client("gray-loader")
-    for block in range(config.blocks):
-        loader.write_block(block, _value(config.seed, block))
-    cluster.chaos.enable()
-
-    reader = cluster.client(
-        "gray-reader",
-        ClientConfig(
+    config: GraySoakConfig, mode: str, hedged: bool, observe: bool
+) -> SoakHarness:
+    result = GrayPhaseResult(seed=config.seed, mode=mode)
+    h = SoakHarness(
+        replace(config, observe=observe),
+        result,
+        name="gray-soak",
+        tag=TAG,
+        salt=SALT,
+        plan=_gray_plan(config, "storage-0"),
+        client_ids=["gray-reader"],
+        clients=ClientConfig(
             rpc_timeout=config.rpc_timeout,
             degraded_reads=True,
             hedged_reads=hedged,
             hedge_delay=config.hedge_delay,
         ),
     )
-    rng = random.Random(config.seed * 31 + 7)
-    latencies: list[float] = []
-    oplog: list[str] = []
-    for i in range(config.reads):
-        block = rng.randrange(config.blocks)
-        started = time.perf_counter()
-        try:
-            data = reader.read_block(block)
-        except ReproError as exc:
-            result.op_failures += 1
-            oplog.append(f"{i} {block} FAILED {exc!r}")
-            continue
-        latencies.append(time.perf_counter() - started)
-        oplog.append(f"{i} {block} {bytes(data[:_VALUE_WIDTH])!r}")
+    chaos = h.cluster.chaos
+    # Preload fault-free: the measured phase is read-only, so every
+    # run (and mode) starts from byte-identical stripes.
+    chaos.disable()
+    h.prefill(TAG)
+    chaos.enable()
+    h.run_ops(config.reads, reads_only=True)
+
+    latencies = h.read_latencies
     result.reads = config.reads
     result.p50 = _percentile(latencies, 0.50)
     result.p99 = _percentile(latencies, 0.99)
     result.mean = sum(latencies) / len(latencies) if latencies else 0.0
     result.worst = max(latencies, default=0.0)
-    result.hedges_fired = reader.protocol.stats.hedged_reads
-    result.gray_hits = cluster.chaos.ledger_counts().get("stall", 0)
-    result.history_digest = hashlib.sha256(
-        "\n".join(oplog).encode()
-    ).hexdigest()[:16]
+    result.hedges_fired = h.stat("hedged_reads")
+    result.gray_hits = chaos.ledger_counts().get("stall", 0)
+    if h.obs is not None:
+        for winner in ("primary", "reconstruct"):
+            count = h.obs.registry.counter_value(
+                "hedged_reads_total", winner=winner
+            )
+            if count:
+                result.hedge_wins[winner] = int(count)
+    h.finish()
     # Multiset digest: counts per (kind, src, dst, op).  Hedged runs
     # add get_state traffic on the gray link, shifting per-event link
     # op counts without changing what was injected — so the multiset,
     # not the counted ledger key, is the cross-mode invariant.
     multiset: dict[tuple[str, str, str, str], int] = {}
-    for kind, src, dst, op, _count in cluster.chaos.ledger_key():
+    for kind, src, dst, op, _count in chaos.ledger_key():
         key = (kind, src, dst, op)
         multiset[key] = multiset.get(key, 0) + 1
-    result.ledger_digest = hashlib.sha256(
-        repr(sorted(multiset.items())).encode()
-    ).hexdigest()[:16]
-    if obs is not None:
-        for winner in ("primary", "reconstruct"):
-            count = obs.registry.counter_value(
-                "hedged_reads_total", winner=winner
-            )
-            if count:
-                result.hedge_wins[winner] = int(count)
-    return result
+    result.ledger_digest = digest(repr(sorted(multiset.items())))
+    return h
 
 
 def _run_overload(config: GraySoakConfig) -> OverloadResult:
@@ -379,7 +340,7 @@ def _run_overload(config: GraySoakConfig) -> OverloadResult:
         admission_limit=config.overload_limit,
     )
     loader = cluster.client("ovl-loader")
-    loader.write_block(0, _value(config.seed, 0))
+    loader.write_block(0, payload(TAG, config.seed, 0, "b"))
     clients = [
         cluster.client(f"ovl-{i}") for i in range(config.overload_clients)
     ]
@@ -426,40 +387,23 @@ def run_gray_soak(config: GraySoakConfig) -> GraySoakReport:
     """Run one seeded gray soak; see the module docstring for phases."""
     report = GraySoakReport(seed=config.seed)
     started = time.perf_counter()
-    obs = Observability.create() if config.observe else None
-
-    report.unhedged = _run_phase(config, "unhedged", hedged=False, obs=None)
-    report.hedged = _run_phase(config, "hedged", hedged=True, obs=obs)
-    report.hedged_rerun = _run_phase(
-        config, "hedged-rerun", hedged=True, obs=None
-    )
+    report.unhedged = _run_phase(config, "unhedged", False, False).report
+    observed = _run_phase(config, "hedged", True, config.observe)
+    report.hedged = hedged = observed.report
+    report.hedged_rerun = _run_phase(config, "hedged-rerun", True, False).report
     if config.overload:
         report.overload = _run_overload(config)
-    if obs is not None:
-        report.metrics = obs.registry.snapshot()
-        # Ledger explainers come from the snapshot's chaos_faults_total
-        # mirror (the observed cluster's ledger, 1:1 by construction).
-        cost_model = CostModel(
-            n=config.n, k=config.k, block_size=config.block_size,
-            strategy="parallel",
-        )
-        cost_audit = CostAuditor(cost_model, fault_free=False).audit(
-            report.metrics
-        )
-        report.cost_conformant = cost_audit.passed
-        report.cost_report = cost_audit.to_json()
+    report.metrics = hedged.metrics
+    report.cost_conformant = hedged.cost_conformant
+    report.cost_report = hedged.cost_report
     report.duration = time.perf_counter() - started
-    if obs is not None and config.flight_dir and not report.passed:
-        report.flight_path = obs.flight.dump(
-            f"{config.flight_dir}/gray-soak-seed{config.seed}.json",
-            reason="gray soak failed its invariants",
-            extra={
-                "seed": config.seed,
-                "unhedged_p99": report.unhedged.p99 if report.unhedged else None,
-                "hedged_p99": report.hedged.p99 if report.hedged else None,
-                "digests_stable": report.digests_stable,
-                "plans_identical": report.plans_identical,
-                "cost_report": report.cost_report,
-            },
+    if not report.passed:
+        report.flight_path = observed.dump_flight(
+            "gray soak failed its invariants",
+            unhedged_p99=report.unhedged.p99,
+            hedged_p99=hedged.p99,
+            digests_stable=report.digests_stable,
+            plans_identical=report.plans_identical,
+            cost_report=report.cost_report,
         )
     return report

@@ -36,25 +36,27 @@ persisted store is audited against its in-memory state.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
 
-import random
-
-from repro.analysis.registers import HistoryRecorder
-from repro.client.config import ClientConfig, WriteStrategy
+from repro.chaos.harness import (
+    SettledCore,
+    SoakHarness,
+    client_config,
+    network_plan,
+    verdict_line,
+)
 from repro.client.monitor import Monitor
 from repro.client.rebuild import Rebuilder
-from repro.client.scrub import Scrubber
-from repro.core.cluster import Cluster, RestartReport
-from repro.analysis.costmodel import CostAuditor, CostModel
+from repro.core.cluster import RestartReport
 from repro.errors import ReproError
-from repro.net.chaos import FaultPlan
 from repro.net.message import diff_snapshots
-from repro.obs import Observability
 from repro.storage.wal import MediaFaultPlan, WalStore
+
+#: Payload letter and op-stream seed salt: this soak's own constants.
+TAG = "r"
+SALT = (6151, 3)
 
 
 @dataclass(frozen=True)
@@ -112,20 +114,14 @@ class RestartSoakConfig:
 
 
 @dataclass
-class PolicyOutcome:
-    """One policy's half of the comparison."""
+class PolicyOutcome(SettledCore):
+    """One policy's half of the comparison.  ``op_failures`` counts only
+    failures *outside* any downtime window (must be zero)."""
 
-    policy: str
-    ops_run: int = 0
+    policy: str = ""
     #: Op failures inside a downtime window (expected for the restart
     #: policy: the pinned slot makes full-stripe writes impossible).
     downtime_aborts: int = 0
-    #: Op failures *outside* any downtime window (must be zero).
-    op_failures: int = 0
-    violations: list[str] = field(default_factory=list)
-    parity_clean: bool = False
-    store_clean: bool = False
-    store_mismatches: list[str] = field(default_factory=list)
     #: ``reconstruct`` request bytes during each crash/repair window.
     repair_bytes: list[int] = field(default_factory=list)
     #: Stripes repaired by the post-restore sweep of each window.
@@ -133,32 +129,10 @@ class PolicyOutcome:
     restart_reports: list[RestartReport] = field(default_factory=list)
     recoveries: int = 0
     rpc_timeouts: int = 0
-    history_digest: str = ""
-    ledger_digest: str = ""
     media_digest: str = ""
-    #: Registry snapshot (empty dict when the run was unobserved).
-    metrics: dict = field(default_factory=dict)
-    trace_events: int = 0
-    #: Ledger-vs-registry audit: None = not observed; True = the
-    #: ``chaos_faults_total`` counters match the chaos ledger exactly.
-    chaos_reconciled: bool | None = None
-    #: Paper-cost-model conformance (bounded mode; None = not observed).
-    cost_conformant: bool | None = None
-    cost_report: dict = field(default_factory=dict)
-    #: Flight-recorder dumps written during this run (dirty replays and
-    #: end-of-run failures).
+    #: Flight-recorder dumps written when a restart replayed dirty (an
+    #: end-of-run failure lands in ``flight_path``).
     flight_paths: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.violations
-            and self.parity_clean
-            and self.store_clean
-            and self.op_failures == 0
-            and self.chaos_reconciled is not False
-            and self.cost_conformant is not False
-        )
 
 
 @dataclass
@@ -208,6 +182,12 @@ class RestartSoakReport:
             )
         )
 
+    @property
+    def metrics(self) -> dict:
+        """The restart policy is the headline run; its snapshot is the
+        artifact (the remap run's counters live in ``remap.metrics``)."""
+        return self.restart.metrics if self.restart else {}
+
     def summary(self) -> str:
         lines = [
             f"restart soak: seed={self.seed} "
@@ -243,21 +223,8 @@ class RestartSoakReport:
                 f"    digests: history={outcome.history_digest} "
                 f"ledger={outcome.ledger_digest} media={outcome.media_digest}"
             )
-            if outcome.chaos_reconciled is not None:
-                lines.append(
-                    f"    observability: trace events={outcome.trace_events} "
-                    f"ledger-vs-metrics reconciled={outcome.chaos_reconciled}"
-                )
-            if outcome.cost_conformant is not None:
-                lines.append(
-                    f"    cost conformance (bounded): "
-                    f"{'ok' if outcome.cost_conformant else 'VIOLATION'} "
-                    f"excess="
-                    f"{outcome.cost_report.get('total_excess_messages', 0)} "
-                    f"msgs"
-                )
-            for path in outcome.flight_paths:
-                lines.append(f"    flight recorder: {path}")
+            lines += [f"    flight recorder: {p}" for p in outcome.flight_paths]
+            lines += outcome.tail_lines("    ")
         if self.comparison_valid:
             lines.append(
                 f"  window-A repair bytes: restart={self.bytes_restart} "
@@ -271,18 +238,8 @@ class RestartSoakReport:
                 f"  window-A byte comparison: n/a — cycle A replay was "
                 f"dirty ({reason}); the node degraded to INIT as designed"
             )
-        lines.append(
-            ("PASS" if self.passed else "FAIL")
-            + f" (reproduce with --seed {self.seed})"
-        )
+        lines.append(verdict_line(self.passed, self.seed))
         return "\n".join(lines)
-
-
-def _value(seed: int, i: int) -> bytes:
-    return f"r{seed % 997:03d}i{i:06d}".encode()
-
-
-_VALUE_WIDTH = len(_value(0, 0))
 
 
 def _in_window(i: int, config: RestartSoakConfig) -> bool:
@@ -292,54 +249,16 @@ def _in_window(i: int, config: RestartSoakConfig) -> bool:
 
 def _run_policy(config: RestartSoakConfig, policy: str) -> PolicyOutcome:
     """One full workload under one crash policy; fully seed-determined."""
-    outcome = PolicyOutcome(policy=policy)
-    storage_ids = [f"storage-{slot}" for slot in range(config.n)]
-    plan = FaultPlan.generate(
-        config.seed,
-        storage_ids,
-        drop=config.drop,
-        dup=config.dup,
-        delay=config.delay,
-        jitter=config.jitter,
-        gray_stall=0.0,
-    )
+    outcome = PolicyOutcome(seed=config.seed, policy=policy)
     media_plan = MediaFaultPlan(
         seed=config.seed * 31 + 7,
         torn=config.torn,
         lost=config.lost,
         exposure=config.exposure,
     )
-    obs = Observability.create() if config.observe else None
-    cluster = Cluster(
-        k=config.k,
-        n=config.n,
-        block_size=config.block_size,
-        seed=config.seed,
-        chaos_plan=plan,
-        store_factory=lambda slot: WalStore(
-            plan=media_plan, tag=f"slot{slot}"
-        ),
-        observability=obs,
-    )
-    client_config = ClientConfig(
-        strategy=WriteStrategy.PARALLEL,
-        rpc_timeout=config.rpc_timeout,
-        suspicion_threshold=config.suspicion_threshold,
-        degraded_reads=True,
-        max_write_attempts=config.max_write_attempts,
-        max_op_attempts=config.max_op_attempts,
-        recovery_wait_limit=config.recovery_wait_limit,
-    )
-    volume = cluster.client("restart-soak", client_config)
-    all_stripes = sorted(
-        {cluster.layout.locate(block).stripe for block in range(config.blocks)}
-    )
-
-    # Repair agents.  The monitor's staleness probe uses wall-clock age,
-    # which a seeded soak must not depend on — stale_after=inf leaves
-    # the deep find_consistent check as the only (deterministic) trigger.
-    monitor = Monitor(volume.protocol, stale_after=math.inf)
-    rebuilder = Rebuilder(volume.protocol, mode="probe")
+    crashes = {config.window_a[0]: 0, config.window_b[0]: 1}
+    restores = {config.window_a[1]: 0, config.window_b[1]: 1}
+    window_snap = None
 
     def crash(cycle: int) -> None:
         force = "torn" if cycle == 1 and policy == "restart" else None
@@ -352,42 +271,26 @@ def _run_policy(config: RestartSoakConfig, policy: str) -> PolicyOutcome:
         if policy == "restart":
             restart_report = cluster.restart_storage(config.crash_slot)
             outcome.restart_reports.append(restart_report)
-            if (
-                not restart_report.clean
-                and obs is not None
-                and config.flight_dir
-            ):
+            if not restart_report.clean:
                 # The node degraded to INIT: capture the trace ring and
                 # metrics as they stood at the moment of degradation.
-                outcome.flight_paths.append(
-                    obs.flight.dump(
-                        f"{config.flight_dir}/restart-soak-seed{config.seed}"
-                        f"-{policy}-degraded-cycle{cycle}.json",
-                        reason="dirty WAL replay degraded node to INIT",
-                        extra={
-                            "seed": config.seed,
-                            "policy": policy,
-                            "cycle": cycle,
-                            "slot": restart_report.slot,
-                            "replay_reason": restart_report.reason,
-                        },
-                    )
+                path = h.dump_flight(
+                    "dirty WAL replay degraded node to INIT",
+                    f"-{policy}-degraded-cycle{cycle}",
+                    policy=policy,
+                    cycle=cycle,
+                    slot=restart_report.slot,
+                    replay_reason=restart_report.reason,
                 )
-            report = monitor.sweep(all_stripes, deep=True)
-            return report.recovered_stripes
+                if path:
+                    outcome.flight_paths.append(path)
+            return monitor.sweep(h.stripes, deep=True).recovered_stripes
         # Fail-remap: a bulk rebuild sweep reconstructs every stripe the
         # lost node served (here: all of them — n slots, rotated layout).
-        return rebuilder.rebuild(all_stripes).recovered
+        return rebuilder.rebuild(h.stripes).recovered
 
-    rng = random.Random(config.seed * 6151 + 3)
-    recorder = HistoryRecorder()
-    oplog: list[str] = []
-    initial = bytes(_VALUE_WIDTH)
-    crashes = {config.window_a[0]: 0, config.window_b[0]: 1}
-    restores = {config.window_a[1]: 0, config.window_b[1]: 1}
-    window_snap = None
-
-    for i in range(config.ops):
+    def before_op(i: int) -> None:
+        nonlocal window_snap
         if i in crashes:
             window_snap = cluster.transport.stats.snapshot()
             crash(crashes[i])
@@ -401,95 +304,49 @@ def _run_policy(config: RestartSoakConfig, policy: str) -> PolicyOutcome:
                 delta["request_bytes"].get("reconstruct", 0)
             )
             window_snap = None
-        block = rng.randrange(config.blocks)
-        is_read = rng.random() < config.read_fraction
-        try:
-            if is_read:
-                with recorder.operation("read", key=block) as ctx:
-                    data = volume.read_block(block)
-                    ctx.value = bytes(data[:_VALUE_WIDTH])
-                oplog.append(f"{i} read {block} -> {ctx.value!r}")
-            else:
-                value = _value(config.seed, i)
-                with recorder.operation(
-                    "write", key=block, value=value, incomplete_on_error=True
-                ):
-                    volume.write_block(block, value)
-                oplog.append(f"{i} write {block} <- {value!r}")
-        except ReproError as exc:
-            if _in_window(i, config):
-                outcome.downtime_aborts += 1
-                oplog.append(f"{i} DOWNTIME-ABORT {type(exc).__name__}")
-            else:
-                outcome.op_failures += 1
-                oplog.append(f"{i} FAILED {exc!r}")
-        outcome.ops_run += 1
-        if config.gc_every and (i + 1) % config.gc_every == 0:
-            volume.collect_garbage()
 
-    # -- settle: stop injecting, repair, audit ---------------------------
-    assert cluster.chaos is not None
-    cluster.chaos.disable()
-    settle = cluster.protocol_client(
-        "restart-settle", ClientConfig(degraded_reads=False)
+    def downtime_abort(i: int, exc: ReproError) -> str | None:
+        if not _in_window(i, config):
+            return None
+        outcome.downtime_aborts += 1
+        return "DOWNTIME-ABORT"
+
+    h = SoakHarness(
+        config,
+        outcome,
+        name="restart-soak",
+        tag=TAG,
+        salt=SALT,
+        # No gray node: the crash/restart cycles are the stars here.
+        plan=network_plan(
+            config, [f"storage-{slot}" for slot in range(config.n)]
+        ),
+        client_ids=["restart-soak"],
+        clients=client_config(
+            config,
+            max_write_attempts=config.max_write_attempts,
+            max_op_attempts=config.max_op_attempts,
+            recovery_wait_limit=config.recovery_wait_limit,
+        ),
+        gc_every=config.gc_every,
+        before_op=before_op,
+        classify=downtime_abort,
+        store_factory=lambda slot: WalStore(plan=media_plan, tag=f"slot{slot}"),
     )
-    Scrubber(settle, repair=True).scrub(all_stripes)
-    verify = Scrubber(settle, repair=False).scrub(all_stripes)
-    outcome.parity_clean = verify.healthy and verify.clean == len(all_stripes)
-    outcome.store_mismatches = cluster.verify_store_consistency()
-    outcome.store_clean = not outcome.store_mismatches
-    outcome.violations = [str(v) for v in recorder.check(initial=initial)]
-    outcome.recoveries = volume.protocol.stats.recoveries_completed
-    outcome.rpc_timeouts = volume.protocol.stats.rpc_timeouts
-    outcome.history_digest = hashlib.sha256(
-        "\n".join(oplog).encode()
-    ).hexdigest()[:16]
-    outcome.ledger_digest = hashlib.sha256(
-        repr(cluster.chaos.ledger_key()).encode()
-    ).hexdigest()[:16]
-    media_keys = [
-        (slot, store.media.ledger_key())
-        for slot, store in sorted(cluster.stores.items())
-        if isinstance(store, WalStore)
-    ]
-    outcome.media_digest = hashlib.sha256(
-        repr(media_keys).encode()
-    ).hexdigest()[:16]
-    if obs is not None:
-        ledger_counts = cluster.chaos.ledger_counts()
-        outcome.metrics = obs.registry.snapshot()
-        outcome.trace_events = obs.tracer.count()
-        outcome.chaos_reconciled = all(
-            obs.registry.counter_value("chaos_faults_total", kind=kind) == count
-            for kind, count in ledger_counts.items()
-        ) and sum(ledger_counts.values()) == obs.registry.sum_counter(
-            "chaos_faults_total"
-        )
-        cost_model = CostModel(
-            n=config.n, k=config.k, block_size=config.block_size,
-            strategy="parallel",
-        )
-        cost_audit = CostAuditor(cost_model, fault_free=False).audit(
-            outcome.metrics, ledger_counts=ledger_counts
-        )
-        outcome.cost_conformant = cost_audit.passed
-        outcome.cost_report = cost_audit.to_json()
-        if config.flight_dir and not outcome.ok:
-            outcome.flight_paths.append(
-                obs.flight.dump(
-                    f"{config.flight_dir}/restart-soak-seed{config.seed}"
-                    f"-{policy}-failed.json",
-                    reason=f"restart soak ({policy} policy) failed its "
-                    "invariants",
-                    extra={
-                        "seed": config.seed,
-                        "policy": policy,
-                        "violations": outcome.violations,
-                        "op_failures": outcome.op_failures,
-                        "store_mismatches": outcome.store_mismatches,
-                    },
-                )
-            )
+    cluster = h.cluster
+    protocol = h.volumes[0].protocol
+    # Repair agents.  The monitor's staleness probe uses wall-clock age,
+    # which a seeded soak must not depend on — stale_after=inf leaves
+    # the deep find_consistent check as the only (deterministic) trigger.
+    monitor = Monitor(protocol, stale_after=math.inf)
+    rebuilder = Rebuilder(protocol, mode="probe")
+
+    h.run_ops(config.ops)
+    h.settle("restart-settle")
+    outcome.recoveries = h.stat("recoveries_completed")
+    outcome.rpc_timeouts = h.stat("rpc_timeouts")
+    outcome.media_digest = h.media_digest()
+    h.finish(f"-{policy}-failed", policy=policy)
     return outcome
 
 

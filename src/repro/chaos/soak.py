@@ -26,20 +26,20 @@ the printed seed.
 
 from __future__ import annotations
 
-import hashlib
-import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.analysis.costmodel import CostAuditor, CostModel
-from repro.analysis.registers import HistoryRecorder
-from repro.client.config import ClientConfig, WriteStrategy
-from repro.client.scrub import Scrubber
-from repro.core.cluster import Cluster
-from repro.errors import ReproError
-from repro.net.chaos import FaultPlan
-from repro.obs import Observability
+from repro.chaos.harness import (
+    SettledCore,
+    SoakHarness,
+    client_config,
+    network_plan,
+    verdict_line,
+)
 from repro.storage.wal import WalStore
+
+#: Payload letter and op-stream seed salt: this soak's own constants.
+TAG = "s"
+SALT = (7919, 11)
 
 
 @dataclass(frozen=True)
@@ -85,236 +85,60 @@ class SoakConfig:
 
 
 @dataclass
-class SoakReport:
+class SoakReport(SettledCore):
     """Outcome of one soak run."""
 
-    seed: int
-    ops_run: int = 0
-    op_failures: int = 0
-    duration: float = 0.0
-    history_digest: str = ""
-    ledger_digest: str = ""
-    ledger_counts: dict[str, int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-    parity_clean: bool = False
-    store_clean: bool = True
-    store_mismatches: list[str] = field(default_factory=list)
     rpc_timeouts: int = 0
     remaps: int = 0
     recoveries: int = 0
-    #: Registry snapshot (empty dict when the soak ran unobserved).
-    metrics: dict = field(default_factory=dict)
-    trace_events: int = 0
-    #: Ledger-vs-registry audit: None = not observed; True = the
-    #: ``chaos_faults_total`` counters match ``ledger_counts`` exactly.
-    chaos_reconciled: bool | None = None
-    #: Paper-cost-model conformance (bounded mode: every excess message
-    #: must be explained by the fault ledger).  None = not observed.
-    cost_conformant: bool | None = None
-    #: Full ``CostAuditReport.to_json()`` payload when observed.
-    cost_report: dict = field(default_factory=dict)
-    flight_path: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.violations
-            and self.parity_clean
-            and self.store_clean
-            and self.op_failures == 0
-            and self.chaos_reconciled is not False
-            and self.cost_conformant is not False
-        )
 
     def summary(self) -> str:
-        lines = [
-            f"chaos soak: seed={self.seed} ops={self.ops_run} "
-            f"failures={self.op_failures} duration={self.duration:.2f}s",
-            f"  injected faults: "
-            + (
-                ", ".join(
-                    f"{kind}={count}"
-                    for kind, count in sorted(self.ledger_counts.items())
-                )
-                or "none"
-            ),
-            f"  rpc timeouts={self.rpc_timeouts} remaps={self.remaps} "
-            f"recoveries={self.recoveries}",
-            f"  history digest: {self.history_digest}",
-            f"  ledger  digest: {self.ledger_digest}",
-            f"  regular-register violations: {len(self.violations)}",
-            f"  final parity scrub clean: {self.parity_clean}",
-            f"  store-vs-memory clean: {self.store_clean}"
-            + (
-                f" ({len(self.store_mismatches)} mismatches)"
-                if self.store_mismatches
-                else ""
-            ),
-        ]
-        if self.chaos_reconciled is not None:
-            lines.append(
-                f"  observability: trace events={self.trace_events} "
-                f"ledger-vs-metrics reconciled={self.chaos_reconciled}"
-            )
-        if self.cost_conformant is not None:
-            excess = self.cost_report.get("total_excess_messages", 0)
-            lines.append(
-                f"  cost conformance (bounded): "
-                f"{'ok' if self.cost_conformant else 'VIOLATION'} "
-                f"excess={excess} msgs, "
-                f"explainers={self.cost_report.get('ledger_explainers', 0)} "
-                f"ledger + {self.cost_report.get('retry_explainers', 0)} retry"
-            )
-        if self.flight_path:
-            lines.append(f"  flight recorder: {self.flight_path}")
-        lines.append(
-            ("PASS" if self.passed else "FAIL")
-            + f" (reproduce with --seed {self.seed})"
+        return "\n".join(
+            [
+                self.header("chaos soak"),
+                self.faults_line(),
+                f"  rpc timeouts={self.rpc_timeouts} remaps={self.remaps} "
+                f"recoveries={self.recoveries}",
+                f"  history digest: {self.history_digest}",
+                f"  ledger  digest: {self.ledger_digest}",
+                f"  regular-register violations: {len(self.violations)}",
+                *self.settle_lines(),
+                *self.tail_lines(),
+                verdict_line(self.passed, self.seed),
+            ]
         )
-        return "\n".join(lines)
-
-
-def _value(seed: int, i: int) -> bytes:
-    """The i-th written payload: fixed width so reads map back exactly."""
-    return f"s{seed % 997:03d}i{i:06d}".encode()
-
-
-_VALUE_WIDTH = len(_value(0, 0))
 
 
 def run_soak(config: SoakConfig) -> SoakReport:
     """Run one seeded soak; deterministic for a fixed config."""
     report = SoakReport(seed=config.seed)
-    started = time.perf_counter()
-
-    storage_ids = [f"storage-{slot}" for slot in range(config.n)]
-    plan = FaultPlan.generate(
-        config.seed,
-        storage_ids,
-        drop=config.drop,
-        dup=config.dup,
-        delay=config.delay,
-        jitter=config.jitter,
-        gray_stall=config.gray_stall,
-        gray_window=config.gray_window,
-    )
-    store_factory = None
-    if config.durable:
+    h = SoakHarness(
+        config,
+        report,
+        name="chaos-soak",
+        tag=TAG,
+        salt=SALT,
+        plan=network_plan(
+            config,
+            [f"storage-{slot}" for slot in range(config.n)],
+            gray_stall=config.gray_stall,
+            gray_window=config.gray_window,
+        ),
+        client_ids=[f"soak-{i}" for i in range(config.clients)],
+        clients=client_config(config),
+        gc_every=config.gc_every,
         # Durable nodes, fault-free media: the chaos soak exercises the
         # *network* fault axis; disk faults belong to the restart soak.
-        store_factory = lambda slot: WalStore(tag=f"slot{slot}")  # noqa: E731
-    obs = Observability.create() if config.observe else None
-    cluster = Cluster(
-        k=config.k,
-        n=config.n,
-        block_size=config.block_size,
-        seed=config.seed,
-        chaos_plan=plan,
-        store_factory=store_factory,
-        observability=obs,
+        store_factory=(
+            (lambda slot: WalStore(tag=f"slot{slot}"))
+            if config.durable
+            else None
+        ),
     )
-    client_config = ClientConfig(
-        strategy=WriteStrategy.PARALLEL,
-        rpc_timeout=config.rpc_timeout,
-        suspicion_threshold=config.suspicion_threshold,
-        degraded_reads=True,
-    )
-    volumes = [
-        cluster.client(f"soak-{i}", client_config) for i in range(config.clients)
-    ]
-
-    rng = random.Random(config.seed * 7919 + 11)
-    recorder = HistoryRecorder()
-    oplog: list[str] = []
-    initial = bytes(_VALUE_WIDTH)
-
-    for i in range(config.ops):
-        volume = volumes[i % len(volumes)]
-        block = rng.randrange(config.blocks)
-        is_read = rng.random() < config.read_fraction
-        try:
-            if is_read:
-                with recorder.operation("read", key=block) as ctx:
-                    data = volume.read_block(block)
-                    ctx.value = bytes(data[:_VALUE_WIDTH])
-                oplog.append(f"{i} {volume.client_id} read {block} -> {ctx.value!r}")
-            else:
-                value = _value(config.seed, i)
-                with recorder.operation("write", key=block, value=value):
-                    volume.write_block(block, value)
-                oplog.append(f"{i} {volume.client_id} write {block} <- {value!r}")
-        except ReproError as exc:
-            report.op_failures += 1
-            oplog.append(f"{i} {volume.client_id} FAILED {exc!r}")
-        report.ops_run += 1
-        if config.gc_every and (i + 1) % config.gc_every == 0:
-            volume.collect_garbage()
-
-    # -- settle: stop injecting, repair, and audit ----------------------
-    assert cluster.chaos is not None
-    cluster.chaos.disable()
-    stripes = sorted(
-        {cluster.layout.locate(block).stripe for block in range(config.blocks)}
-    )
-    settle_config = ClientConfig(degraded_reads=False)
-    auditor = cluster.protocol_client("soak-auditor", settle_config)
-    Scrubber(auditor, repair=True).scrub(stripes)
-    verify = Scrubber(auditor, repair=False).scrub(stripes)
-    report.parity_clean = verify.healthy and verify.clean == len(stripes)
-    report.store_mismatches = cluster.verify_store_consistency()
-    report.store_clean = not report.store_mismatches
-
-    report.violations = [
-        str(v) for v in recorder.check(initial=initial)
-    ]
-    report.history_digest = hashlib.sha256(
-        "\n".join(oplog).encode()
-    ).hexdigest()[:16]
-    report.ledger_digest = hashlib.sha256(
-        repr(cluster.chaos.ledger_key()).encode()
-    ).hexdigest()[:16]
-    report.ledger_counts = cluster.chaos.ledger_counts()
-    report.rpc_timeouts = sum(v.protocol.stats.rpc_timeouts for v in volumes)
-    report.remaps = sum(v.protocol.stats.remaps for v in volumes)
-    report.recoveries = sum(
-        v.protocol.stats.recoveries_completed for v in volumes
-    )
-    if obs is not None:
-        report.metrics = obs.registry.snapshot()
-        report.trace_events = obs.tracer.count()
-        # The ChaosTransport mirrors every ledger append into
-        # ``chaos_faults_total{kind}``; any drift means instrumentation
-        # lost or double-counted a fault.
-        report.chaos_reconciled = all(
-            obs.registry.counter_value("chaos_faults_total", kind=kind) == count
-            for kind, count in report.ledger_counts.items()
-        ) and sum(report.ledger_counts.values()) == obs.registry.sum_counter(
-            "chaos_faults_total"
-        )
-        # Paper-cost-model conformance: with faults in play the audit
-        # runs bounded — measured traffic may exceed the Fig. 1 figures
-        # only within a ledger/retry-derived allowance, and any excess
-        # with an empty ledger is a violation.
-        cost_model = CostModel(
-            n=config.n, k=config.k, block_size=config.block_size,
-            strategy="parallel",
-        )
-        cost_audit = CostAuditor(cost_model, fault_free=False).audit(
-            report.metrics, ledger_counts=report.ledger_counts
-        )
-        report.cost_conformant = cost_audit.passed
-        report.cost_report = cost_audit.to_json()
-    report.duration = time.perf_counter() - started
-    if obs is not None and config.flight_dir and not report.passed:
-        report.flight_path = obs.flight.dump(
-            f"{config.flight_dir}/chaos-soak-seed{config.seed}.json",
-            reason="chaos soak failed its invariants",
-            extra={
-                "seed": config.seed,
-                "violations": report.violations,
-                "op_failures": report.op_failures,
-                "store_mismatches": report.store_mismatches,
-                "cost_report": report.cost_report,
-            },
-        )
+    h.run_ops(config.ops)
+    h.settle("soak-auditor")
+    report.rpc_timeouts = h.stat("rpc_timeouts")
+    report.remaps = h.stat("remaps")
+    report.recoveries = h.stat("recoveries_completed")
+    h.finish()
     return report

@@ -62,15 +62,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from repro.analysis.costmodel import CostAuditor, CostModel
 from repro.analysis.resiliency import resiliency_profile
 from repro.baselines.costs import format_cost_table
-from repro.chaos.elastic_soak import (
-    ElasticSoakConfig,
-    prove_graceful_degradation,
-    run_elastic_soak,
-    smoke_config,
+from repro.chaos.corruption_soak import (
+    CorruptionSoakConfig,
+    run_corruption_soak,
 )
 from repro.chaos.directory_soak import (
     DirectorySoakConfig,
@@ -78,10 +78,12 @@ from repro.chaos.directory_soak import (
     run_directory_soak,
 )
 from repro.chaos.directory_soak import smoke_config as directory_smoke_config
-from repro.chaos.corruption_soak import (
-    CorruptionSoakConfig,
-    run_corruption_soak,
+from repro.chaos.elastic_soak import (
+    ElasticSoakConfig,
+    prove_graceful_degradation,
+    run_elastic_soak,
 )
+from repro.chaos.elastic_soak import smoke_config as elastic_smoke_config
 from repro.chaos.explorer import (
     ExplorerConfig,
     load_schedule,
@@ -208,196 +210,224 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos_soak(args: argparse.Namespace) -> int:
-    if args.ops is not None:
-        ops = args.ops
-    else:
-        ops = 40 if args.smoke else 200
-    config = SoakConfig(
-        seed=args.seed,
-        ops=ops,
-        clients=args.clients,
-        k=args.k,
-        n=args.n,
-        block_size=args.block_size,
-        blocks=args.blocks,
-        read_fraction=args.reads,
-        rpc_timeout=args.rpc_timeout,
-        drop=args.drop,
-        dup=args.dup,
-        gray_stall=args.gray_stall,
-        observe=not args.no_observe,
-        flight_dir=args.flight_dir,
-    )
-    _ensure_dir(args.flight_dir)
-    report = run_soak(config)
-    print(report.summary())
-    for violation in report.violations:
-        print(f"  VIOLATION: {violation}")
-    if args.metrics_out and report.metrics:
-        _write_metrics(args.metrics_out, report.metrics)
-    return 0 if report.passed else 1
-
-
-def cmd_corruption_soak(args: argparse.Namespace) -> int:
-    if args.ops is not None:
-        ops = args.ops
-    else:
-        ops = 140 if args.smoke else 400
-    config = CorruptionSoakConfig(
-        seed=args.seed,
-        ops=ops,
-        clients=args.clients,
-        k=args.k,
-        n=args.n,
-        block_size=args.block_size,
-        blocks=args.blocks,
-        read_fraction=args.reads,
-        corrupt=args.corrupt,
-        flip_every=args.flip_every,
-        audit_every=args.audit_every,
-        audit_samples=args.audit_samples,
-        observe=not args.no_observe,
-        flight_dir=args.flight_dir,
-    )
-    _ensure_dir(args.flight_dir)
-    report = run_corruption_soak(config)
-    print(report.summary())
-    for violation in report.violations:
-        print(f"  VIOLATION: {violation}")
-    if args.metrics_out and report.metrics:
-        _write_metrics(args.metrics_out, report.metrics)
-    return 0 if report.passed else 1
-
-
-def cmd_gray_soak(args: argparse.Namespace) -> int:
-    if args.reads is not None:
-        reads = args.reads
-    else:
-        reads = 60 if args.smoke else 160
-    config = GraySoakConfig(
-        seed=args.seed,
-        reads=reads,
-        k=args.k,
-        n=args.n,
-        block_size=args.block_size,
-        blocks=args.blocks,
-        stall=args.stall,
-        hedge_delay=args.hedge_delay,
-        rpc_timeout=args.rpc_timeout,
-        overload=not args.no_overload,
-        observe=not args.no_observe,
-        flight_dir=args.flight_dir,
-    )
-    _ensure_dir(args.flight_dir)
-    report = run_gray_soak(config)
-    print(report.summary())
-    if args.metrics_out and report.metrics:
-        _write_metrics(args.metrics_out, report.metrics)
-    return 0 if report.passed else 1
-
-
-def cmd_restart_soak(args: argparse.Namespace) -> int:
+def _rescale_restart_windows(config: RestartSoakConfig) -> RestartSoakConfig:
+    """Keep the crash windows proportional when the op count shrinks."""
     defaults = RestartSoakConfig()
-    if args.ops is not None:
-        ops = args.ops
-    elif args.smoke:
-        ops = 120
-    else:
-        ops = defaults.ops
-    # Keep the crash windows proportional when the op count shrinks.
-    scale = ops / defaults.ops
-    config = RestartSoakConfig(
-        seed=args.seed,
-        ops=ops,
+    scale = config.ops / defaults.ops
+    return replace(
+        config,
         window_a=tuple(int(i * scale) for i in defaults.window_a),
         window_b=tuple(int(i * scale) for i in defaults.window_b),
-        torn=args.torn,
-        lost=args.lost,
-        drop=args.drop,
-        dup=args.dup,
+    )
+
+
+@dataclass(frozen=True)
+class Soak:
+    """One soak sub-command.  Every soak takes the shared flag block
+    (``--seed --smoke --no-observe --metrics-out --flight-dir``); the
+    rest of its command line is ``flags``: (flag, config field, type,
+    help) rows, where a flag left unset keeps the (smoke or full)
+    config's own value and type ``False`` marks a switch that turns the
+    field off."""
+
+    name: str
+    help: str
+    config: type
+    run: Callable
+    #: seed -> the CI-sized config ``--smoke`` selects.
+    smoke: Callable
+    flags: tuple[tuple, ...]
+    #: config -> config, for fields derived from flag-set ones.
+    derive: Callable | None = None
+    #: seed -> a side proof (``summary()``, ``passed``) printed after the
+    #: report and demonstrated, not asserted, on every run.
+    proof: Callable | None = None
+
+    @property
+    def seed(self) -> int:
+        return self.config().seed
+
+
+_BLOCKS = ("--blocks", "blocks", int, "logical blocks in the workload namespace")
+_GEOMETRY = (
+    ("--k", "k", int, None),
+    ("--n", "n", int, None),
+    ("--block-size", "block_size", int, None),
+    _BLOCKS,
+)
+_MIXED = (
+    ("--clients", "clients", int, None),
+    *_GEOMETRY,
+    ("--reads", "read_fraction", float, "fraction of ops that are reads"),
+)
+
+SOAKS: tuple[Soak, ...] = (
+    Soak(
+        "chaos-soak",
+        "seeded fault-injection soak + consistency audit",
+        SoakConfig,
+        run_soak,
+        smoke=lambda seed: SoakConfig(seed=seed, ops=40),
+        flags=(
+            ("--ops", "ops", int,
+             "workload length (default 200; 40 with --smoke)"),
+            *_MIXED,
+            ("--rpc-timeout", "rpc_timeout", float, None),
+            ("--drop", "drop", float, None),
+            ("--dup", "dup", float, None),
+            ("--gray-stall", "gray_stall", float, None),
+        ),
+    ),
+    Soak(
+        "restart-soak",
+        "crash-restart soak: durable-node recovery vs fail-remap",
+        RestartSoakConfig,
+        run_restart_soak,
+        smoke=lambda seed: RestartSoakConfig(seed=seed, ops=120),
+        flags=(
+            ("--ops", "ops", int,
+             "workload length per policy run (default 160; 120 with "
+             "--smoke)"),
+            ("--torn", "torn", float,
+             "per-frame torn-write probability at crash"),
+            ("--lost", "lost", float,
+             "per-frame lost-write probability at crash"),
+            ("--drop", "drop", float, None),
+            ("--dup", "dup", float, None),
+        ),
+        derive=_rescale_restart_windows,
+    ),
+    Soak(
+        "corruption-soak",
+        "end-to-end integrity soak: wire + media corruption vs verified "
+        "reads, sampling audits and parity scrubs",
+        CorruptionSoakConfig,
+        run_corruption_soak,
+        smoke=lambda seed: CorruptionSoakConfig(seed=seed, ops=140),
+        flags=(
+            ("--ops", "ops", int,
+             "workload length (default 400; 140 with --smoke)"),
+            *_MIXED,
+            ("--corrupt", "corrupt", float,
+             "per-read-response wire bit-flip probability"),
+            ("--flip-every", "flip_every", int,
+             "ops between forced silent media flips (crash/restart "
+             "cycles; 0 disables)"),
+            ("--audit-every", "audit_every", int,
+             "ops between sampling-audit sweeps (0 disables)"),
+            ("--audit-samples", "audit_samples", int,
+             "fingerprint probes per audit sweep"),
+        ),
+    ),
+    Soak(
+        "gray-soak",
+        "gray-node soak: hedged vs un-hedged read tail latency",
+        GraySoakConfig,
+        run_gray_soak,
+        smoke=lambda seed: GraySoakConfig(seed=seed, reads=60),
+        flags=(
+            ("--reads", "reads", int,
+             "reads per phase run (default 160; 60 with --smoke)"),
+            *_GEOMETRY,
+            ("--stall", "stall", float,
+             "gray node's read-path stall, seconds"),
+            ("--hedge-delay", "hedge_delay", float,
+             "fixed hedging delay, seconds"),
+            ("--rpc-timeout", "rpc_timeout", float, None),
+            ("--no-overload", "overload", False,
+             "skip the admission-control overload burst"),
+        ),
+    ),
+    Soak(
+        "elastic-soak",
+        "elastic-cluster soak: grow, rebalance and decommission under "
+        "chaos with mid-migration crash points",
+        ElasticSoakConfig,
+        run_elastic_soak,
+        smoke=elastic_smoke_config,
+        flags=(
+            ("--pool-start", "pool_start", int,
+             "initial pool size (default 8; 6 with --smoke)"),
+            ("--pool-peak", "pool_peak", int,
+             "pool size after both grow waves (default 24; 10 with "
+             "--smoke)"),
+            ("--decommission", "decommission", int,
+             "original members to retire at the end (default 4; 2 with "
+             "--smoke)"),
+            _BLOCKS,
+            ("--ops-per-wave", "ops_per_wave", int,
+             "workload ops before each membership wave"),
+            ("--no-crash", "crash_rebalancer", False,
+             "run the waves without arming the rebalance.* crash points"),
+        ),
+        # Crash a migration before its commit and show the stripe still
+        # serves at the old placement.
+        proof=prove_graceful_degradation,
+    ),
+    Soak(
+        "directory-soak",
+        "replicated-directory soak: metadata-plane fate table (minority "
+        "crash, restart, partition, quorum loss, heal) under chaos, plus "
+        "the directory.* crash-point sweep",
+        DirectorySoakConfig,
+        run_directory_soak,
+        smoke=directory_smoke_config,
+        flags=(
+            ("--pool", "pool", int, "storage pool size (default 8, smoke 6)"),
+            ("--directory-replicas", "directory_replicas", int,
+             "directory replica count, 3..5 (default 3)"),
+            _BLOCKS,
+            ("--ops-per-phase", "ops_per_phase", int,
+             "workload ops between fault phases"),
+        ),
+        # A remap proposer dies at each directory.* crash window, and the
+        # next proposer must converge on the same single decision (the
+        # no-split-brain construction).
+        proof=run_directory_point_sweep,
+    ),
+)
+
+
+def soak_readme_lines() -> list[str]:
+    """The soak lines of the README's command list (kept in step by
+    ``tests/chaos/test_harness.py``)."""
+    return [
+        f"python -m repro {soak.name} --seed {soak.seed} --smoke"
+        for soak in SOAKS
+    ]
+
+
+def cmd_soak(args: argparse.Namespace) -> int:
+    soak: Soak = args.soak
+    base = soak.smoke(args.seed) if args.smoke else soak.config(seed=args.seed)
+    overrides = {
+        field: getattr(args, field)
+        for _, field, _, _ in soak.flags
+        if getattr(args, field) is not None
+    }
+    config = replace(
+        base,
+        **overrides,
         observe=not args.no_observe,
         flight_dir=args.flight_dir,
     )
+    if soak.derive is not None:
+        config = soak.derive(config)
+    if hasattr(config, "validate"):
+        try:
+            config.validate()
+        except ValueError as exc:
+            print(f"invalid {soak.name} configuration: {exc}", file=sys.stderr)
+            return 2
     _ensure_dir(args.flight_dir)
-    report = run_restart_soak(config)
+    report = soak.run(config)
     print(report.summary())
-    for outcome in (report.restart, report.remap):
-        for violation in outcome.violations:
-            print(f"  [{outcome.policy}] VIOLATION: {violation}")
-        for mismatch in outcome.store_mismatches:
-            print(f"  [{outcome.policy}] STORE MISMATCH: {mismatch}")
-    if args.metrics_out and report.restart and report.restart.metrics:
-        # The restart policy is the headline run; its snapshot is the
-        # artifact (the remap run's counters live in report.remap).
-        _write_metrics(args.metrics_out, report.restart.metrics)
-    return 0 if report.passed else 1
-
-
-def cmd_elastic_soak(args: argparse.Namespace) -> int:
-    if args.smoke:
-        base = smoke_config(args.seed)
-    else:
-        base = ElasticSoakConfig(seed=args.seed)
-    config = ElasticSoakConfig(
-        seed=base.seed,
-        pool_start=args.pool_start or base.pool_start,
-        pool_peak=args.pool_peak or base.pool_peak,
-        decommission=args.decommission or base.decommission,
-        blocks=args.blocks or base.blocks,
-        ops_per_wave=args.ops_per_wave or base.ops_per_wave,
-        crash_rebalancer=not args.no_crash,
-        observe=not args.no_observe,
-        flight_dir=args.flight_dir,
-    )
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"invalid elastic-soak configuration: {exc}", file=sys.stderr)
-        return 2
-    _ensure_dir(args.flight_dir)
-    report = run_elastic_soak(config)
-    print(report.summary())
-    # The graceful-degradation requirement is *proven* on every run, not
-    # asserted: crash a migration before its commit and show the stripe
-    # still serves at the old placement.
-    proof = prove_graceful_degradation(args.seed)
-    print(proof.summary())
+    proof = soak.proof(args.seed) if soak.proof is not None else None
+    if proof is not None:
+        print(proof.summary())
     if args.metrics_out and report.metrics:
         _write_metrics(args.metrics_out, report.metrics)
-    return 0 if report.passed and proof.holds else 1
-
-
-def cmd_directory_soak(args: argparse.Namespace) -> int:
-    if args.smoke:
-        base = directory_smoke_config(args.seed)
-    else:
-        base = DirectorySoakConfig(seed=args.seed)
-    config = DirectorySoakConfig(
-        seed=base.seed,
-        pool=args.pool or base.pool,
-        directory_replicas=args.directory_replicas or base.directory_replicas,
-        blocks=args.blocks or base.blocks,
-        ops_per_phase=args.ops_per_phase or base.ops_per_phase,
-        observe=not args.no_observe,
-        flight_dir=args.flight_dir,
-    )
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"invalid directory-soak configuration: {exc}", file=sys.stderr)
-        return 2
-    _ensure_dir(args.flight_dir)
-    report = run_directory_soak(config)
-    print(report.summary())
-    # Every run also sweeps the three directory.* crash windows: a remap
-    # proposer dies at each one, and the next proposer must converge on
-    # the same single decision (the no-split-brain construction).
-    sweep = run_directory_point_sweep(args.seed)
-    print(sweep.summary())
-    if args.metrics_out and report.metrics:
-        _write_metrics(args.metrics_out, report.metrics)
-    return 0 if report.passed and sweep.passed else 1
+    return 0 if report.passed and (proof is None or proof.passed) else 1
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
@@ -709,152 +739,20 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=1)
     simulate.set_defaults(func=cmd_simulate)
 
-    soak = sub.add_parser(
-        "chaos-soak",
-        help="seeded fault-injection soak + consistency audit",
-        epilog=EXIT_CODES_EPILOG,
-    )
-    soak.add_argument("--seed", type=int, default=7)
-    soak.add_argument("--ops", type=int, default=None,
-                      help="workload length (default 200; 40 with --smoke)")
-    soak.add_argument("--smoke", action="store_true",
-                      help="short CI-sized run")
-    soak.add_argument("--clients", type=int, default=2)
-    soak.add_argument("--k", type=int, default=2)
-    soak.add_argument("--n", type=int, default=4)
-    soak.add_argument("--block-size", type=int, default=64)
-    soak.add_argument("--blocks", type=int, default=12)
-    soak.add_argument("--reads", type=float, default=0.4)
-    soak.add_argument("--rpc-timeout", type=float, default=0.05)
-    soak.add_argument("--drop", type=float, default=0.04)
-    soak.add_argument("--dup", type=float, default=0.06)
-    soak.add_argument("--gray-stall", type=float, default=5.0)
-    _add_observe_args(soak)
-    soak.set_defaults(func=cmd_chaos_soak)
-
-    restart = sub.add_parser(
-        "restart-soak",
-        help="crash-restart soak: durable-node recovery vs fail-remap",
-        epilog=EXIT_CODES_EPILOG,
-    )
-    restart.add_argument("--seed", type=int, default=11)
-    restart.add_argument("--ops", type=int, default=None,
-                         help="workload length per policy run "
-                              "(default 160; 120 with --smoke)")
-    restart.add_argument("--smoke", action="store_true",
-                         help="short CI-sized run")
-    restart.add_argument("--torn", type=float, default=0.04,
-                         help="per-frame torn-write probability at crash")
-    restart.add_argument("--lost", type=float, default=0.04,
-                         help="per-frame lost-write probability at crash")
-    restart.add_argument("--drop", type=float, default=0.02)
-    restart.add_argument("--dup", type=float, default=0.04)
-    _add_observe_args(restart)
-    restart.set_defaults(func=cmd_restart_soak)
-
-    corruption = sub.add_parser(
-        "corruption-soak",
-        help="end-to-end integrity soak: wire + media corruption vs "
-             "verified reads, sampling audits and parity scrubs",
-        epilog=EXIT_CODES_EPILOG,
-    )
-    corruption.add_argument("--seed", type=int, default=5)
-    corruption.add_argument("--ops", type=int, default=None,
-                            help="workload length (default 400; 140 with "
-                                 "--smoke)")
-    corruption.add_argument("--smoke", action="store_true",
-                            help="short CI-sized run")
-    corruption.add_argument("--clients", type=int, default=2)
-    corruption.add_argument("--k", type=int, default=2)
-    corruption.add_argument("--n", type=int, default=4)
-    corruption.add_argument("--block-size", type=int, default=64)
-    corruption.add_argument("--blocks", type=int, default=12)
-    corruption.add_argument("--reads", type=float, default=0.5)
-    corruption.add_argument("--corrupt", type=float, default=0.08,
-                            help="per-read-response wire bit-flip "
-                                 "probability")
-    corruption.add_argument("--flip-every", type=int, default=60,
-                            help="ops between forced silent media flips "
-                                 "(crash/restart cycles; 0 disables)")
-    corruption.add_argument("--audit-every", type=int, default=30,
-                            help="ops between sampling-audit sweeps "
-                                 "(0 disables)")
-    corruption.add_argument("--audit-samples", type=int, default=8,
-                            help="fingerprint probes per audit sweep")
-    _add_observe_args(corruption)
-    corruption.set_defaults(func=cmd_corruption_soak)
-
-    gray = sub.add_parser(
-        "gray-soak",
-        help="gray-node soak: hedged vs un-hedged read tail latency",
-        epilog=EXIT_CODES_EPILOG,
-    )
-    gray.add_argument("--seed", type=int, default=23)
-    gray.add_argument("--reads", type=int, default=None,
-                      help="reads per phase run (default 160; 60 with --smoke)")
-    gray.add_argument("--smoke", action="store_true",
-                      help="short CI-sized run")
-    gray.add_argument("--k", type=int, default=2)
-    gray.add_argument("--n", type=int, default=4)
-    gray.add_argument("--block-size", type=int, default=64)
-    gray.add_argument("--blocks", type=int, default=12)
-    gray.add_argument("--stall", type=float, default=0.08,
-                      help="gray node's read-path stall, seconds")
-    gray.add_argument("--hedge-delay", type=float, default=0.02,
-                      help="fixed hedging delay, seconds")
-    gray.add_argument("--rpc-timeout", type=float, default=1.0)
-    gray.add_argument("--no-overload", action="store_true",
-                      help="skip the admission-control overload burst")
-    _add_observe_args(gray)
-    gray.set_defaults(func=cmd_gray_soak)
-
-    elastic = sub.add_parser(
-        "elastic-soak",
-        help="elastic-cluster soak: grow, rebalance and decommission "
-             "under chaos with mid-migration crash points",
-        epilog=EXIT_CODES_EPILOG,
-    )
-    elastic.add_argument("--seed", type=int, default=11)
-    elastic.add_argument("--smoke", action="store_true",
-                         help="CI-sized run (pool 6->10, 2 decommissioned)")
-    elastic.add_argument("--pool-start", type=int, default=None,
-                         help="initial pool size (default 8; 6 with --smoke)")
-    elastic.add_argument("--pool-peak", type=int, default=None,
-                         help="pool size after both grow waves "
-                              "(default 24; 10 with --smoke)")
-    elastic.add_argument("--decommission", type=int, default=None,
-                         help="original members to retire at the end "
-                              "(default 4; 2 with --smoke)")
-    elastic.add_argument("--blocks", type=int, default=None,
-                         help="logical blocks in the workload namespace")
-    elastic.add_argument("--ops-per-wave", type=int, default=None,
-                         help="workload ops before each membership wave")
-    elastic.add_argument("--no-crash", action="store_true",
-                         help="run the waves without arming the "
-                              "rebalance.* crash points")
-    _add_observe_args(elastic)
-    elastic.set_defaults(func=cmd_elastic_soak)
-
-    dirsoak = sub.add_parser(
-        "directory-soak",
-        help="replicated-directory soak: metadata-plane fate table "
-             "(minority crash, restart, partition, quorum loss, heal) "
-             "under chaos, plus the directory.* crash-point sweep",
-        epilog=EXIT_CODES_EPILOG,
-    )
-    dirsoak.add_argument("--seed", type=int, default=23)
-    dirsoak.add_argument("--smoke", action="store_true",
-                         help="CI-sized run: half the traffic, same phases")
-    dirsoak.add_argument("--pool", type=int, default=None,
-                         help="storage pool size (default 8, smoke 6)")
-    dirsoak.add_argument("--directory-replicas", type=int, default=None,
-                         help="directory replica count, 3..5 (default 3)")
-    dirsoak.add_argument("--blocks", type=int, default=None,
-                         help="logical block namespace (default 10, smoke 8)")
-    dirsoak.add_argument("--ops-per-phase", type=int, default=None,
-                         help="workload ops between fault phases")
-    _add_observe_args(dirsoak)
-    dirsoak.set_defaults(func=cmd_directory_soak)
+    for soak in SOAKS:
+        sp = sub.add_parser(soak.name, help=soak.help, epilog=EXIT_CODES_EPILOG)
+        sp.add_argument("--seed", type=int, default=soak.seed)
+        sp.add_argument("--smoke", action="store_true",
+                        help="short CI-sized run")
+        for flag, field, kind, text in soak.flags:
+            if kind is False:
+                sp.add_argument(flag, dest=field, action="store_const",
+                                const=False, default=None, help=text)
+            else:
+                sp.add_argument(flag, dest=field, type=kind, default=None,
+                                help=text)
+        _add_observe_args(sp)
+        sp.set_defaults(func=cmd_soak, soak=soak)
 
     explore = sub.add_parser(
         "explore",

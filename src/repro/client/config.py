@@ -118,11 +118,3 @@ class ClientConfig:
     #: and quarantines the node.  Off by default — the fault-free wire
     #: cost model measures exactly the paper's Fig. 1 read column.
     verified_reads: bool = False
-
-    def backoff_for(self, attempt: int) -> float:
-        """Deterministic exponential backoff with a cap; attempt is
-        0-based.  Retry loops now sleep via the client's jittered
-        :class:`~repro.net.backpressure.BackoffPolicy` instead (this
-        remains the upper envelope and is kept for callers that need a
-        jitter-free bound)."""
-        return min(self.backoff * (2 ** min(attempt, 10)), self.backoff_cap)

@@ -41,7 +41,11 @@ from dataclasses import replace
 from repro.crashpoints import NULL_CRASHPOINTS
 from repro.directory.local import UnknownSlotError
 from repro.directory.replica import SlotBinding, Tag, ZERO_TAG
-from repro.errors import DirectoryUnavailableError
+from repro.errors import (
+    DirectoryUnavailableError,
+    NodeBusyError,
+    RpcTimeoutError,
+)
 from repro.net.backpressure import BackoffPolicy
 from repro.net.rpc import pfor
 from repro.obs.metrics import NULL_REGISTRY
@@ -123,10 +127,10 @@ class ReplicatedDirectory:
                 self.client_id, replica_id, op, *args,
                 timeout=self.rpc_timeout, **kwargs,
             )
+        except NodeBusyError:
+            raise  # overload, not failure: health state untouched
         except Exception as exc:
             if health is not None:
-                from repro.errors import RpcTimeoutError
-
                 kind = "timeout" if isinstance(exc, RpcTimeoutError) else "unavailable"
                 health.observe_failure(replica_id, kind, _TIMEOUT_THRESHOLD)
             raise

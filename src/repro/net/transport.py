@@ -225,20 +225,8 @@ class Transport(ABC):
         result = "ok"
         try:
             return self._call_impl(src, dst, op, *args, timeout=timeout, **kwargs)
-        except NodeBusyError:
-            result = "busy"
-            raise
-        except RpcTimeoutError:
-            result = "timeout"
-            raise
-        except PartitionedError:
-            result = "partitioned"
-            raise
-        except NodeUnavailableError:
-            result = "unavailable"
-            raise
-        except Exception:
-            result = "error"
+        except Exception as exc:
+            result = classify_outcome(exc)
             raise
         finally:
             metrics.counter("rpc_calls_total", op=op, result=result).inc()

@@ -46,32 +46,19 @@ class ServiceTimes:
 
 
 class InstrumentedServer(RpcHandler):
-    """Delegates to a :class:`StorageNode`, timing every operation.
+    """Delegates to a :class:`StorageNode`, timing every operation."""
 
-    ``admission`` optionally bounds this node's request queue with an
-    :class:`~repro.net.backpressure.AdmissionController` at the handler
-    layer — for deployments whose transport has no admission hook of
-    its own (the transports shipped here gate in the transport instead,
-    so they shed while a request is still queued, not when it reaches
-    the handler)."""
-
-    def __init__(self, node: StorageNode, admission=None):
+    def __init__(self, node: StorageNode):
         self.node = node
         self.times = ServiceTimes()
-        self.admission = admission
 
     @property
     def node_id(self) -> str:
         return self.node.node_id
 
     def handle(self, op: str, *args: object, **kwargs: object) -> object:
-        admission = self.admission
-        if admission is not None:
-            admission.acquire(self.node_id, op=op)
         start = time.perf_counter()
         try:
             return self.node.handle(op, *args, **kwargs)
         finally:
             self.times.record(op, time.perf_counter() - start)
-            if admission is not None:
-                admission.release(self.node_id)

@@ -53,13 +53,6 @@ class TestRetryExhaustion:
 
 
 class TestConfig:
-    def test_backoff_exponential_and_capped(self):
-        config = ClientConfig(backoff=0.001, backoff_cap=0.004)
-        assert config.backoff_for(0) == 0.001
-        assert config.backoff_for(1) == 0.002
-        assert config.backoff_for(2) == 0.004
-        assert config.backoff_for(10) == 0.004  # capped
-
     def test_default_strategy_is_parallel(self):
         assert ClientConfig().strategy is WriteStrategy.PARALLEL
 

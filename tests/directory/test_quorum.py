@@ -228,3 +228,28 @@ class TestDirectoryCache:
         assert stale.node_id(0) == "storage-0"
         assert stale.remap(0, "storage-0") == "storage-0.1"
         assert stale.node_id(0) == "storage-0.1"
+
+
+class TestOverloadIsNotFailure:
+    def test_busy_sheds_leave_replica_health_untouched(self):
+        """An admission shed from a directory replica is overload, not
+        evidence of failure: it propagates as ``NodeBusyError`` and the
+        replica's health score (the ``node_health_score`` gauge) does
+        not move — the same rule ``ProtocolClient._call_once`` applies
+        to storage nodes."""
+        from repro.core.cluster import Cluster
+        from repro.errors import NodeBusyError
+
+        cluster = Cluster(2, 4, directory_replicas=3, admission_limit=4)
+        qdir, admission = cluster.qdirectory, cluster.transport.admission
+        for _ in range(admission.limit):  # fill dir-0's queue
+            admission.acquire("dir-0")
+        for _ in range(3):
+            with pytest.raises(NodeBusyError):
+                qdir._call_replica("dir-0", "dir_read", ("slot", 0))
+        assert cluster.health.score("dir-0") == 1.0
+        # A genuine failure still degrades the score.
+        cluster.crash_directory_replica(0)
+        with pytest.raises(Exception):
+            qdir._call_replica("dir-0", "dir_read", ("slot", 0))
+        assert cluster.health.score("dir-0") < 1.0
