@@ -1,12 +1,11 @@
 """Microbench — instrumentation cost on the swap/add hot path.
 
 The observability layer's contract is that an uninstrumented system
-pays only guard work: ``StorageNode.handle`` pops the ``_trace`` and
-``_op`` kwargs and checks ``metrics.enabled`` / ``tracer.enabled``
-against the NULL sinks; ``Transport.call`` adds one more ``enabled``
-check, and the wire-accounting layer adds the client's op-kind stamp
-check plus the transports' ``_op`` pops (no-ops when the tag was never
-attached).  This bench
+pays only guard work: ``StorageNode.handle`` reads the envelope's
+``trace`` and checks ``metrics.enabled`` / ``tracer.enabled`` against
+the NULL sinks, and ``Transport.call`` adds one more ``enabled`` check.
+The op-kind label rides the same envelope unconditionally and is only
+read when a registry is live.  This bench
 measures that guard cost directly, relates it to the real cost of a
 swap/add storage op, and asserts the disabled-path overhead is under
 2%.  It also reports the *enabled* cost (counters + histogram + trace
@@ -22,6 +21,7 @@ import numpy as np
 from repro.erasure.rs import ReedSolomonCode
 from repro.erasure.striping import StripeLayout
 from repro.ids import BlockAddr, Tid
+from repro.net.message import NO_ENVELOPE, Envelope
 from repro.obs.metrics import NULL_REGISTRY
 from repro.storage.node import StorageNode, VolumeMeta
 from repro.tracing import NULL_TRACER
@@ -47,14 +47,14 @@ def _make_node() -> StorageNode:
 def _time_ops(node: StorageNode, op: str, traced: bool) -> float:
     """Seconds per ``swap`` or ``add`` op driven through ``handle``."""
     block = np.full(BS, 7, dtype=np.uint8)
-    kwargs = {}
+    env = NO_ENVELOPE
     if traced:
-        kwargs["_trace"] = ("bench:w1", "bench:s1", "bench:w1")
+        env = Envelope(trace=("bench:w1", "bench:s1", "bench:w1"))
     start = time.perf_counter()
     if op == "swap":
         for i in range(OPS):
             node.handle(
-                "swap", BlockAddr("vol", i, 0), block, Tid(1, 0, "b"), **kwargs
+                "swap", BlockAddr("vol", i, 0), block, Tid(1, 0, "b"), env=env
             )
     else:
         for i in range(OPS):
@@ -65,38 +65,27 @@ def _time_ops(node: StorageNode, op: str, traced: bool) -> float:
                 Tid(1, 2, "b"),
                 None,
                 0,
-                **kwargs,
+                env=env,
             )
     return (time.perf_counter() - start) / OPS
 
 
 def _guard_cost() -> float:
     """Seconds per op of the exact disabled-path additions: the
-    ``_trace`` and ``_op`` pops plus the NULL-sink ``enabled`` checks
-    made by the client, the node, and the transport.
-
-    The wire-accounting layer adds exactly two ops when observability
-    is off: the client's ``op_kind is not None and metrics.enabled``
-    stamp check in ``_call_once`` (the ``_op`` kwarg is never attached,
-    so the transports' ``kwargs.pop("_op")`` runs against a dict
-    without the key), and the node's defensive ``_op`` pop."""
+    envelope reads plus the NULL-sink ``enabled`` checks made by the
+    node and the transport.  The envelope is built whether or not
+    observability is on, so building it is not guard work."""
     metrics = NULL_REGISTRY
     tracer = NULL_TRACER
-    kwargs: dict = {}
-    op_kind = "write"
+    env = Envelope(kind="write")
     sink = 0
     start = time.perf_counter()
     for _ in range(GUARD_LOOPS):
         if not metrics.enabled:  # Transport.call fast path
             sink += 1
-        if op_kind is not None and metrics.enabled:  # _call_once stamp
-            sink -= 1
-        kwargs.pop("_op", None)  # transport _call_impl attribution pop
-        trace = kwargs.pop("_trace", None)  # StorageNode.handle
-        kwargs.pop("_op", None)  # StorageNode.handle defensive pop
-        if metrics.enabled:
+        if metrics.enabled:  # StorageNode.handle
             sink += 1
-        if trace is not None and tracer.enabled:
+        if env.trace is not None and tracer.enabled:  # StorageNode.handle
             sink += 1
     elapsed = time.perf_counter() - start
     assert sink == GUARD_LOOPS

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.erasure.rs import ReedSolomonCode
 from repro.errors import ReproError
+from repro.net.message import NO_ENVELOPE, Envelope
 from repro.net.rpc import pfor
 from repro.net.transport import RpcHandler, Transport
 
@@ -61,7 +62,9 @@ class FabNode(RpcHandler):
         self._blocks: dict[tuple[int, int], _Versioned] = {}
         self._lock = threading.Lock()
 
-    def handle(self, op: str, *args: object, **kwargs: object) -> object:
+    def handle(
+        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
+    ) -> object:
         with self._lock:
             return getattr(self, op)(*args, **kwargs)
 

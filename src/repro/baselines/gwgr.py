@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.erasure.rs import ReedSolomonCode
+from repro.net.message import NO_ENVELOPE, Envelope
 from repro.net.rpc import pfor
 from repro.net.transport import RpcHandler, Transport
 
@@ -53,7 +54,9 @@ class GwgrNode(RpcHandler):
         self._stripes: dict[tuple[int, int], _VersionLog] = {}
         self._lock = threading.Lock()
 
-    def handle(self, op: str, *args: object, **kwargs: object) -> object:
+    def handle(
+        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
+    ) -> object:
         with self._lock:
             return getattr(self, op)(*args, **kwargs)
 

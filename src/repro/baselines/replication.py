@@ -13,6 +13,7 @@ import threading
 import numpy as np
 
 from repro.errors import NodeUnavailableError, ReadFailedError
+from repro.net.message import NO_ENVELOPE, Envelope
 from repro.net.rpc import pfor
 from repro.net.transport import RpcHandler, Transport
 
@@ -26,7 +27,9 @@ class ReplicaNode(RpcHandler):
         self._blocks: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
-    def handle(self, op: str, *args: object, **kwargs: object) -> object:
+    def handle(
+        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
+    ) -> object:
         with self._lock:
             return getattr(self, op)(*args, **kwargs)
 

@@ -46,7 +46,8 @@ from repro.errors import (
 from repro.gf import field as gf
 from repro.ids import BlockAddr, Tid
 from repro.net.backpressure import BackoffPolicy, RetryBudget
-from repro.net.rpc import Deadline, NodeProxy, pfor, _pool_instance
+from repro.net.message import Envelope
+from repro.net.rpc import Deadline, pfor, _pool_instance
 from repro.net.transport import Transport
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.trace import TraceContext, TraceIdAllocator
@@ -217,10 +218,15 @@ class ProtocolClient:
             return self.placement.entry(stripe)[1][index]
         return self.meta.layout.node_of_stripe_index(stripe, index)
 
-    def _proxy(self, stripe: int, index: int) -> NodeProxy:
-        node_id = self.directory.node_id(self._slot(stripe, index))
-        return NodeProxy(
-            self.transport, self.client_id, node_id,
+    def _envelope(
+        self, stripe: int, kind: str | None, trace_ctx: TraceContext | None
+    ) -> Envelope:
+        """The header every RPC of this client carries: op kind, span,
+        cached placement generation and the per-RPC deadline."""
+        return Envelope(
+            kind=kind,
+            trace=None if trace_ctx is None else trace_ctx.wire(),
+            gen=None if self.placement is None else self.placement.entry(stripe)[0],
             timeout=self.config.rpc_timeout,
         )
 
@@ -269,8 +275,8 @@ class ProtocolClient:
 
         ``op_kind`` attributes the RPC's wire cost to the logical
         operation issuing it (write, read, recovery_phase1, gc, ...);
-        it piggybacks like ``_trace`` and is stripped by the transport
-        before the payload is sized, so it never changes behaviour.
+        it travels in the call's :class:`Envelope` header, which is
+        never sized, so it never changes behaviour.
 
         A :class:`NodeBusyError` (server-side admission shed) is retried
         here with jittered backoff — overload is a *retryable* condition,
@@ -345,43 +351,37 @@ class ProtocolClient:
         may be gray, not dead — so remap waits for the breaker to trip
         at the suspicion threshold; the exception still propagates so
         the caller retries or goes degraded either way."""
-        gen: int | None = None
-        if self.placement is not None:
-            gen = self.placement.entry(stripe)[0]
-        proxy = self._proxy(stripe, index)
+        env = self._envelope(stripe, op_kind, trace_ctx)
+        dst = self.directory.node_id(self._slot(stripe, index))
         if not self.health.allow_request(
-            proxy.dst, self.config.breaker_probe_interval
+            dst, self.config.breaker_probe_interval
         ):
             self.stats.bump("breaker_fast_fails")
-            raise CircuitOpenError(proxy.dst)
-        if trace_ctx is not None:
-            kwargs["_trace"] = trace_ctx.wire()
-        if gen is not None:
-            kwargs["_gen"] = gen
-        if op_kind is not None and self.metrics.enabled:
-            kwargs["_op"] = op_kind
+            raise CircuitOpenError(dst)
         start = time.perf_counter()
         try:
-            result = proxy.call(op, *args, **kwargs)
+            result = self.transport.call(
+                self.client_id, dst, op, *args, env=env, **kwargs
+            )
         except NodeBusyError:
             raise  # overload, not failure: health state untouched
         except RpcTimeoutError as exc:
-            if exc.node_id == proxy.dst:
+            if exc.node_id == dst:
                 self.stats.bump("rpc_timeouts")
                 if self.health.observe_failure(
-                    proxy.dst, "timeout", self.config.suspicion_threshold
+                    dst, "timeout", self.config.suspicion_threshold
                 ):
                     self.stats.bump("suspicion_remaps")
-                    self._remap(stripe, index, proxy.dst)
+                    self._remap(stripe, index, dst)
             raise
         except NodeUnavailableError as exc:
-            if exc.node_id == proxy.dst:
+            if exc.node_id == dst:
                 self.health.observe_failure(
-                    proxy.dst, "unavailable", self.config.suspicion_threshold
+                    dst, "unavailable", self.config.suspicion_threshold
                 )
-                self._remap(stripe, index, proxy.dst)
+                self._remap(stripe, index, dst)
             raise
-        self.health.observe_success(proxy.dst, time.perf_counter() - start)
+        self.health.observe_success(dst, time.perf_counter() - start)
         if self.retry_budget is not None:
             self.retry_budget.deposit()
         return result
@@ -937,20 +937,17 @@ class ProtocolClient:
         by_node = {
             self.directory.node_id(self._slot(stripe, j)): j for j in sorted(targets)
         }
-        extra: dict[str, object] = {}
-        if self.placement is not None:
-            extra["_gen"] = self.placement.entry(stripe)[0]
-        if trace_parent is not None:
-            # One frame leaves the client, so one child span covers all
-            # receivers; each node's event distinguishes itself by its
-            # ``node`` detail.
-            extra["_trace"] = self._trace_ids.child(trace_parent).wire()
-        if self.metrics.enabled:
-            extra["_op"] = "write"
+        # One frame leaves the client, so one child span covers all
+        # receivers; each node's event distinguishes itself by its
+        # ``node`` detail.
+        env = self._envelope(
+            stripe, "write",
+            None if trace_parent is None else self._trace_ids.child(trace_parent),
+        )
         self._account_round("write")
         raw = self.transport.broadcast(
             self.client_id, list(by_node), "add", addr, diff, ntid, otid, epoch,
-            **extra,
+            env=env,
         )
         results: dict[int, AddResult | Exception] = {}
         for node_id, res in raw.items():

@@ -47,6 +47,7 @@ from repro.errors import (
     RpcTimeoutError,
 )
 from repro.net.backpressure import BackoffPolicy
+from repro.net.message import Envelope
 from repro.net.rpc import pfor
 from repro.obs.metrics import NULL_REGISTRY
 from repro.placement.map import PlacementMap
@@ -118,14 +119,11 @@ class ReplicatedDirectory:
             replica_id, _PROBE_INTERVAL
         ):
             raise DirectoryUnavailableError(op, f"breaker open for {replica_id}")
-        kwargs: dict[str, object] = {}
-        if self.metrics.enabled:
-            kwargs["_op"] = "directory"
+        env = Envelope(kind="directory", timeout=self.rpc_timeout)
         start = time.perf_counter()
         try:
             result = self.transport.call(
-                self.client_id, replica_id, op, *args,
-                timeout=self.rpc_timeout, **kwargs,
+                self.client_id, replica_id, op, *args, env=env
             )
         except NodeBusyError:
             raise  # overload, not failure: health state untouched

@@ -35,6 +35,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.errors import UnknownOperationError
+from repro.net.message import NO_ENVELOPE, Envelope
 from repro.net.transport import RpcHandler
 
 #: Proposal tag: (round, proposer id).  Lexicographic order; rounds
@@ -72,7 +73,9 @@ class DirectoryReplica(RpcHandler):
 
     # -- RPC surface ---------------------------------------------------
 
-    def handle(self, op: str, *args: object, **kwargs: object) -> object:
+    def handle(
+        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
+    ) -> object:
         method = getattr(self, f"op_{op}", None)
         if method is None:
             raise UnknownOperationError(f"directory replica op {op!r}")

@@ -7,10 +7,9 @@ from repro.net.chaos import (
     FaultPlan,
     FaultRule,
 )
-from repro.net.failure import FailureDetector, LeaseClock
 from repro.net.local import DelayModel, LocalTransport
-from repro.net.message import TrafficStats, diff_snapshots, estimate_size
-from repro.net.rpc import Deadline, NodeProxy, pfor
+from repro.net.message import Envelope, TrafficStats, diff_snapshots, estimate_size
+from repro.net.rpc import Deadline, pfor
 from repro.net.tcp import TcpTransport
 from repro.net.transport import RpcHandler, Transport
 
@@ -18,14 +17,12 @@ __all__ = [
     "ChaosTransport",
     "Deadline",
     "DelayModel",
-    "FailureDetector",
+    "Envelope",
     "FaultDecision",
     "FaultEvent",
     "FaultPlan",
     "FaultRule",
-    "LeaseClock",
     "LocalTransport",
-    "NodeProxy",
     "RpcHandler",
     "TcpTransport",
     "TrafficStats",

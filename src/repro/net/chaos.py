@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import NodeBusyError, NodeUnavailableError, RpcTimeoutError
-from repro.net.message import estimate_size
+from repro.net.message import NO_ENVELOPE, Envelope, estimate_size
 from repro.storage.state import ReadResult
 from repro.net.transport import (
     UNATTRIBUTED_KIND,
@@ -50,14 +50,6 @@ from repro.net.transport import (
     RpcHandler,
     Transport,
 )
-
-
-def _payload_size(args: tuple, kwargs: dict) -> int:
-    """Request payload bytes as the inner transport would size them —
-    the ``_op`` attribution tag excluded (it never hits the wire)."""
-    if "_op" in kwargs:
-        kwargs = {k: v for k, v in kwargs.items() if k != "_op"}
-    return estimate_size(args) + estimate_size(kwargs)
 
 
 def _unit(*parts: object) -> float:
@@ -159,8 +151,8 @@ class FaultEvent:
     dst: str
     op: str
     count: int  # link op count of the affected message
-    #: Request payload bytes of the affected message (the ``_op``
-    #: attribution tag excluded), so wire-byte counters can reconcile
+    #: Request payload bytes of the affected message (its envelope
+    #: header is never sized), so wire-byte counters can reconcile
     #: exactly against the ledger.  Deliberately excluded from
     #: :meth:`key` — ledger digests predate this field and must not
     #: shift under payload-size changes.
@@ -356,11 +348,12 @@ class ChaosTransport(Transport):
         if metrics.enabled:
             metrics.counter("rpc_calls_total", op=op, result="timeout").inc()
 
-    def _next_count(self, src: str, dst: str) -> int:
+    def _decide(self, src: str, dst: str, op: str) -> tuple[int, FaultDecision]:
+        """Draw the link's next op count and the plan's verdict on it."""
         with self._chaos_lock:
             count = self._counts.get((src, dst), 0)
             self._counts[(src, dst)] = count + 1
-        return count
+        return count, self.plan.decide(src, dst, op, count)
 
     # -- delegation ----------------------------------------------------------
 
@@ -422,13 +415,13 @@ class ChaosTransport(Transport):
         dst: str,
         op: str,
         *args: object,
-        timeout: float | None = None,
+        env: Envelope = NO_ENVELOPE,
         **kwargs: object,
     ) -> object:
         # Satisfies the Transport ABC; unused, because call() below is
         # overridden wholesale (faults must wrap the inner transport,
         # whose own call() already carries the metrics instrumentation).
-        return self.inner.call(src, dst, op, *args, timeout=timeout, **kwargs)
+        return self.inner.call(src, dst, op, *args, env=env, **kwargs)
 
     def call(
         self,
@@ -436,28 +429,30 @@ class ChaosTransport(Transport):
         dst: str,
         op: str,
         *args: object,
-        timeout: float | None = None,
+        env: Envelope = NO_ENVELOPE,
         **kwargs: object,
     ) -> object:
         if not self._enabled:
-            return self.inner.call(src, dst, op, *args, timeout=timeout, **kwargs)
-        count = self._next_count(src, dst)
-        decision = self.plan.decide(src, dst, op, count)
+            return self.inner.call(src, dst, op, *args, env=env, **kwargs)
+        count, decision = self._decide(src, dst, op)
         if not decision.faulty:
-            return self.inner.call(src, dst, op, *args, timeout=timeout, **kwargs)
+            return self.inner.call(src, dst, op, *args, env=env, **kwargs)
+        return self._faulty_call(src, dst, op, args, env, kwargs, count, decision)
 
-        budget = timeout
-        size = _payload_size(args, kwargs)
-        op_kind = kwargs.get("_op")
+    def _faulty_call(self, src: str, dst: str, op: str, args: tuple, env: Envelope,
+                     kwargs: dict, count: int, decision: FaultDecision) -> object:
+        """Deliver one message the plan has a fault for."""
+        budget = env.timeout
+        size = estimate_size(args) + estimate_size(kwargs)
         if decision.drop:
             # The request vanishes: the caller learns nothing until its
             # deadline (or the plan's blackhole interval) elapses.
             self._record("drop", src, dst, op, count, size)
-            self._account_undelivered("drop", op, size, op_kind)
+            self._account_undelivered("drop", op, size, env.kind)
             wait = budget if budget is not None else self.plan.blackhole
             time.sleep(wait)
             self._count_surfaced_timeout(op)
-            raise RpcTimeoutError(dst, op, timeout)
+            raise RpcTimeoutError(dst, op, env.timeout)
 
         if decision.stall > 0.0:
             if budget is not None and budget < decision.stall:
@@ -466,10 +461,10 @@ class ChaosTransport(Transport):
                 # stall), keeping timed-out-vs-applied distinct from the
                 # late-delivery case below.
                 self._record("stall_timeout", src, dst, op, count, size)
-                self._account_undelivered("stall_timeout", op, size, op_kind)
+                self._account_undelivered("stall_timeout", op, size, env.kind)
                 time.sleep(budget)
                 self._count_surfaced_timeout(op)
-                raise RpcTimeoutError(dst, op, timeout)
+                raise RpcTimeoutError(dst, op, env.timeout)
             self._record("stall", src, dst, op, count, size)
             time.sleep(decision.stall)
             if budget is not None:
@@ -482,18 +477,22 @@ class ChaosTransport(Transport):
                 # out, yet it happened" ambiguity retries must survive.
                 time.sleep(budget)
                 try:
-                    self.inner.call(src, dst, op, *args, **kwargs)
+                    self.inner.call(
+                        src, dst, op, *args, env=replace(env, timeout=None),
+                        **kwargs,
+                    )
                 except (NodeUnavailableError, NodeBusyError):
                     pass
                 self._record("late_delivery", src, dst, op, count, size)
                 self._count_surfaced_timeout(op)
-                raise RpcTimeoutError(dst, op, timeout)
+                raise RpcTimeoutError(dst, op, env.timeout)
             self._record("delay", src, dst, op, count, size)
             time.sleep(decision.delay)
             if budget is not None:
                 budget -= decision.delay
 
-        result = self.inner.call(src, dst, op, *args, timeout=budget, **kwargs)
+        env = replace(env, timeout=budget)
+        result = self.inner.call(src, dst, op, *args, env=env, **kwargs)
         if decision.corrupt:
             corrupted = _corrupt_response(
                 result, (self.plan.seed, src, dst, op, count)
@@ -509,9 +508,9 @@ class ChaosTransport(Transport):
             # its response is discarded, so only server-side effects
             # matter — nodes must recognise the replay.
             self._record("duplicate", src, dst, op, count, size)
-            self._account_duplicate(op, size, op_kind)
+            self._account_duplicate(op, size, env.kind)
             try:
-                self.inner.call(src, dst, op, *args, timeout=budget, **kwargs)
+                self.inner.call(src, dst, op, *args, env=env, **kwargs)
             except (NodeUnavailableError, NodeBusyError):
                 pass
         return result
@@ -522,19 +521,31 @@ class ChaosTransport(Transport):
         dsts: list[str],
         op: str,
         *args: object,
-        timeout: float | None = None,
+        env: Envelope = NO_ENVELOPE,
         **kwargs: object,
     ) -> dict[str, object]:
         """Per-destination faults; a dropped leg becomes an
-        :class:`RpcTimeoutError` entry rather than aborting the batch."""
+        :class:`RpcTimeoutError` entry rather than aborting the batch.
+
+        Every leg is decided in ``dsts`` order (one link count each);
+        the legs the plan leaves alone still travel as one multicast
+        frame through the inner transport, so a fault-free plan keeps
+        the wire accounting of an unwrapped broadcast."""
         if not self._enabled:
-            return self.inner.broadcast(
-                src, dsts, op, *args, timeout=timeout, **kwargs
-            )
-        results: dict[str, object] = {}
-        for dst in dsts:
+            return self.inner.broadcast(src, dsts, op, *args, env=env, **kwargs)
+        decided = {dst: self._decide(src, dst, op) for dst in dsts}
+        clean = [dst for dst in dsts if not decided[dst][1].faulty]
+        results = (
+            self.inner.broadcast(src, clean, op, *args, env=env, **kwargs)
+            if clean else {}
+        )
+        for dst, (count, decision) in decided.items():
+            if not decision.faulty:
+                continue
             try:
-                results[dst] = self.call(src, dst, op, *args, timeout=timeout, **kwargs)
+                results[dst] = self._faulty_call(
+                    src, dst, op, args, env, kwargs, count, decision
+                )
             except (NodeUnavailableError, NodeBusyError) as exc:
                 results[dst] = exc
-        return results
+        return {dst: results[dst] for dst in dsts}

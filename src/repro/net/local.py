@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import RpcTimeoutError
-from repro.net.message import estimate_size
+from repro.net.message import NO_ENVELOPE, Envelope, estimate_size
 from repro.net.transport import RpcHandler, Transport, classify_outcome as _classify
 
 
@@ -62,36 +62,21 @@ class LocalTransport(Transport):
         if seconds > 0:
             time.sleep(seconds)
 
-    def _call_impl(
-        self,
-        src: str,
-        dst: str,
-        op: str,
-        *args: object,
-        timeout: float | None = None,
-        **kwargs: object,
-    ) -> object:
-        self._check_reachable(src, dst)
-        handler = self._handler_for(dst)
-        # Attribution tag rides as a kwarg so it crosses pfor/pool
-        # threads with the call; popped before sizing so payload bytes
-        # (and the modeled delay) are identical with accounting on/off.
-        kind = kwargs.pop("_op", None)
-        request_size = estimate_size(args) + estimate_size(kwargs)
-        self._record_request(op, request_size, kind)
-        # Deadline enforcement covers the modeled network (the sleeps);
-        # handler execution is local CPU and not interruptible here.
-        budget = timeout
-        delay = self.delay.one_way(request_size)
+    def _transit(
+        self, size: int, budget: float | None, dst: str, op: str, env: Envelope
+    ) -> float | None:
+        """Model one message's one-way delay against the deadline budget:
+        sleep it and return the budget left, or — when the deadline
+        fires first — sleep the budget and raise the timeout."""
+        delay = self.delay.one_way(size)
         if budget is not None and delay > budget:
             self._sleep(budget)
-            raise RpcTimeoutError(dst, op, timeout)
-        if budget is not None:
-            budget -= delay
+            raise RpcTimeoutError(dst, op, env.timeout)
         self._sleep(delay)
-        # The destination may have crashed while the request was in
-        # flight; re-check so a message is never served by a dead node.
-        self._check_reachable(src, dst)
+        return None if budget is None else budget - delay
+
+    def _serve(self, dst: str, handler: RpcHandler, op: str, args: tuple,
+               env: Envelope, kwargs: dict) -> object:
         admission = self.admission
         if admission is not None:
             # Counted from arrival (queued behind the node's service
@@ -99,17 +84,34 @@ class LocalTransport(Transport):
             admission.acquire(dst, op=op)
         try:
             with self._target_locks[dst]:
-                result = handler.handle(op, *args, **kwargs)
+                return handler.handle(op, *args, env=env, **kwargs)
         finally:
             if admission is not None:
                 admission.release(dst)
+
+    def _call_impl(
+        self,
+        src: str,
+        dst: str,
+        op: str,
+        *args: object,
+        env: Envelope = NO_ENVELOPE,
+        **kwargs: object,
+    ) -> object:
+        self._check_reachable(src, dst)
+        handler = self._handler_for(dst)
+        request_size = estimate_size(args) + estimate_size(kwargs)
+        self._record_request(op, request_size, env.kind)
+        # Deadline enforcement covers the modeled network (the sleeps);
+        # handler execution is local CPU and not interruptible here.
+        budget = self._transit(request_size, env.timeout, dst, op, env)
+        # The destination may have crashed while the request was in
+        # flight; re-check so a message is never served by a dead node.
+        self._check_reachable(src, dst)
+        result = self._serve(dst, handler, op, args, env, kwargs)
         response_size = estimate_size(result)
-        self._record_response(op, response_size, kind)
-        delay = self.delay.one_way(response_size)
-        if budget is not None and delay > budget:
-            self._sleep(budget)
-            raise RpcTimeoutError(dst, op, timeout)
-        self._sleep(delay)
+        self._record_response(op, response_size, env.kind)
+        self._transit(response_size, budget, dst, op, env)
         self._check_reachable(src, dst)
         return result
 
@@ -119,7 +121,7 @@ class LocalTransport(Transport):
         dsts: list[str],
         op: str,
         *args: object,
-        timeout: float | None = None,
+        env: Envelope = NO_ENVELOPE,
         **kwargs: object,
     ) -> dict[str, object]:
         """True broadcast: the request payload leaves the client once.
@@ -127,41 +129,36 @@ class LocalTransport(Transport):
         We count one request message per destination (each NIC receives
         it) but the *request bytes* only once, matching how the paper
         charges client bandwidth in Fig. 1 (write bandwidth 3B for
-        AJX-bcast).  Responses are individual unicasts.
+        AJX-bcast).  Responses are individual unicasts.  The envelope
+        deadline bounds the modeled network like a unicast's: a leg
+        whose frame or reply lands after it is an :class:`RpcTimeoutError`.
         """
-        kind = kwargs.pop("_op", None)
         request_size = estimate_size(args) + estimate_size(kwargs)
         # One multicast frame on the wire, counted once (Fig. 1 counts
         # an AJX-bcast write as p+3 messages: 2 swap + 1 bcast + p acks).
-        self._record_request(op, request_size, kind)
+        self._record_request(op, request_size, env.kind)
         metrics = self.metrics
         if metrics.enabled:
             metrics.counter("rpc_broadcasts_total", op=op).inc()
-        self._sleep(self.delay.one_way(request_size))
         results: dict[str, object] = {}
-        admission = self.admission
-        for dst in dsts:
-            try:
-                self._check_reachable(src, dst)
-                handler = self._handler_for(dst)
-                if admission is not None:
-                    admission.acquire(dst, op=op)
+        try:
+            budget = self._transit(request_size, env.timeout, src, op, env)
+            for dst in dsts:
                 try:
-                    with self._target_locks[dst]:
-                        result = handler.handle(op, *args, **kwargs)
-                finally:
-                    if admission is not None:
-                        admission.release(dst)
-            except Exception as exc:  # delivered per-destination
-                results[dst] = exc
-                if metrics.enabled:
-                    metrics.counter(
-                        "rpc_calls_total", op=op, result=_classify(exc)
-                    ).inc()
-                continue
-            results[dst] = result
-            self._record_response(op, estimate_size(result), kind)
-            if metrics.enabled:
-                metrics.counter("rpc_calls_total", op=op, result="ok").inc()
-        self._sleep(self.delay.latency)
+                    self._check_reachable(src, dst)
+                    handler = self._handler_for(dst)
+                    results[dst] = self._serve(dst, handler, op, args, env, kwargs)
+                except Exception as exc:  # delivered per-destination
+                    results[dst] = exc
+                    continue
+                self._record_response(op, estimate_size(results[dst]), env.kind)
+            self._transit(0, budget, src, op, env)  # the replies' latency
+        except RpcTimeoutError:
+            for dst in dsts:
+                if not isinstance(results.get(dst), Exception):
+                    results[dst] = RpcTimeoutError(dst, op, env.timeout)
+        if metrics.enabled:
+            for res in results.values():
+                outcome = _classify(res) if isinstance(res, Exception) else "ok"
+                metrics.counter("rpc_calls_total", op=op, result=outcome).inc()
         return results

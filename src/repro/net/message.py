@@ -1,10 +1,12 @@
-"""Message bookkeeping: payload-size estimation and traffic counters.
+"""Message bookkeeping: the call envelope, payload-size estimation and
+traffic counters.
 
 The paper's Fig. 1 compares protocols by *message counts* and *bytes on
 the wire*; to validate those columns against the real protocol we
 instrument every RPC with an estimated wire size.  Estimation rules:
 block payloads dominate (numpy arrays count their exact byte length),
-everything else counts a small fixed header-ish size.
+everything else counts a small fixed header-ish size.  Only an RPC's
+operation arguments are sized — its :class:`Envelope` header never is.
 """
 
 from __future__ import annotations
@@ -17,6 +19,37 @@ import numpy as np
 
 #: Assumed fixed cost of scalar arguments / headers, in bytes.
 SCALAR_BYTES = 8
+
+
+@dataclass(frozen=True)
+class Envelope:
+    """What an RPC carries besides its operation and arguments.
+
+    Built once by the caller and handed unchanged (or narrowed with
+    :func:`dataclasses.replace`) through every layer as the keyword-only
+    ``env=`` argument of ``Transport.call`` / ``broadcast`` and
+    ``RpcHandler.handle``.  Layers read it; none strips it, and it is
+    never part of the sized payload, so byte accounting, wire frames and
+    seeded digests are the same whatever the header holds.
+
+    * ``kind`` — the logical operation the RPC serves (write, read,
+      recovery_phase1, gc, ...), the wire-accounting label;
+    * ``trace`` — ``(trace_id, span_id, parent_span)`` of the caller's
+      span, echoed by traced nodes;
+    * ``gen`` — the caller's placement generation for the stripe,
+      checked by storage nodes on elastic clusters;
+    * ``timeout`` — the round trip's deadline in seconds (None waits
+      indefinitely, the original fail-stop model).
+    """
+
+    kind: str | None = None
+    trace: tuple | None = None
+    gen: int | None = None
+    timeout: float | None = None
+
+
+#: The header of a call that sets nothing (tests, baselines, raw pokes).
+NO_ENVELOPE = Envelope()
 
 
 def estimate_size(obj: object) -> int:

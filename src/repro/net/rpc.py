@@ -1,4 +1,4 @@
-"""Client-side RPC conveniences: node proxies and parallel calls (pfor).
+"""Client-side RPC conveniences: operation deadlines and parallel calls (pfor).
 
 The paper's pseudocode uses ``pfor`` — a parallel-for over storage
 nodes.  :func:`pfor` reproduces it with a shared thread pool: results
@@ -17,7 +17,6 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import TypeVar
 
 from repro.errors import RpcTimeoutError
-from repro.net.transport import Transport
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -109,42 +108,3 @@ def pfor(
         except Exception as exc:
             results[item] = exc
     return results
-
-
-class NodeProxy:
-    """Convenience wrapper: ``proxy.swap(...)`` -> ``transport.call(...)``.
-
-    Binds a (caller id, target id) pair so protocol code reads like the
-    paper's ``S_j.add(...)`` notation.  An optional default ``timeout``
-    applies to every call made through the proxy; a per-call
-    ``timeout=`` kwarg overrides it.
-    """
-
-    def __init__(
-        self,
-        transport: Transport,
-        src: str,
-        dst: str,
-        timeout: float | None = None,
-    ):
-        self._transport = transport
-        self.src = src
-        self.dst = dst
-        self.timeout = timeout
-
-    def call(self, op: str, *args: object, **kwargs: object) -> object:
-        kwargs.setdefault("timeout", self.timeout)
-        return self._transport.call(self.src, self.dst, op, *args, **kwargs)
-
-    def __getattr__(self, op: str) -> Callable[..., object]:
-        if op.startswith("_"):
-            raise AttributeError(op)
-
-        def invoke(*args: object, **kwargs: object) -> object:
-            return self.call(op, *args, **kwargs)
-
-        invoke.__name__ = op
-        return invoke
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"NodeProxy({self.src} -> {self.dst})"

@@ -4,8 +4,9 @@ The paper's prototype was "implemented in C using RPC in user mode
 running over TCP" (§5.1).  This transport is the Python analogue: every
 storage node listens on a loopback TCP socket served by a thread pool,
 clients keep one connection per (caller, target) pair, and RPCs are
-length-prefixed pickled frames.  The protocol stack above is completely
-unchanged — ``Cluster(transport=TcpTransport())`` runs the same state
+length-prefixed pickled ``(op, args, kwargs, envelope)`` frames.  The
+protocol stack above is completely unchanged —
+``Cluster(transport=TcpTransport())`` runs the same state
 machines over real kernel sockets, which the integration tests use to
 check that nothing in the protocol secretly relies on the in-process
 shortcut.
@@ -24,7 +25,7 @@ import struct
 import threading
 
 from repro.errors import NodeUnavailableError, RpcTimeoutError, UnknownNodeError
-from repro.net.message import estimate_size
+from repro.net.message import NO_ENVELOPE, Envelope, estimate_size
 from repro.net.transport import RpcHandler, Transport
 
 _HEADER = struct.Struct("!I")
@@ -95,8 +96,7 @@ class _NodeServer:
     def _serve(self, conn: socket.socket) -> None:
         try:
             while True:
-                request = pickle.loads(_recv_frame(conn))
-                op, args, kwargs = request
+                op, args, kwargs, env = pickle.loads(_recv_frame(conn))
                 try:
                     controller = self.admission()
                     if controller is not None:
@@ -104,18 +104,13 @@ class _NodeServer:
                         # node no handler time, and NodeBusyError
                         # travels back as an ordinary ("err", exc).
                         controller.acquire(self.node_id, op=op)
-                        try:
-                            result = (
-                                "ok",
-                                self.handler.handle(op, *args, **kwargs),
-                            )
-                        finally:
-                            controller.release(self.node_id)
-                    else:
+                    try:
                         result = (
-                            "ok",
-                            self.handler.handle(op, *args, **kwargs),
+                            "ok", self.handler.handle(op, *args, env=env, **kwargs)
                         )
+                    finally:
+                        if controller is not None:
+                            controller.release(self.node_id)
                 except Exception as exc:  # deliver server-side errors
                     result = ("err", exc)
                 _send_frame(conn, pickle.dumps(result))
@@ -211,19 +206,18 @@ class TcpTransport(Transport):
         dst: str,
         op: str,
         *args: object,
-        timeout: float | None = None,
+        env: Envelope = NO_ENVELOPE,
         **kwargs: object,
     ) -> object:
         self._check_reachable(src, dst)
-        # Pop the attribution tag before pickling: the wire frame must
-        # be byte-identical whether or not wire accounting is on.
-        kind = kwargs.pop("_op", None)
-        request = pickle.dumps((op, args, kwargs))
-        self._record_request(op, estimate_size(args) + estimate_size(kwargs), kind)
+        request = pickle.dumps((op, args, kwargs, env))
+        self._record_request(
+            op, estimate_size(args) + estimate_size(kwargs), env.kind
+        )
         conn, lock = self._connection(src, dst)
         try:
             with lock:
-                conn.settimeout(timeout)
+                conn.settimeout(env.timeout)
                 try:
                     _send_frame(conn, request)
                     payload = _recv_frame(conn)
@@ -237,7 +231,7 @@ class TcpTransport(Transport):
                 stale = self._conns.pop((src, dst), None)
             if stale is not None:
                 stale.close()
-            raise RpcTimeoutError(dst, op, timeout) from exc
+            raise RpcTimeoutError(dst, op, env.timeout) from exc
         except (ConnectionError, OSError) as exc:
             with self._lock:
                 stale = self._conns.pop((src, dst), None)
@@ -248,7 +242,7 @@ class TcpTransport(Transport):
             self._check_reachable(src, dst)
             raise NodeUnavailableError(dst, f"connection failed: {exc}") from exc
         status, result = pickle.loads(payload)
-        self._record_response(op, estimate_size(result), kind)
+        self._record_response(op, estimate_size(result), env.kind)
         if status == "err":
             raise result
         return result

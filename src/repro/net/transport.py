@@ -28,14 +28,14 @@ from repro.errors import (
     RpcTimeoutError,
     UnknownNodeError,
 )
-from repro.net.message import TrafficStats
+from repro.net.message import NO_ENVELOPE, Envelope, TrafficStats
 from repro.obs.metrics import NULL_REGISTRY
 
 #: Callback invoked with the id of a node that just crashed.
 FailureListener = Callable[[str], None]
 
-#: Attribution label for wire traffic whose caller did not stamp an
-#: op-kind tag (raw NodeProxy users, tests poking the transport).
+#: Attribution label for wire traffic whose envelope names no op kind
+#: (baselines, tests poking the transport).
 UNATTRIBUTED_KIND = "other"
 
 
@@ -57,8 +57,13 @@ class RpcHandler(ABC):
     """Something that serves RPCs (a storage-node server)."""
 
     @abstractmethod
-    def handle(self, op: str, *args: object, **kwargs: object) -> object:
-        """Execute operation ``op`` and return its result."""
+    def handle(
+        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
+    ) -> object:
+        """Execute operation ``op`` and return its result.
+
+        ``env`` is the call's header; a handler reads what it needs from
+        it and never sees header fields among ``kwargs``."""
 
 
 class Transport(ABC):
@@ -173,10 +178,8 @@ class Transport(ABC):
         """Count one request message leaving the caller.
 
         ``kind`` is the logical operation that caused the RPC (write,
-        read, recovery_phase1, gc, ...), piggybacked by clients as an
-        ``_op`` kwarg and popped by concrete transports *before* the
-        payload is sized/encoded — so byte accounting and wire frames
-        are identical whether or not attribution is on.
+        read, recovery_phase1, gc, ...), read from the call's envelope;
+        ``size`` covers the operation arguments only, never the header.
         """
         self.stats.record_request(op, size)
         metrics = self.metrics
@@ -202,17 +205,17 @@ class Transport(ABC):
         dst: str,
         op: str,
         *args: object,
-        timeout: float | None = None,
+        env: Envelope = NO_ENVELOPE,
         **kwargs: object,
     ) -> object:
         """Synchronous RPC from ``src`` to ``dst``.
 
-        ``timeout`` is a deadline in seconds for the whole round trip;
-        when it elapses the call raises
-        :class:`~repro.errors.RpcTimeoutError` instead of blocking
-        (keyword-only, consumed by the transport — never forwarded to
-        the remote handler).  ``None`` waits indefinitely, preserving
-        the original fail-stop model where only crashes fail calls.
+        ``env`` is the call's header, delivered to the handler beside
+        ``args``.  ``env.timeout`` is a deadline in seconds for the whole
+        round trip; when it elapses the call raises
+        :class:`~repro.errors.RpcTimeoutError` instead of blocking.
+        ``None`` waits indefinitely, preserving the original fail-stop
+        model where only crashes fail calls.
 
         Concrete transports implement :meth:`_call_impl`; this wrapper
         adds the per-method call/latency/outcome metrics so every
@@ -220,11 +223,11 @@ class Transport(ABC):
         """
         metrics = self.metrics
         if not metrics.enabled:
-            return self._call_impl(src, dst, op, *args, timeout=timeout, **kwargs)
+            return self._call_impl(src, dst, op, *args, env=env, **kwargs)
         start = time.perf_counter()
         result = "ok"
         try:
-            return self._call_impl(src, dst, op, *args, timeout=timeout, **kwargs)
+            return self._call_impl(src, dst, op, *args, env=env, **kwargs)
         except Exception as exc:
             result = classify_outcome(exc)
             raise
@@ -241,7 +244,7 @@ class Transport(ABC):
         dst: str,
         op: str,
         *args: object,
-        timeout: float | None = None,
+        env: Envelope = NO_ENVELOPE,
         **kwargs: object,
     ) -> object:
         """Transport-specific body of :meth:`call` (uninstrumented)."""
@@ -252,7 +255,7 @@ class Transport(ABC):
         dsts: list[str],
         op: str,
         *args: object,
-        timeout: float | None = None,
+        env: Envelope = NO_ENVELOPE,
         **kwargs: object,
     ) -> dict[str, object]:
         """One logical send delivered to many nodes (Section 3.11).
@@ -267,7 +270,7 @@ class Transport(ABC):
         results: dict[str, object] = {}
         for dst in dsts:
             try:
-                results[dst] = self.call(src, dst, op, *args, timeout=timeout, **kwargs)
+                results[dst] = self.call(src, dst, op, *args, env=env, **kwargs)
             except (NodeUnavailableError, NodeBusyError) as exc:
                 results[dst] = exc
         return results

@@ -11,9 +11,10 @@ private counter (never a clock, never an RNG), so traced soak runs stay
 reproducible and two runs of the same seeded workload allocate the same
 ids.
 
-Wire format: a ``_trace`` keyword argument carrying
-``(trace_id, span_id, parent_span)``.  Transports forward it like any
-other kwarg; :meth:`StorageNode.handle` pops it before dispatching and
+Wire format: the ``trace`` field of the call's
+:class:`~repro.net.message.Envelope`, carrying
+``(trace_id, span_id, parent_span)``.  Transports hand the envelope
+through unsized; :meth:`StorageNode.handle` reads the field and
 emits a ``node.<op>`` event tagged with the received span — the node
 side of the span is the event itself (storage ops are sub-millisecond;
 begin/end pairs would double the ring traffic for no decision value).

@@ -49,7 +49,7 @@ from repro.errors import (
 )
 from repro.ids import BlockAddr
 from repro.net.backpressure import BackoffPolicy, RetryBudget
-from repro.net.rpc import NodeProxy
+from repro.net.message import Envelope
 from repro.obs.metrics import NULL_REGISTRY
 from repro.placement.map import PlacementMap
 from repro.storage.node import VolumeMeta
@@ -152,26 +152,20 @@ class Rebalancer:
         used here is idempotent or replay-safe); detected crash ->
         directory remap, retry on the replacement.  Retries beyond the
         first attempt spend the shared retry budget."""
+        env = Envelope(kind="rebalance", timeout=self.rpc_timeout)
         last: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt and self.retry_budget is not None:
                 if not self.retry_budget.spend():
                     break  # budget gone: stop adding migration load
             node_id = self.directory.node_id(slot)
-            proxy = NodeProxy(
-                self.transport, self.client_id, node_id,
-                timeout=self.rpc_timeout,
-            )
+            if self.metrics.enabled:
+                # Migration RPCs are serial: one round each.
+                self.metrics.counter("rpc_rounds_total", kind="rebalance").inc()
             try:
-                if self.metrics.enabled:
-                    # Migration RPCs are serial: one round each.  The
-                    # tag rides like _trace and is popped pre-encoding.
-                    self.metrics.counter(
-                        "rpc_rounds_total", kind="rebalance"
-                    ).inc()
-                    result = proxy.call(op, *args, _op="rebalance")
-                else:
-                    result = proxy.call(op, *args)
+                result = self.transport.call(
+                    self.client_id, node_id, op, *args, env=env
+                )
             except NodeBusyError as exc:
                 last = exc
                 time.sleep(self._backoff.next_delay(attempt))

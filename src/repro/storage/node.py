@@ -33,6 +33,7 @@ from repro.erasure.rs import ReedSolomonCode
 from repro.erasure.striping import StripeLayout
 from repro.gf import field
 from repro.ids import BlockAddr, Tid
+from repro.net.message import NO_ENVELOPE, Envelope
 from repro.net.transport import RpcHandler
 from repro.errors import StalePlacementError, UnknownOperationError
 from repro.obs.metrics import NULL_REGISTRY
@@ -153,32 +154,26 @@ class StorageNode(RpcHandler):
     # plumbing
     # ------------------------------------------------------------------
 
-    def handle(self, op: str, *args: object, **kwargs: object) -> object:
-        # The trace context rides every instrumented RPC as a plain
-        # kwarg; pop it unconditionally so operation signatures stay
-        # trace-free (and an untraced node ignores it silently).
-        trace = kwargs.pop("_trace", None)
-        # The caller's placement generation rides the same way: popped
-        # unconditionally, checked only when present (placement-mode
-        # clients stamp it; the rebalancer and legacy clusters do not).
-        gen = kwargs.pop("_gen", None)
-        # The wire-accounting op-kind tag is popped by the transports
-        # before delivery; pop defensively too so a handler invoked
-        # directly (tests, future transports) never sees it.
-        kwargs.pop("_op", None)
+    def handle(
+        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
+    ) -> object:
+        # The envelope keeps operation signatures header-free.  Its
+        # placement generation is checked only when present (placement-
+        # mode clients stamp it; the rebalancer and legacy clusters do
+        # not); its trace context is echoed only by a traced node.
         if op not in self.OPERATIONS:
             raise UnknownOperationError(f"{self.node_id}: no operation {op!r}")
         if self.metrics.enabled:
             self.metrics.counter("node_ops_total", node=self.node_id, op=op).inc()
         with self._lock:
-            if gen is not None and args and isinstance(args[0], BlockAddr):
-                self._check_generation(args[0], gen)
+            if env.gen is not None and args and isinstance(args[0], BlockAddr):
+                self._check_generation(args[0], env.gen)
             self.op_counts[op] = self.op_counts.get(op, 0) + 1
             result = getattr(self, op)(*args, **kwargs)
         # Emit after releasing the node lock: the tracer has its own
         # lock and the request is already served.
-        if trace is not None and self.tracer.enabled:
-            self._emit_trace(op, trace, result)
+        if env.trace is not None and self.tracer.enabled:
+            self._emit_trace(op, env.trace, result)
         return result
 
     def _emit_trace(self, op: str, trace: tuple, result: object) -> None:

@@ -12,6 +12,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from repro.net.message import NO_ENVELOPE, Envelope
 from repro.net.transport import RpcHandler
 from repro.storage.node import StorageNode
 
@@ -56,9 +57,11 @@ class InstrumentedServer(RpcHandler):
     def node_id(self) -> str:
         return self.node.node_id
 
-    def handle(self, op: str, *args: object, **kwargs: object) -> object:
+    def handle(
+        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
+    ) -> object:
         start = time.perf_counter()
         try:
-            return self.node.handle(op, *args, **kwargs)
+            return self.node.handle(op, *args, env=env, **kwargs)
         finally:
             self.times.record(op, time.perf_counter() - start)

@@ -131,7 +131,7 @@ class TestSoakAuditorWiring:
 
 class TestAccountingDigestNeutrality:
     def test_digests_identical_with_accounting_on_and_off(self):
-        """The `_op` piggyback and byte sizing must not perturb the
+        """The envelope's op kind and byte sizing must not perturb the
         protocol: same seed, observed and unobserved, same history and
         ledger digests."""
         observed = run_soak(_soak_config(seed=9))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.client.config import ClientConfig, WriteStrategy
@@ -15,15 +16,19 @@ from repro.errors import (
 )
 from repro.net.chaos import ChaosTransport, FaultPlan, FaultRule
 from repro.net.local import LocalTransport
+from repro.net.message import Envelope
 from repro.net.rpc import Deadline, pfor
 from repro.net.transport import RpcHandler
+from repro.obs import Observability
+from repro.obs.metrics import MetricsRegistry
+from repro.tracing import NULL_TRACER
 
 
 class Echo(RpcHandler):
     def __init__(self):
         self.calls = []
 
-    def handle(self, op, *args, **kwargs):
+    def handle(self, op, *args, env=None, **kwargs):
         self.calls.append((op, args, kwargs))
         return (op, args)
 
@@ -91,7 +96,7 @@ class TestChaosTransport:
         chaos, servers = chaos_net([FaultRule(drop=1.0)])
         start = time.perf_counter()
         with pytest.raises(RpcTimeoutError):
-            chaos.call("client", "a", "ping", timeout=0.05)
+            chaos.call("client", "a", "ping", env=Envelope(timeout=0.05))
         assert time.perf_counter() - start < 1.0
         assert servers["a"].calls == []  # never delivered
         assert chaos.ledger_counts() == {"drop": 1}
@@ -110,7 +115,7 @@ class TestChaosTransport:
         chaos, servers = chaos_net([FaultRule(dst="a", stall=30.0)])
         start = time.perf_counter()
         with pytest.raises(RpcTimeoutError):
-            chaos.call("client", "a", "ping", timeout=0.05)
+            chaos.call("client", "a", "ping", env=Envelope(timeout=0.05))
         assert time.perf_counter() - start < 1.0
         assert chaos.ledger_counts() == {"stall_timeout": 1}
         # Other nodes are unaffected.
@@ -128,7 +133,7 @@ class TestChaosTransport:
         applied the op — retries must cope with both outcomes."""
         chaos, servers = chaos_net([FaultRule(delay=0.2)])
         with pytest.raises(RpcTimeoutError):
-            chaos.call("client", "a", "ping", timeout=0.02)
+            chaos.call("client", "a", "ping", env=Envelope(timeout=0.02))
         assert servers["a"].calls == [("ping", (), {})]
         assert chaos.ledger_counts() == {"late_delivery": 1}
 
@@ -145,7 +150,7 @@ class TestChaosTransport:
         assert chaos.ledger == []
         chaos.enable()
         with pytest.raises(RpcTimeoutError):
-            chaos.call("client", "a", "ping", timeout=0.01)
+            chaos.call("client", "a", "ping", env=Envelope(timeout=0.01))
 
     def test_crash_and_partition_delegate(self):
         chaos, _ = chaos_net([])
@@ -170,7 +175,7 @@ class TestBroadcastUnderFailures:
         chaos.crash("a")
         chaos.partition(["client"], ["b"])
         results = chaos.broadcast(
-            "client", ["a", "b", "c"], "ping", timeout=0.02
+            "client", ["a", "b", "c"], "ping", env=Envelope(timeout=0.02)
         )
         assert isinstance(results["a"], NodeUnavailableError)
         assert isinstance(results["b"], PartitionedError)
@@ -179,6 +184,38 @@ class TestBroadcastUnderFailures:
         chaos.disable()
         results = chaos.broadcast("client", ["b", "c"], "ping")
         assert results == {"b": ("ping", ()), "c": ("ping", ())}
+
+    def test_fault_free_plan_keeps_one_multicast_frame(self):
+        """A plan that injects nothing leaves AJX-bcast's Fig. 1 wire
+        accounting alone: one frame carries every add, not one per leg."""
+
+        def write_counts(plan):
+            obs = Observability(MetricsRegistry(), NULL_TRACER, None)
+            cluster = Cluster(
+                3, 5, block_size=64, chaos_plan=plan, observability=obs
+            )
+            client = cluster.protocol_client(
+                "w", ClientConfig(strategy=WriteStrategy.BROADCAST)
+            )
+            client.write(0, 0, np.full(64, 7, dtype=np.uint8))
+            return (
+                obs.registry.sum_counter("rpc_messages_total", kind="write"),
+                obs.registry.counter_value("rpc_bytes_sent_total", kind="write"),
+            )
+
+        assert write_counts(FaultPlan([])) == write_counts(None)
+
+    def test_multicast_legs_still_draw_their_link_counts(self):
+        """Legs sent as one frame still advance their per-link op count,
+        so a windowed rule fires on the same message as with unicasts."""
+        chaos, _ = chaos_net([FaultRule(dst="c", drop=1.0, after_op=1)])
+        env = Envelope(timeout=0.02)
+        first = chaos.broadcast("client", ["a", "c"], "ping", env=env)
+        second = chaos.broadcast("client", ["a", "c"], "ping", env=env)
+        assert first == {"a": ("ping", ()), "c": ("ping", ())}
+        assert second["a"] == ("ping", ())
+        assert isinstance(second["c"], RpcTimeoutError)
+        assert chaos.ledger_key() == (("drop", "client", "c", "ping", 1),)
 
     def test_base_broadcast_mixed_failures(self):
         t = LocalTransport()

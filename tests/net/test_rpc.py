@@ -1,15 +1,11 @@
-"""pfor and NodeProxy."""
+"""pfor."""
 
 from __future__ import annotations
 
 import threading
 import time
 
-import pytest
-
-from repro.net.local import LocalTransport
-from repro.net.rpc import NodeProxy, pfor
-from repro.net.transport import RpcHandler
+from repro.net.rpc import pfor
 
 
 class TestPfor:
@@ -49,33 +45,3 @@ class TestPfor:
         out = pfor([1, 2, 3, 4], body)
         assert time.perf_counter() - start < 5
         assert set(out.values()) == {1, 2, 3, 4}
-
-
-class Adder(RpcHandler):
-    def handle(self, op, *args, **kwargs):
-        if op == "add":
-            return sum(args)
-        raise AttributeError(op)
-
-
-class TestNodeProxy:
-    @pytest.fixture
-    def proxy(self):
-        t = LocalTransport()
-        t.register("server", Adder())
-        t.register("client")
-        return NodeProxy(t, "client", "server")
-
-    def test_attribute_call(self, proxy):
-        assert proxy.add(1, 2, 3) == 6
-
-    def test_explicit_call(self, proxy):
-        assert proxy.call("add", 4, 5) == 9
-
-    def test_private_attribute_raises(self, proxy):
-        with pytest.raises(AttributeError):
-            proxy._secret()
-
-    def test_binds_src_dst(self, proxy):
-        assert proxy.src == "client"
-        assert proxy.dst == "server"

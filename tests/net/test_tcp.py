@@ -10,12 +10,13 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.errors import NodeUnavailableError, RpcTimeoutError, UnknownNodeError
+from repro.net.message import Envelope
 from repro.net.tcp import TcpTransport
 from repro.net.transport import RpcHandler
 
 
 class Echo(RpcHandler):
-    def handle(self, op, *args, **kwargs):
+    def handle(self, op, *args, env=None, **kwargs):
         if op == "boom":
             raise ValueError("server-side failure")
         if op == "stall":
@@ -111,7 +112,7 @@ class TestTcpRpc:
         tcp.register("client")
         start = time.perf_counter()
         with pytest.raises(RpcTimeoutError):
-            tcp.call("client", "server", "stall", 5.0, timeout=0.1)
+            tcp.call("client", "server", "stall", 5.0, env=Envelope(timeout=0.1))
         assert time.perf_counter() - start < 2.0
         # The connection was torn down; a fresh call still works.
         assert tcp.call("client", "server", "ping") == ("ping", (), {})
@@ -119,11 +120,10 @@ class TestTcpRpc:
     def test_call_within_deadline_succeeds(self, tcp):
         tcp.register("server", Echo())
         tcp.register("client")
-        assert tcp.call("client", "server", "stall", 0.01, timeout=5.0) == (
-            "stall",
-            (0.01,),
-            {},
+        result = tcp.call(
+            "client", "server", "stall", 0.01, env=Envelope(timeout=5.0)
         )
+        assert result == ("stall", (0.01,), {})
 
     def test_broadcast_falls_back_to_unicast_loop(self, tcp):
         """TCP has no multicast; the base-class loop must still deliver

@@ -19,7 +19,7 @@ class Echo(RpcHandler):
     def __init__(self):
         self.calls = []
 
-    def handle(self, op, *args, **kwargs):
+    def handle(self, op, *args, env=None, **kwargs):
         self.calls.append((op, args, kwargs))
         if op == "boom":
             raise RuntimeError("server error")

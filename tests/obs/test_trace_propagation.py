@@ -114,7 +114,7 @@ class TestWriteSpanTree:
         cluster = Cluster(k=2, n=3, block_size=64)  # no observability
         volume = cluster.client("c1")
         volume.write_block(0, b"silent")
-        # Nodes saw no _trace kwarg and hold NULL sinks.
+        # Nodes saw no envelope trace and hold NULL sinks.
         for node in cluster._nodes.values():
             assert node.tracer.enabled is False
 

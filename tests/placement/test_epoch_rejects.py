@@ -13,6 +13,7 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.errors import StalePlacementError
 from repro.ids import BlockAddr, Tid
+from repro.net.message import Envelope
 from repro.net.tcp import TcpTransport
 from repro.obs import Observability
 from repro.storage.state import AddStatus
@@ -94,7 +95,7 @@ class TestEpochRejectAcrossRemap:
             cluster.transport.call(
                 "laggard-2", vacated, "get_state",
                 BlockAddr("vol0", stripe, moved),
-                _gen=0,
+                env=Envelope(gen=0),
             )
         # The error crossed the transport intact (pickled over TCP).
         assert info.value.stripe == stripe
