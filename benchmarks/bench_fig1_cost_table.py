@@ -22,32 +22,38 @@ from repro.client.config import ClientConfig, WriteStrategy
 from repro.core.cluster import Cluster
 from repro.erasure.rs import ReedSolomonCode
 from repro.net.local import LocalTransport
-from repro.net.message import diff_snapshots
+from repro.obs.metrics import MetricsRegistry
 
 from benchmarks.conftest import print_table
 
 K, N, BS = 3, 5, 1024
 
 
+def _wire(registry: MetricsRegistry) -> tuple[int, int]:
+    """(messages, payload bytes) the registry has counted so far."""
+    total = registry.sum_counter
+    return (
+        total("rpc_messages_total"),
+        total("rpc_bytes_sent_total") + total("rpc_bytes_received_total"),
+    )
+
+
 def _measure_ajx(strategy: WriteStrategy) -> tuple[int, int, int]:
     """(write_messages, read_messages, write_payload_bytes) measured."""
     cluster = Cluster(k=K, n=N, block_size=BS)
+    registry = cluster.transport.metrics = MetricsRegistry()
     client = cluster.protocol_client("c", ClientConfig(strategy=strategy))
     value = np.full(BS, 1, np.uint8)
     client.write(0, 0, value)
-    before = cluster.transport.stats.snapshot()
+    msgs_before, bytes_before = _wire(registry)
     client.write(0, 0, np.full(BS, 2, np.uint8))
-    wdelta = diff_snapshots(before, cluster.transport.stats.snapshot())
-    before = cluster.transport.stats.snapshot()
+    msgs_written, bytes_written = _wire(registry)
     client.read(0, 0)
-    rdelta = diff_snapshots(before, cluster.transport.stats.snapshot())
-    write_bytes = sum(wdelta["request_bytes"].values()) + sum(
-        wdelta["response_bytes"].values()
-    )
+    msgs_read, _ = _wire(registry)
     return (
-        sum(wdelta["messages"].values()),
-        sum(rdelta["messages"].values()),
-        write_bytes,
+        msgs_written - msgs_before,
+        msgs_read - msgs_written,
+        bytes_written - bytes_before,
     )
 
 
@@ -98,25 +104,19 @@ def bench_fig1_fab_gwgr_structure(benchmark):
     def measure() -> dict[str, int]:
         code = ReedSolomonCode(K, N)
         transport = LocalTransport()
+        registry = transport.metrics = MetricsRegistry()
         fab = FabClient("cf", transport, build_fab(transport, code), code, BS)
         gwgr = GwgrClient("cg", transport, build_gwgr(transport, code), code, BS)
         blocks = [np.full(BS, i + 1, np.uint8) for i in range(K)]
         out = {}
-        before = transport.stats.snapshot()
-        fab.write_stripe(0, blocks)
-        out["fab_write"] = sum(
-            diff_snapshots(before, transport.stats.snapshot())["messages"].values()
-        )
-        before = transport.stats.snapshot()
-        gwgr.write_stripe(0, blocks)
-        out["gwgr_write"] = sum(
-            diff_snapshots(before, transport.stats.snapshot())["messages"].values()
-        )
-        before = transport.stats.snapshot()
-        gwgr.read_stripe(0)
-        out["gwgr_read"] = sum(
-            diff_snapshots(before, transport.stats.snapshot())["messages"].values()
-        )
+        for name, action in (
+            ("fab_write", lambda: fab.write_stripe(0, blocks)),
+            ("gwgr_write", lambda: gwgr.write_stripe(0, blocks)),
+            ("gwgr_read", lambda: gwgr.read_stripe(0)),
+        ):
+            before = registry.sum_counter("rpc_messages_total")
+            action()
+            out[name] = registry.sum_counter("rpc_messages_total") - before
         return out
 
     out = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -3,9 +3,11 @@
 The observability layer's contract is that an uninstrumented system
 pays only guard work: ``StorageNode.handle`` reads the envelope's
 ``trace`` and checks ``metrics.enabled`` / ``tracer.enabled`` against
-the NULL sinks, and ``Transport.call`` adds one more ``enabled`` check.
-The op-kind label rides the same envelope unconditionally and is only
-read when a registry is live.  This bench
+the NULL sinks, and the transport adds one ``enabled`` check in
+``call`` and one each where it would count the request and the
+response.  Payloads are sized only behind those checks, and the op-kind
+label rides the same envelope unconditionally and is only read when a
+registry is live.  This bench
 measures that guard cost directly, relates it to the real cost of a
 swap/add storage op, and asserts the disabled-path overhead is under
 2%.  It also reports the *enabled* cost (counters + histogram + trace
@@ -23,8 +25,8 @@ from repro.erasure.striping import StripeLayout
 from repro.ids import BlockAddr, Tid
 from repro.net.message import NO_ENVELOPE, Envelope
 from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.trace import NULL_TRACER
 from repro.storage.node import StorageNode, VolumeMeta
-from repro.tracing import NULL_TRACER
 
 from benchmarks.conftest import bench_record as record
 from benchmarks.conftest import print_table
@@ -82,6 +84,10 @@ def _guard_cost() -> float:
     start = time.perf_counter()
     for _ in range(GUARD_LOOPS):
         if not metrics.enabled:  # Transport.call fast path
+            sink += 1
+        if metrics.enabled:  # Transport._record_request
+            sink += 1
+        if metrics.enabled:  # Transport._record_response
             sink += 1
         if metrics.enabled:  # StorageNode.handle
             sink += 1

@@ -16,7 +16,7 @@ from repro import ClientConfig, Cluster
 from repro.client.rebuild import Rebuilder
 from repro.client.scrub import Scrubber
 from repro.ids import BlockAddr
-from repro.tracing import Tracer
+from repro.obs.trace import Tracer
 from repro.workloads import ZipfPattern, drive_concurrently
 
 BLOCKS = 30  # 10 stripes on a 3-of-5 code

@@ -9,14 +9,19 @@ storage-node crash, and inspect what the protocol cost.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro import Cluster
 from repro.baselines import format_cost_table
+from repro.obs import Observability
 
 
 def main() -> None:
     # Five storage nodes, any two may fail without losing data, at only
     # 5/3 = 1.67x storage (3-way replication would cost 3x).
-    cluster = Cluster(k=3, n=5, block_size=1024)
+    # The metrics registry counts every message on the wire.
+    obs = Observability.create()
+    cluster = Cluster(k=3, n=5, block_size=1024, observability=obs)
     volume = cluster.client("app-1")
 
     print("== writing ==")
@@ -36,8 +41,11 @@ def main() -> None:
     print(format_cost_table(5, 3))
 
     print("\n== traffic actually measured ==")
-    stats = cluster.transport.stats
-    for op, count in sorted(stats.messages.items()):
+    messages = Counter()
+    for row in obs.registry.snapshot()["counters"]:
+        if row["name"] == "rpc_messages_total":
+            messages[row["labels"]["op"]] += row["value"]
+    for op, count in sorted(messages.items()):
         print(f"  {op:<12} {count:>5} messages")
 
     print("\n== housekeeping ==")

@@ -27,11 +27,8 @@ from repro.analysis.overhead import (
 )
 from repro.analysis.stats import (
     LatencySummary,
-    confidence_interval_95,
     mean,
-    median,
     percentile,
-    stddev,
     summarize,
 )
 from repro.analysis.resiliency import (
@@ -66,11 +63,8 @@ __all__ = [
     "LatencySummary",
     "OverheadModel",
     "ResiliencyEntry",
-    "confidence_interval_95",
     "mean",
-    "median",
     "percentile",
-    "stddev",
     "summarize",
     "d_parallel",
     "d_serial",

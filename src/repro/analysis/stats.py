@@ -38,27 +38,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return min(max(value, ordered[lo]), ordered[hi])
 
 
-def median(samples: Sequence[float]) -> float:
-    return percentile(samples, 50.0)
-
-
-def stddev(samples: Sequence[float]) -> float:
-    """Sample standard deviation (n-1 denominator)."""
-    if len(samples) < 2:
-        return 0.0
-    mu = mean(samples)
-    return math.sqrt(sum((x - mu) ** 2 for x in samples) / (len(samples) - 1))
-
-
-def confidence_interval_95(samples: Sequence[float]) -> tuple[float, float]:
-    """Normal-approximation 95% CI of the mean."""
-    mu = mean(samples)
-    if len(samples) < 2:
-        return (mu, mu)
-    half = 1.96 * stddev(samples) / math.sqrt(len(samples))
-    return (mu - half, mu + half)
-
-
 @dataclass(frozen=True)
 class LatencySummary:
     """The numbers a latency table reports."""

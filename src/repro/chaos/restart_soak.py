@@ -51,7 +51,7 @@ from repro.client.monitor import Monitor
 from repro.client.rebuild import Rebuilder
 from repro.core.cluster import RestartReport
 from repro.errors import ReproError
-from repro.net.message import diff_snapshots
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.wal import MediaFaultPlan, WalStore
 
 #: Payload letter and op-stream seed salt: this soak's own constants.
@@ -258,7 +258,12 @@ def _run_policy(config: RestartSoakConfig, policy: str) -> PolicyOutcome:
     )
     crashes = {config.window_a[0]: 0, config.window_b[0]: 1}
     restores = {config.window_a[1]: 0, config.window_b[1]: 1}
-    window_snap = None
+    window_start = 0
+
+    def reconstruct_bytes() -> int:
+        return cluster.transport.metrics.sum_counter(
+            "rpc_bytes_sent_total", op="reconstruct"
+        )
 
     def crash(cycle: int) -> None:
         force = "torn" if cycle == 1 and policy == "restart" else None
@@ -290,20 +295,14 @@ def _run_policy(config: RestartSoakConfig, policy: str) -> PolicyOutcome:
         return rebuilder.rebuild(h.stripes).recovered
 
     def before_op(i: int) -> None:
-        nonlocal window_snap
+        nonlocal window_start
         if i in crashes:
-            window_snap = cluster.transport.stats.snapshot()
+            window_start = reconstruct_bytes()
             crash(crashes[i])
         if i in restores:
             repaired = restore(restores[i])
             outcome.repaired_stripes.append(len(repaired))
-            delta = diff_snapshots(
-                window_snap, cluster.transport.stats.snapshot()
-            )
-            outcome.repair_bytes.append(
-                delta["request_bytes"].get("reconstruct", 0)
-            )
-            window_snap = None
+            outcome.repair_bytes.append(reconstruct_bytes() - window_start)
 
     def downtime_abort(i: int, exc: ReproError) -> str | None:
         if not _in_window(i, config):
@@ -334,6 +333,11 @@ def _run_policy(config: RestartSoakConfig, policy: str) -> PolicyOutcome:
         store_factory=lambda slot: WalStore(plan=media_plan, tag=f"slot{slot}"),
     )
     cluster = h.cluster
+    if h.obs is None:
+        # Repair bytes are read from the registry's wire counters, so an
+        # unobserved run meters with a private one; metrics never steer
+        # the protocol, so the digests are the same either way.
+        cluster.transport.metrics = MetricsRegistry()
     protocol = h.volumes[0].protocol
     # Repair agents.  The monitor's staleness probe uses wall-clock age,
     # which a seeded soak must not depend on — stale_after=inf leaves

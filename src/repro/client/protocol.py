@@ -50,8 +50,7 @@ from repro.net.message import Envelope
 from repro.net.rpc import Deadline, pfor, _pool_instance
 from repro.net.transport import Transport
 from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.trace import TraceContext, TraceIdAllocator
-from repro.tracing import NULL_TRACER
+from repro.obs.trace import NULL_TRACER, TraceContext, TraceIdAllocator
 from repro.storage.node import BROADCAST_INDEX, VolumeMeta
 from repro.storage.state import (
     AddResult,
@@ -135,7 +134,7 @@ class ProtocolClient:
         # RPC is stamped with the cached generation, and a node answering
         # StalePlacementError makes _call invalidate + refetch + retry.
         self.placement = placement
-        # Structured tracing (repro.tracing.Tracer); no-op by default.
+        # Structured tracing (repro.obs.trace.Tracer); no-op by default.
         self.tracer = NULL_TRACER
         self.metrics = NULL_REGISTRY
         # Named crash/pause points (repro.crashpoints); no-op by default.

@@ -36,7 +36,6 @@ from repro.obs import Observability
 from repro.placement.map import PlacementCache, PlacementMap
 from repro.placement.rebalance import Rebalancer
 from repro.storage.node import StorageNode, VolumeMeta
-from repro.storage.server import InstrumentedServer
 from repro.storage.state import BlockState, OpMode
 from repro.storage.store import BlockStore
 
@@ -66,7 +65,6 @@ class Cluster:
         volume_name: str = "vol0",
         transport: Transport | None = None,
         delay: DelayModel | None = None,
-        instrument: bool = False,
         construction: str = "vandermonde",
         seed: int = 0,
         store_factory=None,
@@ -114,7 +112,6 @@ class Cluster:
                 self.retry_budget.metrics = observability.registry
             if self.transport.admission is not None:
                 self.transport.admission.metrics = observability.registry
-        self.instrument = instrument
         self._seed = seed
         # Optional persistence backend per node, e.g.
         # ``lambda slot: SimulatedDiskStore()`` for the §3.11 study.
@@ -123,7 +120,6 @@ class Cluster:
         #: Slots crashed under the "restart" policy, awaiting restart_storage.
         self._down: dict[int, str] = {}
         self._nodes: dict[str, StorageNode] = {}
-        self._servers: dict[str, InstrumentedServer] = {}
         self._clients: dict[str, ProtocolClient] = {}
         self._lock = threading.Lock()
         #: Directory replica handlers (``directory_replicas=R``): the
@@ -222,13 +218,7 @@ class Cluster:
             node.register_gauges(obs.registry)
             if store is not None and hasattr(store, "metrics"):
                 store.metrics = obs.registry
-        handler: StorageNode | InstrumentedServer = node
-        if self.instrument:
-            server = InstrumentedServer(node)
-            handler = server
-            with self._lock:
-                self._servers[node_id] = server
-        self.transport.register(node_id, handler)
+        self.transport.register(node_id, node)
         with self._lock:
             self._nodes[node_id] = node
         return node
@@ -598,20 +588,3 @@ class Cluster:
                 for slot in self.directory.slots()
             ]
         return sum(node.block_count() for node in nodes)
-
-    def service_times(self) -> dict[str, dict[str, float]]:
-        """Merged per-op service times (requires ``instrument=True``)."""
-        merged: dict[str, dict[str, float]] = {}
-        with self._lock:
-            servers = list(self._servers.values())
-        for server in servers:
-            for op, row in server.times.as_dict().items():
-                agg = merged.setdefault(op, {"count": 0, "mean": 0.0, "worst": 0.0})
-                total_before = agg["mean"] * agg["count"]
-                agg["count"] += row["count"]
-                if agg["count"]:
-                    agg["mean"] = (
-                        total_before + row["mean"] * row["count"]
-                    ) / agg["count"]
-                agg["worst"] = max(agg["worst"], row["worst"])
-        return merged

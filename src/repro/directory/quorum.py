@@ -51,7 +51,7 @@ from repro.net.message import Envelope
 from repro.net.rpc import pfor
 from repro.obs.metrics import NULL_REGISTRY
 from repro.placement.map import PlacementMap
-from repro.tracing import NULL_TRACER
+from repro.obs.trace import NULL_TRACER
 
 #: Transform sentinel: "no change; return the current value".
 _KEEP = object()

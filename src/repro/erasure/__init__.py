@@ -1,14 +1,12 @@
 """Erasure-code substrate: matrix algebra, Reed-Solomon codes, striping."""
 
 from repro.erasure.matrix import SingularMatrixError, systematic_generator
-from repro.erasure.parity import ParityCode
 from repro.erasure.rs import DecodeError, ReedSolomonCode
 from repro.erasure.striping import BlockLocation, StripeLayout
 
 __all__ = [
     "BlockLocation",
     "DecodeError",
-    "ParityCode",
     "ReedSolomonCode",
     "SingularMatrixError",
     "StripeLayout",

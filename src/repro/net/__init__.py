@@ -1,4 +1,4 @@
-"""Networking substrate: RPC transport, fault injection, traffic stats."""
+"""Networking substrate: RPC transport, fault injection, call envelope."""
 
 from repro.net.chaos import (
     ChaosTransport,
@@ -8,7 +8,7 @@ from repro.net.chaos import (
     FaultRule,
 )
 from repro.net.local import DelayModel, LocalTransport
-from repro.net.message import Envelope, TrafficStats, diff_snapshots, estimate_size
+from repro.net.message import Envelope, estimate_size
 from repro.net.rpc import Deadline, pfor
 from repro.net.tcp import TcpTransport
 from repro.net.transport import RpcHandler, Transport
@@ -25,9 +25,7 @@ __all__ = [
     "LocalTransport",
     "RpcHandler",
     "TcpTransport",
-    "TrafficStats",
     "Transport",
-    "diff_snapshots",
     "estimate_size",
     "pfor",
 ]

@@ -264,7 +264,7 @@ class ChaosTransport(Transport):
     """Wrap any transport, injecting a :class:`FaultPlan` around calls.
 
     Everything except fault injection — membership, crash state,
-    partitions, listeners, traffic stats — delegates to the inner
+    partitions, listeners, the metrics registry — delegates to the inner
     transport, so a cluster wired through chaos behaves identically
     once :meth:`disable` is called (used for post-soak scrubbing).
     """
@@ -356,10 +356,6 @@ class ChaosTransport(Transport):
         return count, self.plan.decide(src, dst, op, count)
 
     # -- delegation ----------------------------------------------------------
-
-    @property
-    def stats(self):
-        return self.inner.stats
 
     @property
     def metrics(self):

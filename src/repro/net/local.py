@@ -62,13 +62,19 @@ class LocalTransport(Transport):
         if seconds > 0:
             time.sleep(seconds)
 
+    def _priced_size(self, payload: object) -> int | None:
+        """The payload's size when the delay model charges per byte;
+        None (left unsized) when it does not."""
+        return estimate_size(payload) if self.delay.bandwidth > 0 else None
+
     def _transit(
-        self, size: int, budget: float | None, dst: str, op: str, env: Envelope
+        self, size: int | None, budget: float | None, dst: str, op: str,
+        env: Envelope,
     ) -> float | None:
         """Model one message's one-way delay against the deadline budget:
         sleep it and return the budget left, or — when the deadline
         fires first — sleep the budget and raise the timeout."""
-        delay = self.delay.one_way(size)
+        delay = self.delay.one_way(size or 0)
         if budget is not None and delay > budget:
             self._sleep(budget)
             raise RpcTimeoutError(dst, op, env.timeout)
@@ -100,8 +106,9 @@ class LocalTransport(Transport):
     ) -> object:
         self._check_reachable(src, dst)
         handler = self._handler_for(dst)
-        request_size = estimate_size(args) + estimate_size(kwargs)
-        self._record_request(op, request_size, env.kind)
+        payload = (args, kwargs)
+        request_size = self._priced_size(payload)
+        self._record_request(op, payload, env.kind, request_size)
         # Deadline enforcement covers the modeled network (the sleeps);
         # handler execution is local CPU and not interruptible here.
         budget = self._transit(request_size, env.timeout, dst, op, env)
@@ -109,8 +116,8 @@ class LocalTransport(Transport):
         # flight; re-check so a message is never served by a dead node.
         self._check_reachable(src, dst)
         result = self._serve(dst, handler, op, args, env, kwargs)
-        response_size = estimate_size(result)
-        self._record_response(op, response_size, env.kind)
+        response_size = self._priced_size(result)
+        self._record_response(op, result, env.kind, response_size)
         self._transit(response_size, budget, dst, op, env)
         self._check_reachable(src, dst)
         return result
@@ -133,10 +140,11 @@ class LocalTransport(Transport):
         deadline bounds the modeled network like a unicast's: a leg
         whose frame or reply lands after it is an :class:`RpcTimeoutError`.
         """
-        request_size = estimate_size(args) + estimate_size(kwargs)
+        payload = (args, kwargs)
+        request_size = self._priced_size(payload)
         # One multicast frame on the wire, counted once (Fig. 1 counts
         # an AJX-bcast write as p+3 messages: 2 swap + 1 bcast + p acks).
-        self._record_request(op, request_size, env.kind)
+        self._record_request(op, payload, env.kind, request_size)
         metrics = self.metrics
         if metrics.enabled:
             metrics.counter("rpc_broadcasts_total", op=op).inc()
@@ -151,7 +159,7 @@ class LocalTransport(Transport):
                 except Exception as exc:  # delivered per-destination
                     results[dst] = exc
                     continue
-                self._record_response(op, estimate_size(results[dst]), env.kind)
+                self._record_response(op, results[dst], env.kind)
             self._transit(0, budget, src, op, env)  # the replies' latency
         except RpcTimeoutError:
             for dst in dsts:

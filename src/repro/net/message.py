@@ -1,19 +1,18 @@
-"""Message bookkeeping: the call envelope, payload-size estimation and
-traffic counters.
+"""Message bookkeeping: the call envelope and payload-size estimation.
 
 The paper's Fig. 1 compares protocols by *message counts* and *bytes on
-the wire*; to validate those columns against the real protocol we
-instrument every RPC with an estimated wire size.  Estimation rules:
-block payloads dominate (numpy arrays count their exact byte length),
-everything else counts a small fixed header-ish size.  Only an RPC's
-operation arguments are sized — its :class:`Envelope` header never is.
+the wire*; to validate those columns against the real protocol the
+transports count every RPC, with an estimated wire size, in the metrics
+registry.  Estimation rules: block payloads dominate (numpy arrays count
+their exact byte length), everything else counts a small fixed
+header-ish size.  Only an RPC's operation arguments are sized — its
+:class:`Envelope` header never is — and only when a live registry is
+there to count the size.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -71,71 +70,3 @@ def estimate_size(obj: object) -> int:
     if is_dataclass(obj) and not isinstance(obj, type):
         return sum(estimate_size(getattr(obj, f.name)) for f in fields(obj))
     return SCALAR_BYTES
-
-
-@dataclass
-class TrafficStats:
-    """Thread-safe counters of RPC traffic, grouped by operation name.
-
-    A request/response pair counts as two messages (the convention the
-    paper's Fig. 1 uses: ``# msgs for read = 2`` means one round trip).
-    """
-
-    messages: Counter = field(default_factory=Counter)
-    request_bytes: Counter = field(default_factory=Counter)
-    response_bytes: Counter = field(default_factory=Counter)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def record_request(self, op: str, size: int) -> None:
-        with self._lock:
-            self.messages[op] += 1
-            self.request_bytes[op] += size
-
-    def record_response(self, op: str, size: int) -> None:
-        with self._lock:
-            self.messages[op] += 1
-            self.response_bytes[op] += size
-
-    # -- aggregate views ---------------------------------------------------
-
-    @property
-    def total_messages(self) -> int:
-        with self._lock:
-            return sum(self.messages.values())
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(self.request_bytes.values()) + sum(
-                self.response_bytes.values()
-            )
-
-    def snapshot(self) -> dict[str, dict[str, int]]:
-        """Immutable copy of all counters (for before/after deltas)."""
-        with self._lock:
-            return {
-                "messages": dict(self.messages),
-                "request_bytes": dict(self.request_bytes),
-                "response_bytes": dict(self.response_bytes),
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.messages.clear()
-            self.request_bytes.clear()
-            self.response_bytes.clear()
-
-
-def diff_snapshots(
-    before: dict[str, dict[str, int]], after: dict[str, dict[str, int]]
-) -> dict[str, dict[str, int]]:
-    """Per-op difference of two :meth:`TrafficStats.snapshot` results."""
-    out: dict[str, dict[str, int]] = {}
-    for section in ("messages", "request_bytes", "response_bytes"):
-        delta = {}
-        for op, value in after.get(section, {}).items():
-            change = value - before.get(section, {}).get(op, 0)
-            if change:
-                delta[op] = change
-        out[section] = delta
-    return out

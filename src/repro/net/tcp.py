@@ -25,7 +25,7 @@ import struct
 import threading
 
 from repro.errors import NodeUnavailableError, RpcTimeoutError, UnknownNodeError
-from repro.net.message import NO_ENVELOPE, Envelope, estimate_size
+from repro.net.message import NO_ENVELOPE, Envelope
 from repro.net.transport import RpcHandler, Transport
 
 _HEADER = struct.Struct("!I")
@@ -211,9 +211,7 @@ class TcpTransport(Transport):
     ) -> object:
         self._check_reachable(src, dst)
         request = pickle.dumps((op, args, kwargs, env))
-        self._record_request(
-            op, estimate_size(args) + estimate_size(kwargs), env.kind
-        )
+        self._record_request(op, (args, kwargs), env.kind)
         conn, lock = self._connection(src, dst)
         try:
             with lock:
@@ -242,7 +240,7 @@ class TcpTransport(Transport):
             self._check_reachable(src, dst)
             raise NodeUnavailableError(dst, f"connection failed: {exc}") from exc
         status, result = pickle.loads(payload)
-        self._record_response(op, estimate_size(result), env.kind)
+        self._record_response(op, result, env.kind)
         if status == "err":
             raise result
         return result

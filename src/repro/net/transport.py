@@ -28,7 +28,7 @@ from repro.errors import (
     RpcTimeoutError,
     UnknownNodeError,
 )
-from repro.net.message import NO_ENVELOPE, Envelope, TrafficStats
+from repro.net.message import NO_ENVELOPE, Envelope, estimate_size
 from repro.obs.metrics import NULL_REGISTRY
 
 #: Callback invoked with the id of a node that just crashed.
@@ -70,10 +70,10 @@ class Transport(ABC):
     """Message fabric connecting client and storage nodes."""
 
     def __init__(self) -> None:
-        self.stats = TrafficStats()
-        #: Observability sink; swapped for a live registry by the cluster
-        #: wiring.  Hot paths guard on ``metrics.enabled`` so the default
-        #: costs one attribute check per RPC.
+        #: Observability sink and the only wire accounting; swapped for a
+        #: live registry by the cluster wiring.  Hot paths guard on
+        #: ``metrics.enabled`` so the default costs one attribute check
+        #: per RPC and sizes no payload.
         self.metrics = NULL_REGISTRY
         #: Optional server-side admission control
         #: (:class:`~repro.net.backpressure.AdmissionController`).  When
@@ -174,28 +174,38 @@ class Transport(ABC):
 
     # -- wire accounting ------------------------------------------------------
 
-    def _record_request(self, op: str, size: int, kind: str | None = None) -> None:
+    def _record_request(
+        self, op: str, payload: object, kind: str | None = None,
+        size: int | None = None,
+    ) -> None:
         """Count one request message leaving the caller.
 
         ``kind`` is the logical operation that caused the RPC (write,
-        read, recovery_phase1, gc, ...), read from the call's envelope;
-        ``size`` covers the operation arguments only, never the header.
+        read, recovery_phase1, gc, ...), read from the call's envelope.
+        ``payload`` is the operation's arguments, never the header; it
+        is sized only when a live registry counts the bytes, unless the
+        caller already sized it for its own use and passes ``size``.
         """
-        self.stats.record_request(op, size)
         metrics = self.metrics
         if metrics.enabled:
             k = kind or UNATTRIBUTED_KIND
             metrics.counter("rpc_messages_total", kind=k, op=op, dir="request").inc()
-            metrics.counter("rpc_bytes_sent_total", kind=k).inc(size)
+            metrics.counter("rpc_bytes_sent_total", kind=k, op=op).inc(
+                estimate_size(payload) if size is None else size
+            )
 
-    def _record_response(self, op: str, size: int, kind: str | None = None) -> None:
+    def _record_response(
+        self, op: str, payload: object, kind: str | None = None,
+        size: int | None = None,
+    ) -> None:
         """Count one response message arriving back at the caller."""
-        self.stats.record_response(op, size)
         metrics = self.metrics
         if metrics.enabled:
             k = kind or UNATTRIBUTED_KIND
             metrics.counter("rpc_messages_total", kind=k, op=op, dir="response").inc()
-            metrics.counter("rpc_bytes_received_total", kind=k).inc(size)
+            metrics.counter("rpc_bytes_received_total", kind=k, op=op).inc(
+                estimate_size(payload) if size is None else size
+            )
 
     # -- messaging ------------------------------------------------------------
 

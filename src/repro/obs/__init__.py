@@ -40,12 +40,12 @@ from repro.obs.trace import (
     Span,
     TraceContext,
     TraceIdAllocator,
+    Tracer,
     build_span_tree,
     critical_path,
     render_span_tree,
     trace_ids,
 )
-from repro.tracing import Tracer
 
 __all__ = [
     "Counter",

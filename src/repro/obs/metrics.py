@@ -123,36 +123,33 @@ class Histogram:
         when no samples were observed.  ``q`` in [0, 100]."""
         with self._lock:
             samples = sorted(self._samples)
-        if not samples:
-            return None
-        if not 0.0 <= q <= 100.0:
+        if samples and not 0.0 <= q <= 100.0:
             raise ValueError("q must be in [0, 100]")
-        rank = max(0, min(len(samples) - 1, round(q / 100.0 * (len(samples) - 1))))
-        return samples[rank]
+        return _nearest_rank(samples, q)
 
     def summary(self) -> dict[str, float | int | None]:
         with self._lock:
             samples = sorted(self._samples)
             count, total = self._count, self._sum
             lo, hi = self._min, self._max
-
-        def pct(q: float) -> float | None:
-            if not samples:
-                return None
-            rank = max(
-                0, min(len(samples) - 1, round(q / 100.0 * (len(samples) - 1)))
-            )
-            return samples[rank]
-
         return {
             "count": count,
             "sum": total,
             "min": lo,
             "max": hi,
-            "p50": pct(50),
-            "p95": pct(95),
-            "p99": pct(99),
+            "p50": _nearest_rank(samples, 50),
+            "p95": _nearest_rank(samples, 95),
+            "p99": _nearest_rank(samples, 99),
         }
+
+
+def _nearest_rank(samples: list[float], q: float) -> float | None:
+    """Nearest-rank ``q``-th percentile of already sorted ``samples``;
+    None when there are none."""
+    if not samples:
+        return None
+    rank = round(q / 100.0 * (len(samples) - 1))
+    return samples[max(0, min(len(samples) - 1, rank))]
 
 
 class MetricsRegistry:

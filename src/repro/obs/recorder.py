@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry, NullRegistry
-from repro.tracing import TraceEvent, Tracer
+from repro.obs.trace import TraceEvent, Tracer
 
 FORMAT_VERSION = 1
 

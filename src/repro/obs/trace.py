@@ -1,10 +1,27 @@
-"""Causal trace propagation: trace ids, span trees, wire piggybacking.
+"""Structured tracing and causal trace propagation.
+
+Production storage systems need to answer "what did the protocol do?"
+without a debugger: which writes hit the ORDER path, when recoveries
+started and why, how long each phase took.  :class:`Tracer` is a
+bounded, thread-safe, in-memory event ring that protocol components
+emit into; tests use it to assert phase sequences, and operators can
+drain it to their logging system.
+
+Tracing is off by default (a no-op null tracer costs one attribute
+check per event) and enabled per client::
+
+    tracer = Tracer(capacity=10_000)
+    client = cluster.protocol_client("c")
+    client.tracer = tracer
+    ...
+    for event in tracer.drain():
+        print(event)
 
 The protocol already piggybacks ``otid`` on adds to order writes; this
 module piggybacks a *trace context* the same way, so a single client
-write is reconstructable — from drained :class:`~repro.tracing.Tracer`
-events alone — as a span tree: the client op at the root, the data-node
-swap beneath it, and every redundant-node add beneath the swap.
+write is reconstructable — from drained :class:`Tracer` events alone —
+as a span tree: the client op at the root, the data-node swap beneath
+it, and every redundant-node add beneath the swap.
 
 Ids are **deterministic**: a client derives them from its own id and a
 private counter (never a clock, never an RNG), so traced soak runs stay
@@ -24,9 +41,100 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
+from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.tracing import TraceEvent
+
+@dataclass(frozen=True, slots=True)
+class TraceEvent:
+    """One protocol event."""
+
+    timestamp: float
+    source: str  # emitting component, e.g. client id
+    kind: str  # e.g. "write.order_retry", "recovery.phase1"
+    detail: dict = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        extras = " ".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
+        return f"[{self.timestamp:.6f}] {self.source} {self.kind} {extras}".rstrip()
+
+
+class Tracer:
+    """Bounded ring buffer of :class:`TraceEvent`."""
+
+    #: Hot paths branch on this (``if tracer.enabled: ...``) instead of
+    #: comparing against the NULL_TRACER singleton.
+    enabled = True
+
+    def __init__(self, capacity: int = 4096, clock: Callable[[], float] | None = None):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._clock = clock or time.monotonic
+        self._events: deque[TraceEvent] = deque(maxlen=capacity)
+        self._lock = threading.Lock()
+        self.dropped = 0
+
+    def emit(self, source: str, kind: str, **detail: object) -> None:
+        event = TraceEvent(
+            timestamp=self._clock(), source=source, kind=kind, detail=detail
+        )
+        with self._lock:
+            if len(self._events) == self.capacity:
+                self.dropped += 1
+            self._events.append(event)
+
+    def events(self, kind_prefix: str | None = None) -> list[TraceEvent]:
+        """Snapshot, optionally filtered by kind prefix."""
+        with self._lock:
+            snapshot = list(self._events)
+        if kind_prefix is None:
+            return snapshot
+        return [e for e in snapshot if e.kind.startswith(kind_prefix)]
+
+    def drain(self) -> list[TraceEvent]:
+        """Return and clear all buffered events; overflow accounting
+        (``dropped``) resets with the buffer so each drained batch is
+        audited against its own losses."""
+        with self._lock:
+            snapshot = list(self._events)
+            self._events.clear()
+            self.dropped = 0
+        return snapshot
+
+    def count(self, kind_prefix: str = "") -> int:
+        return len(self.events(kind_prefix or None))
+
+
+class NullTracer:
+    """The default no-op tracer (shared singleton).
+
+    Implements the full :class:`Tracer` read surface so code handed a
+    disabled tracer can still call ``events``/``drain``/``count``
+    without crashing — everything reports empty.
+    """
+
+    enabled = False
+    capacity = 0
+    dropped = 0
+
+    def emit(self, source: str, kind: str, **detail: object) -> None:
+        pass
+
+    def events(self, kind_prefix: str | None = None) -> list[TraceEvent]:
+        return []
+
+    def drain(self) -> list[TraceEvent]:
+        return []
+
+    def count(self, kind_prefix: str = "") -> int:
+        return 0
+
+
+NULL_TRACER = NullTracer()
+
 
 #: Wire representation: (trace_id, span_id, parent_span).
 WireTrace = tuple[str, str, str | None]

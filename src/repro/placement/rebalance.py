@@ -54,7 +54,7 @@ from repro.obs.metrics import NULL_REGISTRY
 from repro.placement.map import PlacementMap
 from repro.storage.node import VolumeMeta
 from repro.storage.state import LockMode, OpMode, StateSnapshot
-from repro.tracing import NULL_TRACER
+from repro.obs.trace import NULL_TRACER
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """Storage-node substrate: per-block state machines served over RPC."""
 
 from repro.storage.node import BROADCAST_INDEX, StorageNode, VolumeMeta
-from repro.storage.server import InstrumentedServer, ServiceTimes
 from repro.storage.store import BlockStore, MemoryStore, SimulatedDiskStore
 from repro.storage.wal import (
     MediaFaultPlan,
@@ -34,13 +33,11 @@ __all__ = [
     "MemoryStore",
     "SimulatedDiskStore",
     "CheckTidStatus",
-    "InstrumentedServer",
     "LockMode",
     "MediaFaultPlan",
     "OpMode",
     "ReadResult",
     "ReplayResult",
-    "ServiceTimes",
     "SimMedia",
     "StateSnapshot",
     "StorageNode",

@@ -37,7 +37,7 @@ from repro.net.message import NO_ENVELOPE, Envelope
 from repro.net.transport import RpcHandler
 from repro.errors import StalePlacementError, UnknownOperationError
 from repro.obs.metrics import NULL_REGISTRY
-from repro.tracing import NULL_TRACER
+from repro.obs.trace import NULL_TRACER
 from repro.storage.store import BlockStore
 from repro.storage.state import (
     AddResult,
@@ -122,7 +122,6 @@ class StorageNode(RpcHandler):
         self._lock = threading.RLock()
         self._clock = 0  # node-local logical time ("auto incremented")
         self._rng = np.random.default_rng(seed)
-        self.op_counts: dict[str, int] = {}
         #: Observability sinks, swapped in by cluster wiring; the
         #: defaults cost one attribute check per request.
         self.metrics = NULL_REGISTRY
@@ -168,7 +167,6 @@ class StorageNode(RpcHandler):
         with self._lock:
             if env.gen is not None and args and isinstance(args[0], BlockAddr):
                 self._check_generation(args[0], env.gen)
-            self.op_counts[op] = self.op_counts.get(op, 0) + 1
             result = getattr(self, op)(*args, **kwargs)
         # Emit after releasing the node lock: the tracer has its own
         # lock and the request is already served.

@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.fab import ConcurrentWriteError, FabClient, Timestamp, build_fab
 from repro.erasure.rs import ReedSolomonCode
 from repro.net.local import LocalTransport
-from repro.net.message import diff_snapshots
+from repro.obs.metrics import MetricsRegistry
 
 BS = 64
 
@@ -55,21 +55,17 @@ class TestMessageStructure:
         """The structural weakness Fig. 1 highlights."""
         transport, client, code = fab_setup
         client.write_stripe(0, [fill(1), fill(2), fill(3)])
-        before = transport.stats.snapshot()
+        registry = transport.metrics = MetricsRegistry()
         client.write_stripe(0, [fill(4), fill(5), fill(6)])
-        delta = diff_snapshots(before, transport.stats.snapshot())
-        messages = delta["messages"]
-        assert messages["order"] == 2 * code.n
-        assert messages["write"] == 2 * code.n
-        assert messages["commit"] == 2 * code.n
+        for op in ("order", "write", "commit"):
+            assert registry.sum_counter("rpc_messages_total", op=op) == 2 * code.n
 
     def test_read_contacts_k_nodes(self, fab_setup):
         transport, client, code = fab_setup
         client.write_stripe(0, [fill(1), fill(2), fill(3)])
-        before = transport.stats.snapshot()
+        registry = transport.metrics = MetricsRegistry()
         client.read_stripe(0)
-        delta = diff_snapshots(before, transport.stats.snapshot())
-        assert delta["messages"]["read"] == 2 * code.k
+        assert registry.sum_counter("rpc_messages_total", op="read") == 2 * code.k
 
 
 class TestVersionLog:

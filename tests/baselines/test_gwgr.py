@@ -10,7 +10,7 @@ import pytest
 from repro.baselines.gwgr import GwgrClient, build_gwgr
 from repro.erasure.rs import ReedSolomonCode
 from repro.net.local import LocalTransport
-from repro.net.message import diff_snapshots
+from repro.obs.metrics import MetricsRegistry
 
 BS = 64
 
@@ -54,31 +54,31 @@ class TestReadWrite:
 class TestMessageStructure:
     def test_write_contacts_all_n_twice(self, gwgr_setup):
         transport, client, code = gwgr_setup
-        before = transport.stats.snapshot()
+        registry = transport.metrics = MetricsRegistry()
         client.write_stripe(0, [fill(1), fill(2), fill(3)])
-        delta = diff_snapshots(before, transport.stats.snapshot())
-        assert delta["messages"]["get_time"] == 2 * code.n
-        assert delta["messages"]["store"] == 2 * code.n  # 4n total
+        messages = registry.sum_counter
+        assert messages("rpc_messages_total", op="get_time") == 2 * code.n
+        assert messages("rpc_messages_total", op="store") == 2 * code.n  # 4n total
 
     def test_read_contacts_all_n(self, gwgr_setup):
         transport, client, code = gwgr_setup
         client.write_stripe(0, [fill(1), fill(2), fill(3)])
-        before = transport.stats.snapshot()
+        registry = transport.metrics = MetricsRegistry()
         client.read_stripe(0)
-        delta = diff_snapshots(before, transport.stats.snapshot())
-        assert delta["messages"]["read_versions"] == 2 * code.n
+        assert registry.sum_counter(
+            "rpc_messages_total", op="read_versions"
+        ) == 2 * code.n
         # Read bandwidth ~ nB: every node ships its block back.
-        assert sum(delta["response_bytes"].values()) >= code.n * BS
+        assert registry.sum_counter("rpc_bytes_received_total") >= code.n * BS
 
     def test_granularity_is_k_blocks(self, gwgr_setup):
         """Single-block write moves a whole stripe of data."""
         transport, client, code = gwgr_setup
         client.write_stripe(0, [fill(1), fill(2), fill(3)])
-        before = transport.stats.snapshot()
+        registry = transport.metrics = MetricsRegistry()
         client.write_block(0, 0, fill(7))
-        delta = diff_snapshots(before, transport.stats.snapshot())
-        moved = sum(delta["request_bytes"].values()) + sum(
-            delta["response_bytes"].values()
+        moved = registry.sum_counter("rpc_bytes_sent_total") + registry.sum_counter(
+            "rpc_bytes_received_total"
         )
         assert moved >= 2 * code.n * BS  # read nB back + write nB out
 

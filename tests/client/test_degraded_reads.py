@@ -79,7 +79,7 @@ class TestReadFallback:
         assert cluster.stripe_consistent(0)
 
     def test_degraded_read_traced(self, cluster):
-        from repro.tracing import Tracer
+        from repro.obs.trace import Tracer
 
         client = cluster.protocol_client("c", ClientConfig(degraded_reads=True))
         tracer = Tracer()

@@ -7,12 +7,18 @@ import pytest
 
 from repro.client.config import ClientConfig, WriteStrategy
 from repro.core.cluster import Cluster
-from repro.net.message import diff_snapshots
+from repro.obs.metrics import MetricsRegistry
 
 
 def fill(cluster, value, size=None):
     size = size or cluster.meta.block_size
     return np.full(size, value, dtype=np.uint8)
+
+
+def wire_bytes(registry):
+    return registry.sum_counter("rpc_bytes_sent_total") + registry.sum_counter(
+        "rpc_bytes_received_total"
+    )
 
 
 class TestBasicReadWrite:
@@ -66,47 +72,43 @@ class TestMessageCounts:
         cluster = Cluster(k=k, n=n, block_size=256)
         client = cluster.protocol_client("c", ClientConfig(strategy=strategy))
         client.write(0, 0, fill(cluster, 1))  # warm block states
-        before = cluster.transport.stats.snapshot()
+        # A fresh registry counts exactly the measured write.
+        registry = cluster.transport.metrics = MetricsRegistry()
         client.write(0, 0, fill(cluster, 2))
-        delta = diff_snapshots(before, cluster.transport.stats.snapshot())
-        return delta, cluster
+        return registry, cluster
 
     @pytest.mark.parametrize(
         "strategy", [WriteStrategy.SERIAL, WriteStrategy.PARALLEL, WriteStrategy.HYBRID]
     )
     def test_unicast_write_messages_2p_plus_2(self, strategy):
-        delta, cluster = self._measured_write(strategy)
+        registry, cluster = self._measured_write(strategy)
         p = cluster.code.redundancy
-        total = sum(delta["messages"].values())
+        total = registry.sum_counter("rpc_messages_total")
         assert total == 2 * (p + 1)  # Fig. 1: 2(p+1) messages
-        assert delta["messages"]["swap"] == 2
-        assert delta["messages"]["add"] == 2 * p
+        assert registry.sum_counter("rpc_messages_total", op="swap") == 2
+        assert registry.sum_counter("rpc_messages_total", op="add") == 2 * p
 
     def test_unicast_write_bandwidth_p_plus_2_blocks(self):
-        delta, cluster = self._measured_write(WriteStrategy.PARALLEL)
+        registry, cluster = self._measured_write(WriteStrategy.PARALLEL)
         p = cluster.code.redundancy
         block = cluster.meta.block_size
-        payload = sum(delta["request_bytes"].values()) + sum(
-            delta["response_bytes"].values()
-        )
-        messages = sum(delta["messages"].values())
+        payload = wire_bytes(registry)
+        messages = registry.sum_counter("rpc_messages_total")
         # swap out (B) + swap old value back (B) + p deltas (pB) ~ (p+2)B
         assert payload >= (p + 2) * block
         assert payload < (p + 2) * block + 120 * messages  # + headers
 
     def test_broadcast_write_messages_p_plus_3(self):
-        delta, cluster = self._measured_write(WriteStrategy.BROADCAST)
+        registry, cluster = self._measured_write(WriteStrategy.BROADCAST)
         p = cluster.code.redundancy
-        total = sum(delta["messages"].values())
+        total = registry.sum_counter("rpc_messages_total")
         assert total == p + 3  # Fig. 1: p + 3 messages
 
     def test_broadcast_write_bandwidth_3_blocks(self):
-        delta, cluster = self._measured_write(WriteStrategy.BROADCAST)
+        registry, cluster = self._measured_write(WriteStrategy.BROADCAST)
         block = cluster.meta.block_size
-        payload = sum(delta["request_bytes"].values()) + sum(
-            delta["response_bytes"].values()
-        )
-        messages = sum(delta["messages"].values())
+        payload = wire_bytes(registry)
+        messages = registry.sum_counter("rpc_messages_total")
         assert payload >= 3 * block
         assert payload < 3 * block + 120 * messages  # + headers
 
@@ -114,12 +116,12 @@ class TestMessageCounts:
         cluster = Cluster(k=3, n=6, block_size=256)
         client = cluster.protocol_client("c")
         client.write(0, 1, fill(cluster, 5))
-        before = cluster.transport.stats.snapshot()
+        registry = cluster.transport.metrics = MetricsRegistry()
         client.read(0, 1)
-        delta = diff_snapshots(before, cluster.transport.stats.snapshot())
-        assert sum(delta["messages"].values()) == 2  # Fig. 1: 2 messages
+        # Fig. 1: 2 messages
+        assert registry.sum_counter("rpc_messages_total") == 2
         block = cluster.meta.block_size
-        payload = sum(delta["response_bytes"].values())
+        payload = registry.sum_counter("rpc_bytes_received_total")
         assert block <= payload < 2 * block  # read bandwidth ~ B
 
 

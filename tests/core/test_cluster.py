@@ -7,6 +7,7 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.directory import Directory, UnknownSlotError
 from repro.ids import BlockAddr
+from repro.obs import Observability
 
 
 class TestAssembly:
@@ -101,15 +102,15 @@ class TestIntrospection:
         assert small_cluster.metadata_bytes() > 0
 
     def test_instrumented_cluster_records_service_times(self):
-        cluster = Cluster(k=2, n=4, block_size=64, instrument=True)
+        obs = Observability.create()
+        cluster = Cluster(k=2, n=4, block_size=64, observability=obs)
         vol = cluster.client("c")
         vol.write_block(0, b"t")
         vol.read_block(0)
-        times = cluster.service_times()
-        assert times["swap"]["count"] == 1
-        assert times["add"]["count"] == 2
-        assert times["read"]["count"] == 1
-        assert times["swap"]["mean"] > 0
+        ops = obs.registry.sum_counter
+        assert ops("node_ops_total", op="swap") == 1
+        assert ops("node_ops_total", op="add") == 2
+        assert ops("node_ops_total", op="read") == 1
 
 
 class TestFailureFanout:

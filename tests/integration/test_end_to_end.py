@@ -166,10 +166,9 @@ class TestLargerCodes:
         cluster = Cluster(k=14, n=16, block_size=32)
         vol = cluster.client("c")
         vol.write_block(0, b"x")
-        before = cluster.transport.stats.snapshot()
-        vol.write_block(0, b"y")
-        after = cluster.transport.stats.snapshot()
-        from repro.net.message import diff_snapshots
+        from repro.obs.metrics import MetricsRegistry
 
-        total = sum(diff_snapshots(before, after)["messages"].values())
+        registry = cluster.transport.metrics = MetricsRegistry()
+        vol.write_block(0, b"y")
+        total = registry.sum_counter("rpc_messages_total")
         assert total == 2 * (2 + 1)  # p=2 -> 6 messages, despite n=16

@@ -21,7 +21,7 @@ from repro.net.rpc import Deadline, pfor
 from repro.net.transport import RpcHandler
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
-from repro.tracing import NULL_TRACER
+from repro.obs.trace import NULL_TRACER
 
 
 class Echo(RpcHandler):
@@ -200,7 +200,7 @@ class TestBroadcastUnderFailures:
             client.write(0, 0, np.full(64, 7, dtype=np.uint8))
             return (
                 obs.registry.sum_counter("rpc_messages_total", kind="write"),
-                obs.registry.counter_value("rpc_bytes_sent_total", kind="write"),
+                obs.registry.sum_counter("rpc_bytes_sent_total", kind="write"),
             )
 
         assert write_counts(FaultPlan([])) == write_counts(None)

@@ -1,18 +1,12 @@
-"""Payload-size estimation and traffic counters."""
+"""Payload-size estimation."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.net.message import (
-    SCALAR_BYTES,
-    TrafficStats,
-    diff_snapshots,
-    estimate_size,
-)
+from repro.net.message import SCALAR_BYTES, estimate_size
 
 
 class TestEstimateSize:
@@ -48,64 +42,3 @@ class TestEstimateSize:
 
     def test_unknown_object_is_scalar(self):
         assert estimate_size(object()) == SCALAR_BYTES
-
-
-class TestTrafficStats:
-    def test_request_response_counting(self):
-        stats = TrafficStats()
-        stats.record_request("swap", 1024)
-        stats.record_response("swap", 1030)
-        assert stats.messages["swap"] == 2
-        assert stats.total_messages == 2
-        assert stats.total_bytes == 2054
-
-    def test_snapshot_is_immutable_copy(self):
-        stats = TrafficStats()
-        stats.record_request("read", 10)
-        snap = stats.snapshot()
-        stats.record_request("read", 10)
-        assert snap["messages"]["read"] == 1
-
-    def test_reset(self):
-        stats = TrafficStats()
-        stats.record_request("read", 10)
-        stats.reset()
-        assert stats.total_messages == 0
-        assert stats.total_bytes == 0
-
-    def test_thread_safety_of_counts(self):
-        stats = TrafficStats()
-
-        def worker():
-            for _ in range(1000):
-                stats.record_request("op", 1)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert stats.messages["op"] == 8000
-
-
-class TestDiffSnapshots:
-    def test_diff(self):
-        stats = TrafficStats()
-        stats.record_request("a", 5)
-        before = stats.snapshot()
-        stats.record_request("a", 7)
-        stats.record_response("b", 3)
-        delta = diff_snapshots(before, stats.snapshot())
-        assert delta["messages"] == {"a": 1, "b": 1}
-        assert delta["request_bytes"] == {"a": 7}
-        assert delta["response_bytes"] == {"b": 3}
-
-    def test_zero_changes_omitted(self):
-        stats = TrafficStats()
-        stats.record_request("a", 5)
-        snap = stats.snapshot()
-        assert diff_snapshots(snap, snap) == {
-            "messages": {},
-            "request_bytes": {},
-            "response_bytes": {},
-        }

@@ -13,6 +13,7 @@ from repro.errors import NodeUnavailableError, RpcTimeoutError, UnknownNodeError
 from repro.net.message import Envelope
 from repro.net.tcp import TcpTransport
 from repro.net.transport import RpcHandler
+from repro.obs.metrics import MetricsRegistry
 
 
 class Echo(RpcHandler):
@@ -91,9 +92,10 @@ class TestTcpRpc:
     def test_stats_recorded(self, tcp):
         tcp.register("server", Echo())
         tcp.register("client")
+        registry = tcp.metrics = MetricsRegistry()
         tcp.call("client", "server", "ping", b"x" * 64)
-        assert tcp.stats.messages["ping"] == 2
-        assert tcp.stats.request_bytes["ping"] == 64
+        assert registry.sum_counter("rpc_messages_total", op="ping") == 2
+        assert registry.sum_counter("rpc_bytes_sent_total", op="ping") == 64
 
     def test_connect_timeout_is_configurable(self):
         transport = TcpTransport(connect_timeout=0.25)

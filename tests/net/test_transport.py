@@ -11,8 +11,14 @@ from repro.errors import (
     PartitionedError,
     UnknownNodeError,
 )
+from repro.net import local as local_module
+from repro.net import tcp as tcp_module
+from repro.net import transport as transport_module
 from repro.net.local import DelayModel, LocalTransport
+from repro.net.message import estimate_size
+from repro.net.tcp import TcpTransport
 from repro.net.transport import RpcHandler
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
 
 class Echo(RpcHandler):
@@ -52,9 +58,10 @@ class TestCall:
             transport.call("client", "server", "boom")
 
     def test_stats_recorded(self, transport):
+        registry = transport.metrics = MetricsRegistry()
         transport.call("client", "server", "ping", b"xxxx")
-        assert transport.stats.messages["ping"] == 2
-        assert transport.stats.request_bytes["ping"] == 4
+        assert registry.sum_counter("rpc_messages_total", op="ping") == 2
+        assert registry.sum_counter("rpc_bytes_sent_total", op="ping") == 4
 
 
 class TestCrash:
@@ -122,11 +129,12 @@ class TestBroadcast:
         for name in ("a", "b", "c"):
             t.register(name, Echo())
         t.register("client")
+        registry = t.metrics = MetricsRegistry()
         t.broadcast("client", ["a", "b", "c"], "add", b"x" * 100)
         # One multicast frame on the wire plus 3 unicast acks (the
         # Fig. 1 AJX-bcast accounting: payload leaves the client once).
-        assert t.stats.messages["add"] == 1 + 3
-        assert t.stats.request_bytes["add"] == 100
+        assert registry.sum_counter("rpc_messages_total", op="add") == 1 + 3
+        assert registry.sum_counter("rpc_bytes_sent_total", op="add") == 100
 
     def test_broadcast_partial_failure(self):
         t = LocalTransport()
@@ -159,3 +167,63 @@ class TestDelayModel:
         start = time.perf_counter()
         t.call("client", "server", "ping")
         assert time.perf_counter() - start >= 0.02  # two one-way delays
+
+
+class TestSizingOnlyWhenCounted:
+    """No payload is sized on a path where nothing reads the size: an
+    unobserved call or broadcast never runs ``estimate_size``, and an
+    observed one counts the same bytes per op as it always has."""
+
+    @pytest.fixture
+    def sized(self, monkeypatch):
+        calls = []
+
+        def counting(obj):
+            calls.append(obj)
+            return estimate_size(obj)
+
+        for module in (transport_module, local_module, tcp_module):
+            monkeypatch.setattr(module, "estimate_size", counting, raising=False)
+        return calls
+
+    @staticmethod
+    def exchange(kind, registry):
+        """One RPC of ``kind``; returns per-op (sent, received) bytes."""
+        t = TcpTransport() if kind == "tcp-call" else LocalTransport()
+        t.metrics = registry
+        try:
+            for name in ("a", "b", "c"):
+                t.register(name, Echo())
+            t.register("client")
+            if kind == "local-broadcast":
+                t.broadcast("client", ["a", "b", "c"], "add", b"x" * 100)
+                op = "add"
+            else:
+                t.call("client", "a", "ping", b"x" * 64, tag=7)
+                op = "ping"
+        finally:
+            if isinstance(t, TcpTransport):
+                t.close()
+        return (
+            registry.sum_counter("rpc_bytes_sent_total", op=op),
+            registry.sum_counter("rpc_bytes_received_total", op=op),
+        )
+
+    @pytest.mark.parametrize("kind", ["local-call", "local-broadcast", "tcp-call"])
+    def test_unobserved_rpc_sizes_nothing(self, sized, kind):
+        self.exchange(kind, NULL_REGISTRY)
+        assert sized == []
+
+    @pytest.mark.parametrize(
+        "kind, sent, received",
+        [
+            # b"x" * 64 plus kwarg "tag" (3) + int (8); reply ("ping", args)
+            ("local-call", 75, 68),
+            # one multicast frame; three ("add", args) replies of 103
+            ("local-broadcast", 100, 309),
+            ("tcp-call", 75, 68),
+        ],
+    )
+    def test_observed_rpc_counts_bytes_per_op(self, sized, kind, sent, received):
+        assert self.exchange(kind, MetricsRegistry()) == (sent, received)
+        assert sized  # the counted path really goes through estimate_size

@@ -15,7 +15,7 @@ from repro.obs import (
     load_flight,
 )
 from repro.obs.recorder import FORMAT_VERSION
-from repro.tracing import Tracer
+from repro.obs.trace import Tracer
 
 
 def make_sinks(capacity: int = 512):

@@ -9,6 +9,7 @@ from repro.erasure.rs import ReedSolomonCode
 from repro.erasure.striping import StripeLayout
 from repro.errors import UnknownOperationError
 from repro.ids import BlockAddr, Tid
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.node import BROADCAST_INDEX, StorageNode, VolumeMeta
 from repro.storage.state import (
     AddStatus,
@@ -59,9 +60,10 @@ class TestDispatch:
 
     def test_op_counts_tracked(self):
         node = make_node()
+        node.metrics = MetricsRegistry()
         node.handle("read", addr(0))
         node.handle("read", addr(0))
-        assert node.op_counts["read"] == 2
+        assert node.metrics.sum_counter("node_ops_total", op="read") == 2
 
 
 class TestInitialState:

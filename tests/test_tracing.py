@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.core.cluster import Cluster
-from repro.tracing import NULL_TRACER, TraceEvent, Tracer
+from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
 
 
 class TestTracer:
@@ -45,15 +45,6 @@ class TestTracer:
         assert len(tracer.drain()) == 1
         assert tracer.events() == []
 
-    def test_spans(self):
-        times = iter([1.0, 3.5, 10.0, 11.0])
-        tracer = Tracer(clock=lambda: next(times))
-        tracer.emit("c", "recovery.begin")
-        tracer.emit("c", "recovery.end")
-        tracer.emit("d", "recovery.begin")
-        tracer.emit("d", "recovery.end")
-        assert list(tracer.spans("recovery.begin", "recovery.end")) == [2.5, 1.0]
-
     def test_thread_safety(self):
         tracer = Tracer(capacity=100_000)
 
@@ -83,52 +74,6 @@ class TestTracer:
         assert tracer.dropped == 0  # fresh batch, fresh accounting
 
 
-class TestSpanPairing:
-    def test_interleaved_spans_pair_by_detail(self):
-        """Two overlapping recoveries of different stripes must pair
-        begin/end by stripe, not clobber each other LIFO-style."""
-        times = iter([0.0, 1.0, 5.0, 9.0])
-        tracer = Tracer(clock=lambda: next(times))
-        tracer.emit("c", "recovery.begin", stripe=1)
-        tracer.emit("c", "recovery.begin", stripe=2)
-        tracer.emit("c", "recovery.end", stripe=1)
-        tracer.emit("c", "recovery.end", stripe=2)
-        assert list(tracer.spans("recovery.begin", "recovery.end")) == [
-            5.0,  # stripe 1: 5.0 - 0.0
-            8.0,  # stripe 2: 9.0 - 1.0
-        ]
-
-    def test_unbalanced_end_is_ignored(self):
-        tracer = Tracer(clock=lambda: 0.0)
-        tracer.emit("c", "recovery.end", stripe=1)
-        tracer.emit("c", "recovery.begin", stripe=1)
-        assert list(tracer.spans("recovery.begin", "recovery.end")) == []
-
-    def test_sources_pair_independently(self):
-        times = iter([0.0, 1.0, 2.0, 4.0])
-        tracer = Tracer(clock=lambda: next(times))
-        tracer.emit("a", "recovery.begin")
-        tracer.emit("b", "recovery.begin")
-        tracer.emit("b", "recovery.end")
-        tracer.emit("a", "recovery.end")
-        assert list(tracer.spans("recovery.begin", "recovery.end")) == [1.0, 4.0]
-
-    def test_cancel_kind_closes_without_yield(self):
-        times = iter([0.0, 1.0, 2.0, 3.0])
-        tracer = Tracer(clock=lambda: next(times))
-        tracer.emit("c", "recovery.begin", stripe=1)
-        tracer.emit("c", "recovery.yield", stripe=1)
-        tracer.emit("c", "recovery.begin", stripe=1)
-        tracer.emit("c", "recovery.end", stripe=1)
-        # The yielded attempt contributes no duration; the second
-        # attempt pairs with the end instead of the stale first begin.
-        assert list(
-            tracer.spans(
-                "recovery.begin", "recovery.end", cancel_kinds=("recovery.yield",)
-            )
-        ) == [1.0]
-
-
 class TestNullTracerParity:
     """NULL_TRACER exposes the full Tracer read surface (reports empty)."""
 
@@ -144,8 +89,6 @@ class TestNullTracerParity:
         assert NULL_TRACER.drain() == []
         assert NULL_TRACER.count() == 0
         assert NULL_TRACER.count("write.") == 0
-        assert list(NULL_TRACER.spans("a", "b")) == []
-        assert list(NULL_TRACER.spans("a", "b", cancel_kinds=("c",))) == []
 
 
 class TestProtocolIntegration:
