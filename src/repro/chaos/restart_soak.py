@@ -343,7 +343,7 @@ def _run_policy(config: RestartSoakConfig, policy: str) -> PolicyOutcome:
     # which a seeded soak must not depend on — stale_after=inf leaves
     # the deep find_consistent check as the only (deterministic) trigger.
     monitor = Monitor(protocol, stale_after=math.inf)
-    rebuilder = Rebuilder(protocol, mode="probe")
+    rebuilder = Rebuilder(protocol)
 
     h.run_ops(config.ops)
     h.settle("restart-settle")

@@ -59,40 +59,19 @@ class ClientConfig:
     #: a slow or silent node surfaces as RpcTimeoutError instead of a
     #: hang, and is treated as *suspected* failed.
     rpc_timeout: float | None = None
-    #: Whole-operation deadline budget for one read()/write() call,
-    #: seconds (None = bounded only by the attempt counters).  When the
-    #: budget runs out mid-retry the op raises ReadFailedError /
-    #: WriteAbortedError rather than spinning on a sick stripe.
-    op_deadline: float | None = None
     #: Consecutive RPC timeouts from one node before the client stops
     #: suspecting and starts *believing*: the circuit breaker opens,
     #: the node is remapped and recovery runs, exactly as for a
     #: detected fail-stop crash (the breaker's trip threshold).
     suspicion_threshold: int = 3
-    #: While a node's circuit is open, calls fail fast; every this-many
-    #: blocked attempts one probe is admitted (half-open).  Counted in
-    #: attempts, not wall time, so seeded workloads stay deterministic.
-    breaker_probe_interval: int = 8
-    #: Retries a NodeBusyError (server-side admission shed) is given
-    #: inside ``_call`` with jittered backoff before it propagates.
-    busy_retry_limit: int = 8
-
-    #: Cluster-wide retry budget: max outstanding retry tokens (None =
-    #: unlimited, the historical behaviour).  Each retry/hedge spends a
-    #: token; each successful first attempt deposits ``retry_budget_refill``
-    #: back, so a permanently-gray node cannot amplify load unboundedly.
-    retry_budget: float | None = None
-    retry_budget_refill: float = 0.1
 
     #: Hedged degraded reads: when the data node has not answered
     #: within the hedging delay, race a k-of-n reconstruct against it
     #: and take the first winner (tail-latency defense for gray nodes).
     hedged_reads: bool = False
     #: Explicit hedging delay in seconds; None derives it from the
-    #: node's health EWMA (``multiplier`` x typical latency, floored).
+    #: node's health EWMA (:meth:`HealthRegistry.hedge_delay`).
     hedge_delay: float | None = None
-    hedge_delay_floor: float = 0.005
-    hedge_delay_multiplier: float = 4.0
 
     #: Test-only seeded regression: when True, ``_setlock_robust``
     #: silently drops the release RPC — a faithful reintroduction of

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 
 from repro.client.protocol import ProtocolClient
-from repro.errors import NodeBusyError, NodeUnavailableError, RpcTimeoutError
+from repro.errors import NodeBusyError, NodeUnavailableError
 from repro.ids import Tid
 from repro.net.rpc import pfor
 
@@ -29,9 +29,8 @@ from repro.net.rpc import pfor
 class GcManager:
     """Runs Fig. 7's collect_garbage task for one client."""
 
-    def __init__(self, client: ProtocolClient, max_attempts: int = 20):
+    def __init__(self, client: ProtocolClient):
         self.client = client
-        self.max_attempts = max_attempts
         self.source = f"gc:{client.client_id}"
         # old[stripe][j]: tids moved to oldlists last round, to discard next.
         self._old: dict[int, dict[int, set[Tid]]] = {}
@@ -100,33 +99,25 @@ class GcManager:
     def _phase(
         self, stripe: int, batches: dict[int, set[Tid]], op: str
     ) -> set[int]:
-        """Run one GC op on every node with a batch; returns positions
-        that acknowledged OK."""
+        """Send one GC op to every node with a batch; returns positions
+        that acknowledged OK.  Anything else — a refusal (locked or not
+        NORM), a shed, a timeout, a crash — leaves the batch to roll
+        over to the next round; it is never re-sent within this one."""
         if not batches:
             return set()
 
         def one(j: int) -> bool:
-            addr = self.client._addr(stripe, j)
-            for _ in range(self.max_attempts):
-                try:
-                    result = self.client._call(
-                        stripe, j, op, addr, sorted(batches[j], key=str),
-                        op_kind="gc",
-                    )
-                except NodeBusyError:
-                    # Shed by admission control: the node is fine, just
-                    # overloaded; roll the batch over to the next round.
-                    return False
-                except RpcTimeoutError:
-                    # Slow, not provably gone: the node's lists survive,
-                    # so the batch must roll over and retry next round
-                    # (dropping it here would strand tids forever).
-                    return False
-                except NodeUnavailableError:
-                    return False  # node gone; recovery will reset lists anyway
-                if result == "OK":
-                    return True
-            return False
+            try:
+                result = self.client._call(
+                    stripe, j, op, self.client._addr(stripe, j),
+                    sorted(batches[j], key=str), op_kind="gc",
+                )
+            except (NodeBusyError, NodeUnavailableError):
+                # Shed, timed out (the node's lists survive, so dropping
+                # the batch would strand tids forever) or gone (recovery
+                # resets the lists anyway): roll over either way.
+                return False
+            return result == "OK"
 
         self.client._account_round("gc")
         results = pfor(sorted(batches), one)

@@ -62,18 +62,25 @@ class NodeHealth:
     failures: int = 0
 
 
+#: EWMA smoothing factor for both the latency and the score.
+ALPHA = 0.3
+#: While a node's circuit is open, every this-many blocked attempts one
+#: probe is admitted (half-open).
+PROBE_INTERVAL = 8
+#: A hedged read waits this multiple of the node's latency EWMA ...
+HEDGE_DELAY_MULTIPLIER = 4.0
+#: ... but never less than this many seconds (a cold EWMA hedges here).
+HEDGE_DELAY_FLOOR = 0.005
+
+
 class HealthRegistry:
     """Shared per-node health state: EWMA scoring + circuit breakers.
 
-    ``alpha`` is the EWMA smoothing factor for both latency and score.
-    Breaker thresholds are passed per call (they are per-client config,
-    while the health state itself is deployment-wide).
+    The breaker's trip threshold is passed per call (it is per-client
+    config, while the health state itself is deployment-wide).
     """
 
-    def __init__(self, alpha: float = 0.3):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
+    def __init__(self):
         self.metrics = NULL_REGISTRY
         self._nodes: dict[str, NodeHealth] = {}
         self._lock = threading.Lock()
@@ -99,7 +106,7 @@ class HealthRegistry:
     def observe_success(self, node_id: str, latency: float) -> None:
         """A completed RPC: refresh the latency EWMA, heal the score,
         and close the breaker (a live answer beats any suspicion)."""
-        a = self.alpha
+        a = ALPHA
         with self._lock:
             health = self._node(node_id)
             health.successes += 1
@@ -142,7 +149,7 @@ class HealthRegistry:
           probe admissions, so recovery closes the circuit itself once
           the damage is rewritten.
         """
-        a = self.alpha
+        a = ALPHA
         with self._lock:
             health = self._node(node_id)
             health.failures += 1
@@ -173,11 +180,11 @@ class HealthRegistry:
             self._export(node_id, health)
             return tripped
 
-    def allow_request(self, node_id: str, probe_interval: int) -> bool:
+    def allow_request(self, node_id: str) -> bool:
         """Breaker gate, consulted before issuing an RPC.
 
         CLOSED and HALF_OPEN pass.  OPEN fails fast, except that every
-        ``probe_interval``-th blocked attempt is admitted as a
+        :data:`PROBE_INTERVAL`-th blocked attempt is admitted as a
         half-open probe — counted in attempts, not wall time, so the
         decision sequence is deterministic for a seeded workload.
         """
@@ -186,7 +193,7 @@ class HealthRegistry:
             if health is None or health.state is not CircuitState.OPEN:
                 return True
             health.blocked += 1
-            if health.blocked >= max(1, probe_interval):
+            if health.blocked >= PROBE_INTERVAL:
                 health.state = CircuitState.HALF_OPEN
                 health.blocked = 0
                 self._export(node_id, health)
@@ -195,9 +202,7 @@ class HealthRegistry:
 
     # -- derived signals ------------------------------------------------------
 
-    def hedge_delay(
-        self, node_id: str, floor: float, multiplier: float
-    ) -> float:
+    def hedge_delay(self, node_id: str) -> float:
         """How long a hedged read waits on ``node_id`` before racing a
         reconstruct: a multiple of the node's typical latency, floored
         so a cold EWMA never hedges instantly."""
@@ -205,8 +210,8 @@ class HealthRegistry:
             health = self._nodes.get(node_id)
             ewma = health.latency_ewma if health is not None else None
         if ewma is None:
-            return floor
-        return max(floor, ewma * multiplier)
+            return HEDGE_DELAY_FLOOR
+        return max(HEDGE_DELAY_FLOOR, ewma * HEDGE_DELAY_MULTIPLIER)
 
     def score(self, node_id: str) -> float:
         with self._lock:

@@ -47,7 +47,7 @@ from repro.gf import field as gf
 from repro.ids import BlockAddr, Tid
 from repro.net.backpressure import BackoffPolicy, RetryBudget
 from repro.net.message import Envelope
-from repro.net.rpc import Deadline, pfor, _pool_instance
+from repro.net.rpc import pfor, _pool_instance
 from repro.net.transport import Transport
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.trace import NULL_TRACER, TraceContext, TraceIdAllocator
@@ -62,6 +62,12 @@ from repro.storage.state import (
     SwapResult,
     content_fingerprint,
 )
+
+
+#: Retries a NodeBusyError (server-side admission shed) is given inside
+#: :meth:`ProtocolClient._call`, with jittered backoff, before it
+#: propagates to the operation-level loops.
+BUSY_RETRY_LIMIT = 8
 
 
 @dataclass
@@ -156,10 +162,7 @@ class ProtocolClient:
         # one shared registry across protocol/monitor/GC/rebuild clients;
         # a standalone client gets its own.
         self.health = health if health is not None else HealthRegistry()
-        if retry_budget is None and self.config.retry_budget is not None:
-            retry_budget = RetryBudget(
-                self.config.retry_budget, self.config.retry_budget_refill
-            )
+        #: The cluster-wide retry budget (None = unlimited retries).
         self.retry_budget = retry_budget
         # Jittered (decorrelated) retry sleeps, seeded per client id so
         # seeded workloads draw the same sleep sequence every run.
@@ -236,17 +239,9 @@ class ProtocolClient:
                          failed=failed)
         self.directory.remap(self._slot(stripe, index), failed)
 
-    def _sleep_backoff(
-        self, attempt: int, deadline: Deadline | None = None
-    ) -> None:
-        """Jittered retry sleep, clamped so it never overshoots the
-        operation's deadline budget (a sleep past the deadline would
-        turn a bounded op into a guaranteed failure)."""
+    def _sleep_backoff(self, attempt: int) -> None:
+        """Jittered retry sleep."""
         delay = self._backoff.next_delay(attempt)
-        if deadline is not None:
-            remaining = deadline.remaining()
-            if remaining is not None:
-                delay = min(delay, max(0.0, remaining))
         if delay > 0:
             time.sleep(delay)
 
@@ -280,7 +275,7 @@ class ProtocolClient:
         A :class:`NodeBusyError` (server-side admission shed) is retried
         here with jittered backoff — overload is a *retryable* condition,
         never evidence of failure, so it must not reach the remap or
-        recovery paths below.  After ``busy_retry_limit`` sheds it
+        recovery paths below.  After :data:`BUSY_RETRY_LIMIT` sheds it
         propagates for the operation-level loops to absorb.
 
         A :class:`StalePlacementError` means the node rejected our
@@ -299,7 +294,7 @@ class ProtocolClient:
             try:
                 for stale_attempt in range(4):
                     try:
-                        for busy_attempt in range(self.config.busy_retry_limit + 1):
+                        for busy_attempt in range(BUSY_RETRY_LIMIT + 1):
                             try:
                                 return self._call_once(
                                     stripe, index, op, *args, trace_ctx=trace_ctx,
@@ -307,7 +302,7 @@ class ProtocolClient:
                                 )
                             except NodeBusyError:
                                 self.stats.bump("busy_rejections")
-                                if busy_attempt >= self.config.busy_retry_limit:
+                                if busy_attempt >= BUSY_RETRY_LIMIT:
                                     raise
                                 time.sleep(self._backoff.next_delay(busy_attempt))
                     except StalePlacementError:
@@ -352,9 +347,7 @@ class ProtocolClient:
         the caller retries or goes degraded either way."""
         env = self._envelope(stripe, op_kind, trace_ctx)
         dst = self.directory.node_id(self._slot(stripe, index))
-        if not self.health.allow_request(
-            dst, self.config.breaker_probe_interval
-        ):
+        if not self.health.allow_request(dst):
             self.stats.bump("breaker_fast_fails")
             raise CircuitOpenError(dst)
         start = time.perf_counter()
@@ -403,13 +396,7 @@ class ProtocolClient:
             raise IndexError(f"data index {index} out of range for k={self.k}")
         addr = self._addr(stripe, index)
         self.stats.bump("reads")
-        deadline = Deadline.after(self.config.op_deadline)
         for attempt in range(self.config.max_op_attempts):
-            if deadline.expired():
-                raise ReadFailedError(
-                    f"read of {addr} exceeded its "
-                    f"{self.config.op_deadline:g}s deadline budget"
-                )
             if attempt and not self._retry_permitted():
                 raise ReadFailedError(
                     f"read of {addr} stopped after {attempt} attempts: "
@@ -430,7 +417,7 @@ class ProtocolClient:
             except NodeBusyError:
                 # Overloaded, not crashed: back off and retry — never
                 # remap, never recover.
-                self._sleep_backoff(attempt, deadline)
+                self._sleep_backoff(attempt)
                 continue
             except NodeUnavailableError:
                 if self.config.degraded_reads:
@@ -465,7 +452,7 @@ class ProtocolClient:
                 self._start_recovery(stripe)
             else:
                 # Another client's recovery holds the lock; wait it out.
-                self._sleep_backoff(attempt, deadline)
+                self._sleep_backoff(attempt)
         raise ReadFailedError(
             f"read of {addr} failed after {self.config.max_op_attempts} attempts"
         )
@@ -485,15 +472,10 @@ class ProtocolClient:
         hedge fired) and ``(None, value)`` when the reconstruct wins.
         Raises like :meth:`_call` when both paths fail.
         """
-        config = self.config
         node_id = self.directory.node_id(self._slot(stripe, index))
-        delay = config.hedge_delay
+        delay = self.config.hedge_delay
         if delay is None:
-            delay = self.health.hedge_delay(
-                node_id,
-                config.hedge_delay_floor,
-                config.hedge_delay_multiplier,
-            )
+            delay = self.health.hedge_delay(node_id)
         self._account_round("read")
         future = _pool_instance().submit(
             self._call, stripe, index, "read", addr, op_kind="read"
@@ -692,17 +674,8 @@ class ProtocolClient:
                         index=index, **root.to_detail())
         redundant = tuple(range(self.k, self.n))
         full = frozenset((index,) + redundant)
-        deadline = Deadline.after(self.config.op_deadline)
         cp = self.crashpoints
         for attempt in range(self.config.max_write_attempts):
-            if deadline.expired():
-                if root is not None:
-                    tracer.emit(self.client_id, "write.abort", stripe=stripe,
-                                index=index, **root.to_detail())
-                raise WriteAbortedError(
-                    f"write to stripe {stripe} block {index} exceeded its "
-                    f"{self.config.op_deadline:g}s deadline budget"
-                )
             if attempt and not self._retry_permitted():
                 if root is not None:
                     tracer.emit(self.client_id, "write.abort", stripe=stripe,
@@ -715,8 +688,7 @@ class ProtocolClient:
             ntid = self._next_tid(index)
             swap_ctx = self._trace_ids.child(root) if root is not None else None
             swap = self._swap_until_valid(
-                stripe, index, value, ntid, trace_ctx=swap_ctx,
-                deadline=deadline,
+                stripe, index, value, ntid, trace_ctx=swap_ctx
             )
             if swap is None:
                 continue  # recovery intervened; retry with a fresh tid
@@ -725,7 +697,7 @@ class ProtocolClient:
             diff = gf.sub_block(value, swap.block)  # v - w, to be scaled
             done = self._run_adds(
                 stripe, index, ntid, swap, diff, redundant,
-                trace_parent=swap_ctx, deadline=deadline,
+                trace_parent=swap_ctx,
             )
             if done == full:
                 if cp.enabled:
@@ -751,14 +723,11 @@ class ProtocolClient:
         value: np.ndarray,
         ntid: Tid,
         trace_ctx: TraceContext | None = None,
-        deadline: Deadline | None = None,
     ) -> SwapResult | None:
         """Fig. 5 lines 3-6: swap, running recovery when the node is out
         of service.  Returns None if attempts ran out this round."""
         addr = self._addr(stripe, index)
         for attempt in range(self.config.max_op_attempts):
-            if deadline is not None and deadline.expired():
-                return None  # write() raises the deadline abort
             if attempt and not self._retry_permitted():
                 return None
             try:
@@ -766,7 +735,7 @@ class ProtocolClient:
                 swap = self._call(stripe, index, "swap", addr, value, ntid,
                                   trace_ctx=trace_ctx, op_kind="write")
             except NodeBusyError:
-                self._sleep_backoff(attempt, deadline)
+                self._sleep_backoff(attempt)
                 continue
             except NodeUnavailableError:
                 self._start_recovery(stripe)
@@ -776,7 +745,7 @@ class ProtocolClient:
             if swap.lmode in (LockMode.UNL, LockMode.EXP):
                 self._start_recovery(stripe)
             else:
-                self._sleep_backoff(attempt, deadline)
+                self._sleep_backoff(attempt)
         return None
 
     def _run_adds(
@@ -788,7 +757,6 @@ class ProtocolClient:
         diff: np.ndarray,
         redundant: tuple[int, ...],
         trace_parent: TraceContext | None = None,
-        deadline: Deadline | None = None,
     ) -> frozenset[int]:
         """Fig. 5 lines 7-20: drive adds until done, retrying ORDER and
         handling failures.  Returns the set D of updated positions."""
@@ -800,8 +768,6 @@ class ProtocolClient:
         for spin in range(self.config.max_op_attempts):
             if not todo or not done:
                 break
-            if deadline is not None and deadline.expired():
-                break  # write() raises the deadline abort
             if spin and not self._retry_permitted():
                 break
             results = self._issue_adds(
@@ -850,9 +816,9 @@ class ProtocolClient:
                                  stripe=stripe, tid=str(ntid))
                 order_spins += 1
                 otid, done = self._check_ordering(stripe, ntid, otid, done)
-                self._sleep_backoff(order_spins, deadline)
+                self._sleep_backoff(order_spins)
             elif retry:
-                self._sleep_backoff(spin, deadline)
+                self._sleep_backoff(spin)
             todo = retry
         return frozenset(done)
 
@@ -1288,25 +1254,9 @@ class ProtocolClient:
                    cset=sorted(cset))
         available = {j: data[j].block for j in cset if data[j].block is not None}
         blocks = self.code.reconstruct_stripe(available)
-
-        def write_back(j: int) -> int:
-            for _ in range(self.config.max_op_attempts):
-                try:
-                    return self._call(
-                        stripe,
-                        j,
-                        "reconstruct",
-                        self._addr(stripe, j),
-                        cset,
-                        blocks[j],
-                        op_kind="recovery_phase3",
-                    )
-                except (NodeUnavailableError, NodeBusyError):
-                    continue
-            raise NodeUnavailableError(f"slot for stripe {stripe} pos {j}")
-
-        self._account_round("recovery_phase3")
-        epochs = pfor(list(range(self.n)), write_back)
+        epochs = self._phase3_round(
+            stripe, "reconstruct", lambda j: (cset, blocks[j])
+        )
         if self.metrics.enabled:
             self.metrics.counter("recovery_reconstruct_bytes_total").inc(
                 sum(len(b) for b in blocks)
@@ -1321,24 +1271,29 @@ class ProtocolClient:
         if cp.enabled:
             cp.hit("recovery.phase3.before_finalize", stripe=stripe,
                    epoch=new_epoch)
+        results = self._phase3_round(stripe, "finalize", lambda j: (new_epoch,))
+        errors = [r for r in results.values() if isinstance(r, Exception)]
+        if errors:
+            raise errors[0]
 
-        def finish(j: int) -> None:
+    def _phase3_round(self, stripe: int, op: str, args_for) -> dict:
+        """One phase-3 round: ``op`` to all n positions in parallel, each
+        leg retried through unavailable or busy nodes before it gives up
+        with :class:`NodeUnavailableError` (returned, pfor-style)."""
+
+        def one(j: int):
             for _ in range(self.config.max_op_attempts):
                 try:
-                    self._call(
-                        stripe, j, "finalize", self._addr(stripe, j), new_epoch,
+                    return self._call(
+                        stripe, j, op, self._addr(stripe, j), *args_for(j),
                         op_kind="recovery_phase3",
                     )
-                    return
                 except (NodeUnavailableError, NodeBusyError):
                     continue
             raise NodeUnavailableError(f"slot for stripe {stripe} pos {j}")
 
         self._account_round("recovery_phase3")
-        results = pfor(list(range(self.n)), finish)
-        errors = [r for r in results.values() if isinstance(r, Exception)]
-        if errors:
-            raise errors[0]
+        return pfor(list(range(self.n)), one)
 
     def _set_locks(
         self, stripe: int, indices, lm: LockMode, op_kind: str | None = None

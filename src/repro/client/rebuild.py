@@ -19,10 +19,9 @@ import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from repro.client.consistency import find_consistent
 from repro.client.protocol import ProtocolClient
 from repro.errors import NodeBusyError, NodeUnavailableError, RecoveryFailedError
-from repro.storage.state import LockMode, OpMode, StateSnapshot
+from repro.storage.state import LockMode, OpMode
 
 
 @dataclass
@@ -54,26 +53,17 @@ class Rebuilder:
         client: ProtocolClient,
         stripes_per_second: float | None = None,
         progress: Callable[[int, RebuildReport], None] | None = None,
-        mode: str = "probe",
     ):
-        if mode not in ("probe", "delta"):
-            raise ValueError(f"unknown rebuild mode {mode!r}")
         self.client = client
         self.stripes_per_second = stripes_per_second
         self.progress = progress
         self.source = f"rebuild:{client.client_id}"
-        #: "probe" (cheap, catches INIT/EXP/unreachable — the fail-remap
-        #: damage) or "delta" (additionally snapshots tid bookkeeping to
-        #: catch a crash-restarted node that silently missed writes; the
-        #: right mode after ``Cluster.restart_storage``).
-        self.mode = mode
 
     def _stripe_damaged(self, stripe: int) -> bool:
         """One cheap probe per slot; damaged = INIT block, expired lock,
-        or an unreachable (crashed, not yet remapped) node.  In "delta"
-        mode a probe-clean stripe is additionally checked with
-        recovery's ``find_consistent`` oracle — a restarted node looks
-        NORM to probes even when its lists lack writes it missed."""
+        or an unreachable (crashed, not yet remapped) node.  A restarted
+        node that silently missed writes looks NORM to probes; the
+        monitor's deep sweep is what finds it."""
         for j in range(self.client.n):
             addr = self.client._addr(stripe, j)
             try:
@@ -87,20 +77,6 @@ class Rebuilder:
                 return True  # _call remapped the slot; recovery needed
             if opmode is not OpMode.NORM or lmode is LockMode.EXP:
                 return True
-        if self.mode == "delta":
-            data: dict[int, StateSnapshot] = {}
-            for j in range(self.client.n):
-                try:
-                    self.client._account_round("rebuild")
-                    data[j] = self.client._call(
-                        stripe, j, "get_state", self.client._addr(stripe, j),
-                        op_kind="rebuild",
-                    )
-                except NodeBusyError:
-                    return False  # overloaded, not damaged
-                except NodeUnavailableError:
-                    return True
-            return len(find_consistent(data, self.client.k)) < self.client.n
         return False
 
     def rebuild(

@@ -62,7 +62,6 @@ class Cluster:
         *,
         block_size: int = 1024,
         rotate: bool = True,
-        volume_name: str = "vol0",
         transport: Transport | None = None,
         delay: DelayModel | None = None,
         construction: str = "vandermonde",
@@ -77,11 +76,11 @@ class Cluster:
     ):
         self.code = ReedSolomonCode(k, n, construction)
         self.layout = StripeLayout(k, n, rotate=rotate)
-        self.volume_name = volume_name
+        self.volume_name = "vol0"
         self.meta = VolumeMeta(
             code=self.code, layout=self.layout, block_size=block_size
         )
-        self._volumes: dict[str, VolumeMeta] = {volume_name: self.meta}
+        self._volumes: dict[str, VolumeMeta] = {self.volume_name: self.meta}
         self.transport = transport or LocalTransport(delay=delay)
         #: The ChaosTransport wrapper when a fault plan is active (its
         #: ledger is how soak runs audit what was injected); else None.

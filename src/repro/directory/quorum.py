@@ -56,11 +56,18 @@ from repro.obs.trace import NULL_TRACER
 #: Transform sentinel: "no change; return the current value".
 _KEEP = object()
 
-#: Breaker half-open probe admission interval (attempt-counted).
-_PROBE_INTERVAL = 8
-
 #: Consecutive-timeout threshold before a replica's breaker trips.
 _TIMEOUT_THRESHOLD = 3
+
+#: Per-RPC deadline for every replica call, seconds.
+_RPC_TIMEOUT = 0.2
+
+#: Read-modify-write rounds (prepare + accept) before giving up.
+_MAX_ATTEMPTS = 8
+
+#: Seeded backoff between RMW re-proposals: base and cap, seconds.
+_BACKOFF_BASE = 0.001
+_BACKOFF_CAP = 0.05
 
 
 class ReplicatedDirectory:
@@ -78,10 +85,6 @@ class ReplicatedDirectory:
         replica_ids: list[str],
         provisioner,
         *,
-        rpc_timeout: float | None = 0.2,
-        max_attempts: int = 8,
-        backoff_base: float = 0.001,
-        backoff_cap: float = 0.05,
         health=None,
         retry_budget=None,
         seed: int = 0,
@@ -92,11 +95,9 @@ class ReplicatedDirectory:
         self.transport = transport
         self.replica_ids = list(replica_ids)
         self._provisioner = provisioner
-        self.rpc_timeout = rpc_timeout
-        self.max_attempts = max_attempts
         self.health = health
         self.retry_budget = retry_budget
-        self._backoff = BackoffPolicy(backoff_base, backoff_cap, seed=seed)
+        self._backoff = BackoffPolicy(_BACKOFF_BASE, _BACKOFF_CAP, seed=seed)
         self.crashpoints = NULL_CRASHPOINTS
         self.metrics = NULL_REGISTRY
         self.tracer = NULL_TRACER
@@ -115,11 +116,9 @@ class ReplicatedDirectory:
 
     def _call_replica(self, replica_id: str, op: str, *args: object):
         health = self.health
-        if health is not None and not health.allow_request(
-            replica_id, _PROBE_INTERVAL
-        ):
+        if health is not None and not health.allow_request(replica_id):
             raise DirectoryUnavailableError(op, f"breaker open for {replica_id}")
-        env = Envelope(kind="directory", timeout=self.rpc_timeout)
+        env = Envelope(kind="directory", timeout=_RPC_TIMEOUT)
         start = time.perf_counter()
         try:
             result = self.transport.call(
@@ -162,6 +161,18 @@ class ReplicatedDirectory:
             for rid, r in results.items()
             if not isinstance(r, BaseException)
         }
+
+    @staticmethod
+    def _merge_snapshots(good: dict[str, dict]) -> dict[tuple, tuple[Tag, object]]:
+        """Highest-tag merge of ``dir_snapshot`` answers, per key."""
+        merged: dict[tuple, tuple[Tag, object]] = {}
+        for r in good.values():
+            for key, (tag, value) in r["committed"].items():
+                key, tag = tuple(key), tuple(tag)
+                entry = merged.get(key)
+                if entry is None or tag > entry[0]:
+                    merged[key] = (tag, value)
+        return merged
 
     def _repair(self, replica_id: str, key: tuple, tag: Tag, value: object) -> None:
         """Push a newer committed value to one lagging replica."""
@@ -277,7 +288,7 @@ class ReplicatedDirectory:
         abort with no change (the prepare quorum already gave a
         linearizable read of ``current``), or raises."""
         cp = self.crashpoints
-        for attempt in range(self.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             if attempt > 0:
                 if not self._retry_permitted():
                     raise DirectoryUnavailableError(
@@ -349,7 +360,7 @@ class ReplicatedDirectory:
                 self.retry_budget.deposit()
             return new
         raise DirectoryUnavailableError(
-            "rmw", f"no decision after {self.max_attempts} attempts for {key}"
+            "rmw", f"no decision after {_MAX_ATTEMPTS} attempts for {key}"
         )
 
     # -- the Directory duck-typed API ----------------------------------
@@ -385,13 +396,7 @@ class ReplicatedDirectory:
             if self.metrics.enabled:
                 self.metrics.counter("directory_degraded_reads_total").inc()
             return sorted(cached)
-        merged: dict[tuple, tuple[Tag, object]] = {}
-        for r in good.values():
-            for key, (tag, value) in r["committed"].items():
-                key, tag = tuple(key), tuple(tag)
-                entry = merged.get(key)
-                if entry is None or tag > entry[0]:
-                    merged[key] = (tag, value)
+        merged = self._merge_snapshots(good)
         for key, (tag, value) in merged.items():
             self._remember(key, tag, value)
         return sorted(key[1] for key in merged if key[0] == "slot")
@@ -481,13 +486,7 @@ class ReplicatedDirectory:
         good = self._good(results)
         if not good:
             return 0
-        merged: dict[tuple, tuple[Tag, object]] = {}
-        for r in good.values():
-            for key, (tag, value) in r["committed"].items():
-                key, tag = tuple(key), tuple(tag)
-                entry = merged.get(key)
-                if entry is None or tag > entry[0]:
-                    merged[key] = (tag, value)
+        merged = self._merge_snapshots(good)
         with self._lock:
             for key, entry in self._cache.items():
                 best = merged.get(key)
@@ -503,15 +502,7 @@ class ReplicatedDirectory:
         """Deterministic digest of the merged committed directory state."""
         import hashlib
 
-        results = self._fanout("dir_snapshot")
-        good = self._good(results)
-        merged: dict[tuple, tuple[Tag, object]] = {}
-        for r in good.values():
-            for key, (tag, value) in r["committed"].items():
-                key, tag = tuple(key), tuple(tag)
-                entry = merged.get(key)
-                if entry is None or tag > entry[0]:
-                    merged[key] = (tag, value)
+        merged = self._merge_snapshots(self._good(self._fanout("dir_snapshot")))
         items = sorted(
             (repr(key), repr(tag), repr(value))
             for key, (tag, value) in merged.items()

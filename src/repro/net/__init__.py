@@ -9,13 +9,12 @@ from repro.net.chaos import (
 )
 from repro.net.local import DelayModel, LocalTransport
 from repro.net.message import Envelope, estimate_size
-from repro.net.rpc import Deadline, pfor
+from repro.net.rpc import pfor
 from repro.net.tcp import TcpTransport
 from repro.net.transport import RpcHandler, Transport
 
 __all__ = [
     "ChaosTransport",
-    "Deadline",
     "DelayModel",
     "Envelope",
     "FaultDecision",

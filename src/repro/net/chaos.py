@@ -542,6 +542,6 @@ class ChaosTransport(Transport):
                 results[dst] = self._faulty_call(
                     src, dst, op, args, env, kwargs, count, decision
                 )
-            except (NodeUnavailableError, NodeBusyError) as exc:
+            except Exception as exc:  # delivered per-destination
                 results[dst] = exc
         return {dst: results[dst] for dst in dsts}

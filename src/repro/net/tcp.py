@@ -30,6 +30,9 @@ from repro.net.transport import RpcHandler, Transport
 
 _HEADER = struct.Struct("!I")
 _MAX_FRAME = 64 * 1024 * 1024
+#: Seconds a dial to a node's listener may take before the node counts
+#: as unavailable (per-call deadlines bound the round trip itself).
+_CONNECT_TIMEOUT = 10.0
 
 
 def _send_frame(sock: socket.socket, payload: bytes) -> None:
@@ -143,9 +146,8 @@ class _NodeServer:
 class TcpTransport(Transport):
     """RPC over loopback TCP sockets."""
 
-    def __init__(self, connect_timeout: float = 10.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.connect_timeout = connect_timeout
         self._servers: dict[str, _NodeServer] = {}
         self._conns: dict[tuple[str, str], socket.socket] = {}
         self._conn_locks: dict[tuple[str, str], threading.Lock] = {}
@@ -186,7 +188,7 @@ class TcpTransport(Transport):
             raise UnknownNodeError(dst)
         try:
             conn = socket.create_connection(
-                ("127.0.0.1", server.port), timeout=self.connect_timeout
+                ("127.0.0.1", server.port), timeout=_CONNECT_TIMEOUT
             )
         except OSError as exc:
             raise NodeUnavailableError(dst, f"connect failed: {exc}") from exc

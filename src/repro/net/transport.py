@@ -274,13 +274,14 @@ class Transport(ABC):
         with true broadcast support override it so the payload leaves
         the client once (this is what makes AJX-bcast's write bandwidth
         3B instead of (p+2)B).  Per-destination failures are returned
-        as exception objects, not raised, so a broadcast to a partly
-        crashed stripe still updates the live nodes.
+        as exception objects, not raised — crashes, sheds and handler
+        errors alike — so a broadcast to a partly crashed stripe still
+        updates the live nodes.
         """
         results: dict[str, object] = {}
         for dst in dsts:
             try:
                 results[dst] = self.call(src, dst, op, *args, env=env, **kwargs)
-            except (NodeUnavailableError, NodeBusyError) as exc:
+            except Exception as exc:  # delivered per-destination
                 results[dst] = exc
         return results

@@ -56,6 +56,14 @@ from repro.storage.node import VolumeMeta
 from repro.storage.state import LockMode, OpMode, StateSnapshot
 from repro.obs.trace import NULL_TRACER
 
+#: Attempts one migration RPC gets (busy, timeout, remap) before it fails.
+_MAX_ATTEMPTS = 40
+#: Whole lock-all passes before a contended migration yields.
+_LOCK_ATTEMPTS = 5
+#: Base of the seeded backoff between busy retries and lock passes,
+#: seconds (capped at 50x).
+_BACKOFF = 0.001
+
 
 @dataclass(frozen=True)
 class MigrationRecord:
@@ -103,9 +111,6 @@ class Rebalancer:
         crashpoints=NULL_CRASHPOINTS,
         retry_budget: RetryBudget | None = None,
         rpc_timeout: float | None = None,
-        max_attempts: int = 40,
-        lock_attempts: int = 5,
-        backoff: float = 0.001,
     ):
         self.client_id = client_id
         self.transport = transport
@@ -116,13 +121,11 @@ class Rebalancer:
         self.crashpoints = crashpoints
         self.retry_budget = retry_budget
         self.rpc_timeout = rpc_timeout
-        self.max_attempts = max_attempts
-        self.lock_attempts = lock_attempts
         self.metrics = NULL_REGISTRY
         self.tracer = NULL_TRACER
         self._backoff = BackoffPolicy(
-            backoff,
-            max(backoff, backoff * 50),
+            _BACKOFF,
+            _BACKOFF * 50,
             seed=int.from_bytes(
                 hashlib.blake2b(client_id.encode(), digest_size=8).digest(),
                 "big",
@@ -154,7 +157,7 @@ class Rebalancer:
         first attempt spend the shared retry budget."""
         env = Envelope(kind="rebalance", timeout=self.rpc_timeout)
         last: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             if attempt and self.retry_budget is not None:
                 if not self.retry_budget.spend():
                     break  # budget gone: stop adding migration load
@@ -267,7 +270,7 @@ class Rebalancer:
     ) -> list[tuple[int, int, LockMode]] | None:
         """L1 on every (slot, position) pair, recovery-style; None when
         another lock holder kept winning (migration yields)."""
-        for attempt in range(self.lock_attempts):
+        for attempt in range(_LOCK_ATTEMPTS):
             acquired: list[tuple[int, int, LockMode]] = []
             conflict = False
             for slot, j in targets:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 
 from repro.client.config import ClientConfig
-from repro.client.health import CircuitState
+from repro.client.health import PROBE_INTERVAL, CircuitState
 from repro.core.cluster import Cluster
 from repro.net.chaos import FaultPlan, FaultRule
 from repro.storage.state import LockMode
@@ -131,7 +131,6 @@ class TestBreakerAcrossGrayWindow:
             ClientConfig(
                 rpc_timeout=0.02,
                 suspicion_threshold=2,
-                breaker_probe_interval=2,
                 degraded_reads=True,
                 backoff=0.001,
             ),
@@ -147,7 +146,9 @@ class TestBreakerAcrossGrayWindow:
         assert reader.protocol.stats.breaker_fast_fails >= 1
 
         cluster.chaos.disable()  # the gray window ends
-        for _ in range(4):
+        # Every read spends at least one blocked attempt, so this many
+        # reads reach the half-open probe.
+        for _ in range(PROBE_INTERVAL):
             assert bytes(reader.read_block(block)[: len(payload)]) == payload
         # A half-open probe succeeded: the node is trusted again.
         assert cluster.health.state("storage-0") is CircuitState.CLOSED

@@ -74,8 +74,21 @@ class TestGcSafety:
         for j in range(4):
             locker._call(0, j, "trylock", BlockAddr("vol0", 0, j), LockMode.L1,
                          caller="locker")
-        vol.gc.max_attempts = 2
+        transport = small_cluster.transport
+        original = transport.call
+        sent = []
+
+        def spy(src, dst, op, *args, **kwargs):
+            if op == "gc_recent":
+                sent.append(dst)
+            return original(src, dst, op, *args, **kwargs)
+
+        transport.call = spy
         vol.collect_garbage()  # cannot make progress, must not wedge
+        transport.call = original
+        # One refused gc_recent per batch holder (the data node and both
+        # redundant nodes); the refusal rolls over, it is not re-sent.
+        assert len(sent) == len(set(sent)) == 3
         state = data_node_state(small_cluster, 0, 0)
         assert len(state.recentlist) == 1  # untouched
         # Unlock and retry: the batch was carried over.

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.client.health import CircuitState, HealthRegistry
+from repro.client.health import (
+    ALPHA,
+    HEDGE_DELAY_FLOOR,
+    HEDGE_DELAY_MULTIPLIER,
+    PROBE_INTERVAL,
+    CircuitState,
+    HealthRegistry,
+)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -16,11 +23,11 @@ class TestScoring:
         assert health.latency_ewma("storage-0") is None
 
     def test_latency_ewma_tracks_successes(self):
-        health = HealthRegistry(alpha=0.5)
+        health = HealthRegistry()
         health.observe_success("s", 0.100)
         assert health.latency_ewma("s") == pytest.approx(0.100)
         health.observe_success("s", 0.200)
-        assert health.latency_ewma("s") == pytest.approx(0.150)
+        assert health.latency_ewma("s") == pytest.approx(0.100 + ALPHA * 0.100)
 
     def test_failures_decay_score_successes_heal_it(self):
         health = HealthRegistry()
@@ -31,12 +38,6 @@ class TestScoring:
         for _ in range(10):
             health.observe_success("s", 0.001)
         assert health.score("s") > degraded
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            HealthRegistry(alpha=0.0)
-        with pytest.raises(ValueError):
-            HealthRegistry(alpha=1.5)
 
 
 class TestBreaker:
@@ -64,32 +65,32 @@ class TestBreaker:
         for _ in range(10):
             assert not health.observe_failure("s", "unavailable", threshold=2)
         assert health.state("s") is CircuitState.CLOSED
-        assert health.allow_request("s", probe_interval=8)
+        assert health.allow_request("s")
 
     def test_open_fails_fast_then_probes(self):
         health = HealthRegistry()
         for _ in range(2):
             health.observe_failure("s", "timeout", threshold=2)
         assert health.state("s") is CircuitState.OPEN
-        decisions = [health.allow_request("s", probe_interval=4) for _ in range(4)]
-        assert decisions == [False, False, False, True]
+        decisions = [health.allow_request("s") for _ in range(PROBE_INTERVAL)]
+        assert decisions == [False] * (PROBE_INTERVAL - 1) + [True]
         assert health.state("s") is CircuitState.HALF_OPEN
 
     def test_half_open_success_closes(self):
         health = HealthRegistry()
         for _ in range(2):
             health.observe_failure("s", "timeout", threshold=2)
-        while not health.allow_request("s", probe_interval=3):
+        while not health.allow_request("s"):
             pass
         health.observe_success("s", 0.001)
         assert health.state("s") is CircuitState.CLOSED
-        assert health.allow_request("s", probe_interval=3)
+        assert health.allow_request("s")
 
     def test_half_open_failure_reopens(self):
         health = HealthRegistry()
         for _ in range(2):
             health.observe_failure("s", "timeout", threshold=2)
-        while not health.allow_request("s", probe_interval=3):
+        while not health.allow_request("s"):
             pass
         assert health.state("s") is CircuitState.HALF_OPEN
         # The probe itself timing out must not need `threshold` more
@@ -103,7 +104,7 @@ class TestBreaker:
         def drive(health: HealthRegistry) -> list[bool]:
             for _ in range(3):
                 health.observe_failure("s", "timeout", threshold=3)
-            return [health.allow_request("s", probe_interval=5) for _ in range(12)]
+            return [health.allow_request("s") for _ in range(3 * PROBE_INTERVAL)]
 
         assert drive(HealthRegistry()) == drive(HealthRegistry())
 
@@ -111,19 +112,19 @@ class TestBreaker:
 class TestHedgeDelay:
     def test_cold_node_uses_floor(self):
         health = HealthRegistry()
-        assert health.hedge_delay("s", floor=0.005, multiplier=4.0) == 0.005
+        assert health.hedge_delay("s") == HEDGE_DELAY_FLOOR
 
     def test_warm_node_scales_with_ewma(self):
-        health = HealthRegistry(alpha=1.0)
+        health = HealthRegistry()
         health.observe_success("s", 0.010)
-        assert health.hedge_delay("s", floor=0.005, multiplier=4.0) == (
-            pytest.approx(0.040)
+        assert health.hedge_delay("s") == pytest.approx(
+            0.010 * HEDGE_DELAY_MULTIPLIER
         )
 
     def test_floor_wins_over_tiny_ewma(self):
-        health = HealthRegistry(alpha=1.0)
-        health.observe_success("s", 0.0001)
-        assert health.hedge_delay("s", floor=0.005, multiplier=4.0) == 0.005
+        health = HealthRegistry()
+        health.observe_success("s", HEDGE_DELAY_FLOOR / HEDGE_DELAY_MULTIPLIER / 2)
+        assert health.hedge_delay("s") == HEDGE_DELAY_FLOOR
 
 
 class TestExport:

@@ -6,6 +6,7 @@ import time
 
 from repro.client.config import ClientConfig
 from repro.core.cluster import Cluster
+from repro.net.backpressure import RetryBudget
 from repro.net.chaos import FaultPlan, FaultRule
 from repro.obs import Observability
 
@@ -72,12 +73,8 @@ class TestHedgedReads:
         cluster.client("loader").write_block(0, b"budgeted")
         cluster.chaos.enable()
 
-        reader = cluster.client(
-            "reader", hedged_config(retry_budget=1.0, retry_budget_refill=0.0)
-        )
-        assert cluster.retry_budget is None  # budget is per-config here
-        budget = reader.protocol.retry_budget
-        assert budget is not None
+        reader = cluster.client("reader", hedged_config())
+        budget = reader.protocol.retry_budget = RetryBudget(1.0, refill=0.0)
         while budget.spend():
             pass  # drain: hedging is extra load and may not exceed it
 

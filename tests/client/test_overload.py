@@ -15,6 +15,7 @@ import pytest
 
 from repro.client.config import ClientConfig
 from repro.client.monitor import Monitor
+from repro.client.protocol import BUSY_RETRY_LIMIT
 from repro.core.cluster import Cluster
 from repro.errors import NodeBusyError, ReadFailedError
 from repro.storage.state import LockMode
@@ -74,7 +75,6 @@ class TestBusyReads:
             ClientConfig(
                 backoff=0.0005,
                 backoff_cap=0.002,
-                busy_retry_limit=1,
                 max_op_attempts=3,
             ),
         )
@@ -99,7 +99,7 @@ class TestBusyReads:
         cluster = saturated_cluster()
         client = cluster.protocol_client(
             "direct",
-            ClientConfig(backoff=0.0005, backoff_cap=0.002, busy_retry_limit=2),
+            ClientConfig(backoff=0.0005, backoff_cap=0.002),
         )
         saturate(cluster)
         try:
@@ -107,8 +107,8 @@ class TestBusyReads:
                 client._call(0, 0, "probe", client._addr(0, 0))
         finally:
             drain(cluster)
-        # busy_retry_limit retries + the initial attempt, all shed.
-        assert client.stats.busy_rejections == 3
+        # BUSY_RETRY_LIMIT retries + the initial attempt, all shed.
+        assert client.stats.busy_rejections == BUSY_RETRY_LIMIT + 1
 
 
 class TestBusyBackground:
@@ -117,9 +117,7 @@ class TestBusyBackground:
         monitor = Monitor(
             cluster.protocol_client(
                 "mon",
-                ClientConfig(
-                    backoff=0.0005, backoff_cap=0.002, busy_retry_limit=0
-                ),
+                ClientConfig(backoff=0.0005, backoff_cap=0.002),
             ),
             stale_after=1.0,
         )
@@ -137,7 +135,7 @@ class TestBusyBackground:
         node is not a gray node."""
         cluster = saturated_cluster()
         client = cluster.protocol_client(
-            "probe", ClientConfig(backoff=0.0005, busy_retry_limit=0)
+            "probe", ClientConfig(backoff=0.0005, backoff_cap=0.002)
         )
         saturate(cluster)
         try:

@@ -9,7 +9,6 @@ import pytest
 
 from repro.client.config import ClientConfig
 from repro.client.monitor import Monitor
-from repro.client.rebuild import Rebuilder
 from repro.core.cluster import Cluster
 from repro.errors import WriteAbortedError
 from repro.ids import BlockAddr
@@ -176,27 +175,6 @@ class TestDeltaBehindRestart:
             assert value in (bytes([b + 1]), bytes([100 + b]))
         for s in range(BLOCKS // 2):
             assert cluster.stripe_consistent(s)
-
-    def test_rebuilder_delta_mode_repairs_missed_stripes(self, seeded):
-        cluster, vol = seeded
-        cluster.crash_storage(1, policy="restart")
-        (block,) = _delta_blocks(cluster, 1, 1)
-        self._downtime_writes(cluster, vol, [block])
-        cluster.restart_storage(1)
-        rebuilder = Rebuilder(
-            cluster.protocol_client("rb", _FAST), mode="delta"
-        )
-        report = rebuilder.rebuild(range(BLOCKS // 2))
-        assert report.recovered == [cluster.layout.locate(block).stripe]
-        assert report.healthy == BLOCKS // 2 - 1
-        # Probe mode cannot see the divergence at all.
-        probe = Rebuilder(cluster.protocol_client("rb2", _FAST), mode="probe")
-        assert probe.rebuild(range(BLOCKS // 2)).healthy == BLOCKS // 2
-
-    def test_rebuilder_rejects_unknown_mode(self, seeded):
-        cluster, _ = seeded
-        with pytest.raises(ValueError, match="mode"):
-            Rebuilder(cluster.protocol_client("rb"), mode="full")
 
 
 class TestDirtyRestart:

@@ -17,7 +17,6 @@ from repro.errors import (
 from repro.net.chaos import ChaosTransport, FaultPlan, FaultRule
 from repro.net.local import LocalTransport
 from repro.net.message import Envelope
-from repro.net.rpc import Deadline, pfor
 from repro.net.transport import RpcHandler
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
@@ -248,30 +247,6 @@ class TestTargetedHeal:
         t = LocalTransport()
         with pytest.raises(ValueError):
             t.heal(["a"])
-
-
-class TestDeadlineHelpers:
-    def test_deadline_never_expires_without_budget(self):
-        deadline = Deadline.after(None)
-        assert not deadline.expired()
-        assert deadline.remaining() is None
-
-    def test_deadline_expires(self):
-        deadline = Deadline.after(0.0)
-        assert deadline.expired()
-        assert deadline.remaining() == 0.0
-
-    def test_pfor_timeout_yields_timeout_entries(self):
-        def body(x):
-            if x == "slow":
-                time.sleep(5.0)
-            return x
-
-        start = time.perf_counter()
-        results = pfor(["fast", "slow"], body, timeout=0.1)
-        assert time.perf_counter() - start < 2.0
-        assert results["fast"] == "fast"
-        assert isinstance(results["slow"], RpcTimeoutError)
 
 
 class TestClusterUnderChaos:

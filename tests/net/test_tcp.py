@@ -97,15 +97,16 @@ class TestTcpRpc:
         assert registry.sum_counter("rpc_messages_total", op="ping") == 2
         assert registry.sum_counter("rpc_bytes_sent_total", op="ping") == 64
 
-    def test_connect_timeout_is_configurable(self):
-        transport = TcpTransport(connect_timeout=0.25)
-        try:
-            assert transport.connect_timeout == 0.25
-            transport.register("server", Echo())
-            transport.register("client")
-            assert transport.call("client", "server", "ping") == ("ping", (), {})
-        finally:
-            transport.close()
+    def test_refused_connect_is_unavailable(self, tcp):
+        """A node whose listener is gone fails the dial fast with
+        NodeUnavailableError instead of waiting out the connect timeout."""
+        tcp.register("server", Echo())
+        tcp.register("client")
+        tcp._servers["server"].close()
+        start = time.perf_counter()
+        with pytest.raises(NodeUnavailableError):
+            tcp.call("client", "server", "ping")
+        assert time.perf_counter() - start < 2.0
 
     def test_call_deadline_raises_timeout(self, tcp):
         """A gray (slow but alive) server no longer hangs the caller:

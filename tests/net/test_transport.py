@@ -9,11 +9,13 @@ import pytest
 from repro.errors import (
     NodeUnavailableError,
     PartitionedError,
+    StalePlacementError,
     UnknownNodeError,
 )
 from repro.net import local as local_module
 from repro.net import tcp as tcp_module
 from repro.net import transport as transport_module
+from repro.net.chaos import ChaosTransport, FaultPlan, FaultRule
 from repro.net.local import DelayModel, LocalTransport
 from repro.net.message import estimate_size
 from repro.net.tcp import TcpTransport
@@ -145,6 +147,31 @@ class TestBroadcast:
         results = t.broadcast("client", ["a", "b"], "ping")
         assert results["a"] == ("ping", ())
         assert isinstance(results["b"], NodeUnavailableError)
+
+    @pytest.mark.parametrize("kind", ["local", "chaos", "chaos-delayed", "tcp"])
+    def test_handler_error_is_a_per_destination_value(self, kind):
+        """A leg whose handler raises (here a stale-placement reject)
+        comes back as that exception; it never aborts the other legs."""
+
+        class Stale(RpcHandler):
+            def handle(self, op, *args, env=None, **kwargs):
+                raise StalePlacementError("b", 0, 0, 1)
+
+        inner = TcpTransport() if kind == "tcp" else LocalTransport()
+        t = inner
+        if kind.startswith("chaos"):
+            rules = [FaultRule(dst="b", delay=0.001)] if kind == "chaos-delayed" else []
+            t = ChaosTransport(inner, FaultPlan(rules))
+        try:
+            t.register("a", Echo())
+            t.register("b", Stale())
+            t.register("client")
+            results = t.broadcast("client", ["a", "b"], "ping")
+        finally:
+            if isinstance(inner, TcpTransport):
+                inner.close()
+        assert results["a"] == ("ping", ())
+        assert isinstance(results["b"], StalePlacementError)
 
 
 class TestDelayModel:

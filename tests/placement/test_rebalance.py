@@ -116,7 +116,7 @@ class TestMigration:
         holder = cluster.protocol_client("holder")
         holder._call(stripe, 0, "trylock", BlockAddr("vol0", stripe, 0),
                      LockMode.L1, "holder")
-        reb = cluster.rebalancer("reb", backoff=0.0001, lock_attempts=2)
+        reb = cluster.rebalancer("reb")
         record = reb.migrate(stripe)
         assert record.result == "yielded"
         assert placement.committed_gen(stripe) == 0
@@ -225,7 +225,7 @@ class TestRetryBudget:
         cluster, _ = grown_cluster()
         budget = RetryBudget(50)
         self._flake_once_per_op(cluster)
-        reb = cluster.rebalancer("reb", retry_budget=budget, backoff=0.0001)
+        reb = cluster.rebalancer("reb", retry_budget=budget)
         stripe = cluster.placement.moved_stripes(range(6))[0]
         assert reb.migrate(stripe).result == "migrated"
         assert budget.spent > 0
@@ -242,9 +242,7 @@ class TestRetryBudget:
 
         inner.call = always_busy
         budget = RetryBudget(2, refill=0.0)
-        reb = cluster.rebalancer(
-            "reb", retry_budget=budget, backoff=0.0001, lock_attempts=2
-        )
+        reb = cluster.rebalancer("reb", retry_budget=budget)
         stripe = cluster.placement.moved_stripes(range(6))[0]
         report = reb.migrate_all([stripe])
         assert report.records[0].result in ("yielded", "failed")
