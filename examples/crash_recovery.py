@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import Cluster
-from repro.ids import BlockAddr, Tid
+from repro.ids import Tid
 
 
 def main() -> None:
@@ -36,8 +36,7 @@ def main() -> None:
     # --- scenario 2: client crash mid-write --------------------------------
     print("\n[2] a client crashes between swap and adds (partial write)")
     doomed = cluster.protocol_client("doomed")
-    addr = BlockAddr(cluster.volume_name, 0, 0)
-    doomed._call(0, 0, "swap", addr, np.full(1024, 0xAB, np.uint8), Tid(1, 0, "doomed"))
+    doomed.rpc("write", 0, 0, "swap", np.full(1024, 0xAB, np.uint8), Tid(1, 0, "doomed"))
     cluster.crash_client("doomed")
     print("    stripe 0 consistent?", cluster.stripe_consistent(0))
     volume.monitor.stale_after = 0.0  # treat any pending write as stale

@@ -21,9 +21,7 @@ from __future__ import annotations
 import threading
 
 from repro.client.protocol import ProtocolClient
-from repro.errors import NodeBusyError, NodeUnavailableError
 from repro.ids import Tid
-from repro.net.rpc import pfor
 
 
 class GcManager:
@@ -105,23 +103,18 @@ class GcManager:
         over to the next round; it is never re-sent within this one."""
         if not batches:
             return set()
-
-        def one(j: int) -> bool:
-            try:
-                result = self.client._call(
-                    stripe, j, op, self.client._addr(stripe, j),
-                    sorted(batches[j], key=str), op_kind="gc",
-                )
-            except (NodeBusyError, NodeUnavailableError):
-                # Shed, timed out (the node's lists survive, so dropping
-                # the batch would strand tids forever) or gone (recovery
-                # resets the lists anyway): roll over either way.
-                return False
-            return result == "OK"
-
-        self.client._account_round("gc")
-        results = pfor(sorted(batches), one)
-        return {j for j, ok in results.items() if ok is True}
+        client = self.client
+        results = client.fan_out(
+            "gc", sorted(batches),
+            lambda j: client.rpc(
+                "gc", stripe, j, op, sorted(batches[j], key=str), leg=True
+            ),
+        )
+        # A leg that was shed, timed out (the node's lists survive, so
+        # dropping the batch would strand tids forever) or found its node
+        # gone (recovery resets the lists anyway) comes back as its
+        # exception: it rolls over like a refusal.
+        return {j for j, result in results.items() if result == "OK"}
 
     def pending_tids(self) -> int:
         """Total tids awaiting collection (for overhead experiments)."""

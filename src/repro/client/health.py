@@ -6,7 +6,7 @@ nodes that are slow, lossy, or intermittently silent.  This module
 gives clients a shared, continuous view of that spectrum:
 
 * every RPC outcome (from the protocol client, monitor, GC, rebuilder
-  — anything routed through ``ProtocolClient._call``) feeds a per-node
+  — anything routed through ``ProtocolClient.rpc``) feeds a per-node
   **EWMA latency** and **health score**;
 * a per-node **circuit breaker** (closed → open → half-open) replaces
   the raw consecutive-timeout suspicion counter as the remap trigger:

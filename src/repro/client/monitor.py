@@ -164,11 +164,7 @@ class Monitor:
         data: dict[int, StateSnapshot] = {}
         for j in range(client.n):
             try:
-                client._account_round("monitor")
-                data[j] = client._call(
-                    stripe, j, "get_state", client._addr(stripe, j),
-                    op_kind="monitor",
-                )
+                data[j] = client.rpc("monitor", stripe, j, "get_state")
             except NodeBusyError:
                 return False  # overloaded != degraded; check next sweep
             except NodeUnavailableError:
@@ -184,12 +180,10 @@ class Monitor:
         needs = False
         epochs: list[int] = []
         for j in range(self.client.n):
-            addr = self.client._addr(stripe, j)
             report.probed += 1
             try:
-                self.client._account_round("monitor")
-                opmode, lmode, age, epoch = self.client._call(
-                    stripe, j, "probe", addr, op_kind="monitor"
+                opmode, lmode, age, epoch = self.client.rpc(
+                    "monitor", stripe, j, "probe"
                 )
                 epochs.append(epoch)
             except NodeBusyError:
@@ -201,13 +195,13 @@ class Monitor:
             except RpcTimeoutError:
                 # Suspected only: the node may be gray.  Recovery is
                 # still warranted — the stripe is effectively degraded
-                # while the node is silent — but _call only remaps it
+                # while the node is silent — but rpc only remaps it
                 # once suspicion crosses the configured threshold.
                 report.timeouts += 1
                 needs = True
                 continue
             except NodeUnavailableError:
-                # _call already remapped the slot; the fresh node is INIT.
+                # rpc already remapped the slot; the fresh node is INIT.
                 report.unreachable += 1
                 needs = True
                 continue

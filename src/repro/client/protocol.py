@@ -65,7 +65,7 @@ from repro.storage.state import (
 
 
 #: Retries a NodeBusyError (server-side admission shed) is given inside
-#: :meth:`ProtocolClient._call`, with jittered backoff, before it
+#: one :meth:`ProtocolClient.rpc`, with jittered backoff, before it
 #: propagates to the operation-level loops.
 BUSY_RETRY_LIMIT = 8
 
@@ -138,7 +138,7 @@ class ProtocolClient:
         # Per-client placement cache (repro.placement.PlacementCache) on
         # elastic clusters; None keeps the static-layout fast path.  Each
         # RPC is stamped with the cached generation, and a node answering
-        # StalePlacementError makes _call invalidate + refetch + retry.
+        # StalePlacementError makes rpc invalidate + refetch + retry.
         self.placement = placement
         # Structured tracing (repro.obs.trace.Tracer); no-op by default.
         self.tracer = NULL_TRACER
@@ -212,32 +212,30 @@ class ProtocolClient:
             self._seq += 1
             return Tid(seq=self._seq, index=index, client=self.client_id)
 
-    def _addr(self, stripe: int, index: int) -> BlockAddr:
-        return BlockAddr(self.volume, stripe, index)
+    def _resolve(self, stripe: int, index: int) -> tuple[int | None, int, str]:
+        """(placement generation, slot, node) of one stripe position: one
+        placement read and one directory lookup, never cached across
+        attempts, so the next attempt after a remap reaches the new node."""
+        if self.placement is None:
+            gen, slot = None, self.meta.layout.node_of_stripe_index(stripe, index)
+        else:
+            gen, slots = self.placement.entry(stripe)
+            slot = slots[index]
+        return gen, slot, self.directory.node_id(slot)
 
-    def _slot(self, stripe: int, index: int) -> int:
-        if self.placement is not None:
-            return self.placement.entry(stripe)[1][index]
-        return self.meta.layout.node_of_stripe_index(stripe, index)
+    def node_of(self, stripe: int, index: int) -> str:
+        """The node serving one stripe position now.  An unbound slot is
+        retried exactly as an RPC's own lookup is."""
+        return self._retrying(
+            stripe, "lookup", lambda: self._resolve(stripe, index)
+        )[2]
 
-    def _envelope(
-        self, stripe: int, kind: str | None, trace_ctx: TraceContext | None
-    ) -> Envelope:
-        """The header every RPC of this client carries: op kind, span,
-        cached placement generation and the per-RPC deadline."""
-        return Envelope(
-            kind=kind,
-            trace=None if trace_ctx is None else trace_ctx.wire(),
-            gen=None if self.placement is None else self.placement.entry(stripe)[0],
-            timeout=self.config.rpc_timeout,
-        )
-
-    def _remap(self, stripe: int, index: int, failed: str) -> None:
+    def _remap(self, stripe: int, index: int, slot: int, failed: str) -> None:
         """Point the failed node's slot at a fresh replacement (§3.5)."""
         self.stats.bump("remaps")
         self.tracer.emit(self.client_id, "remap", stripe=stripe, index=index,
                          failed=failed)
-        self.directory.remap(self._slot(stripe, index), failed)
+        self.directory.remap(slot, failed)
 
     def _sleep_backoff(self, attempt: int) -> None:
         """Jittered retry sleep."""
@@ -254,86 +252,95 @@ class ProtocolClient:
         self.stats.bump("budget_denials")
         return False
 
-    def _call(
+    def rpc(
         self,
+        kind: str,
         stripe: int,
         index: int,
         op: str,
         *args,
+        leg: bool = False,
         trace_ctx: TraceContext | None = None,
-        op_kind: str | None = None,
         **kwargs,
     ):
-        """RPC to the node serving stripe position ``index``; on fail-stop
-        detection, remap and re-raise so the caller enters recovery.
+        """Send ``op`` to the block at position ``index`` of ``stripe``:
+        the one data-plane call of the client and of every agent (monitor,
+        scrub, GC, rebuild) that drives it.
 
-        ``op_kind`` attributes the RPC's wire cost to the logical
-        operation issuing it (write, read, recovery_phase1, gc, ...);
-        it travels in the call's :class:`Envelope` header, which is
-        never sized, so it never changes behaviour.
+        ``kind`` names the logical operation the RPC serves (write, read,
+        recovery_phase1, gc, ...).  It is stamped on the call's
+        :class:`Envelope` and counts one round trip for the cost auditor,
+        unless the call is one ``leg`` of a :meth:`fan_out` that already
+        counted the round.  The block address is prepended to ``args``.
 
-        A :class:`NodeBusyError` (server-side admission shed) is retried
-        here with jittered backoff — overload is a *retryable* condition,
-        never evidence of failure, so it must not reach the remap or
-        recovery paths below.  After :data:`BUSY_RETRY_LIMIT` sheds it
-        propagates for the operation-level loops to absorb.
+        The outcomes in :attr:`_RETRIES` are absorbed here; a detected
+        fail-stop remaps the slot and re-raises so the caller enters
+        recovery (see :meth:`_attempt`)."""
+        if not leg:
+            self._account_round(kind)
+        args = (BlockAddr(self.volume, stripe, index), *args)
+        trace = None if trace_ctx is None else trace_ctx.wire()
+        return self._retrying(
+            stripe, op,
+            lambda: self._attempt(kind, stripe, index, op, args, kwargs, trace),
+        )
 
-        A :class:`StalePlacementError` means the node rejected our
-        placement-generation stamp: invalidate the cache entry for the
-        stripe, refetch, and retry at the current placement.  Bounded to
-        a few rounds — one refetch resolves any single migration, so
-        repeats only happen under back-to-back reconfigurations.
+    def fan_out(self, kind: str, indices, body) -> dict:
+        """One round of ``kind``: ``body(j)`` for every position in
+        ``indices`` in parallel, each result (or exception) by position.
+        A body sends its RPCs as legs of the round, ``rpc(..., leg=True)``."""
+        self._account_round(kind)
+        return pfor(list(indices), body)
 
-        An :class:`UnknownSlotError` is the mid-reconfiguration window
-        where the directory has not yet bound a slot this client's map
-        already points at (e.g. a pool grow racing the lookup).  Like a
-        busy shed it is retryable, never evidence of failure: retry
-        through the backoff policy, bounded by the retry budget, and
-        only surface the raw error once those bounds are spent."""
-        for unbound_attempt in range(4):
+    def _until_answered(
+        self,
+        kind: str,
+        stripe: int,
+        index: int,
+        op: str,
+        *args,
+        leg: bool = True,
+        budget: bool = False,
+        retry_on: tuple[type[Exception], ...] = (
+            NodeBusyError, NodeUnavailableError,
+        ),
+        **kwargs,
+    ):
+        """:meth:`rpc`, repeated through ``retry_on`` outcomes (a node
+        found unreachable is retried on its replacement) for up to
+        ``max_op_attempts`` attempts; with ``budget`` every repeat spends
+        a retry-budget token.  Gives up with :class:`NodeUnavailableError`."""
+        for attempt in range(self.config.max_op_attempts):
+            if budget and attempt and not self._retry_permitted():
+                break
             try:
-                for stale_attempt in range(4):
-                    try:
-                        for busy_attempt in range(BUSY_RETRY_LIMIT + 1):
-                            try:
-                                return self._call_once(
-                                    stripe, index, op, *args, trace_ctx=trace_ctx,
-                                    op_kind=op_kind, **kwargs,
-                                )
-                            except NodeBusyError:
-                                self.stats.bump("busy_rejections")
-                                if busy_attempt >= BUSY_RETRY_LIMIT:
-                                    raise
-                                time.sleep(self._backoff.next_delay(busy_attempt))
-                    except StalePlacementError:
-                        if self.placement is None or stale_attempt >= 3:
-                            raise
-                        self.placement.invalidate(stripe)
-                        self.stats.bump("stale_refetches")
-                        if self.tracer.enabled:
-                            self.tracer.emit(self.client_id, "placement.refetch",
-                                             stripe=stripe, op=op)
-                raise AssertionError("unreachable")
-            except UnknownSlotError:
-                if unbound_attempt >= 3 or not self._retry_permitted():
-                    raise
-                self.stats.bump("unbound_retries")
-                if self.tracer.enabled:
-                    self.tracer.emit(self.client_id, "directory.unbound_retry",
-                                     stripe=stripe, op=op)
-                self._sleep_backoff(unbound_attempt)
-        raise AssertionError("unreachable")
+                return self.rpc(kind, stripe, index, op, *args, leg=leg, **kwargs)
+            except retry_on:
+                continue
+        raise NodeUnavailableError(f"slot for stripe {stripe} pos {index}")
 
-    def _call_once(
-        self,
-        stripe: int,
-        index: int,
-        op: str,
-        *args,
-        trace_ctx: TraceContext | None = None,
-        op_kind: str | None = None,
-        **kwargs,
-    ):
+    def _retrying(self, stripe: int, op: str, attempt):
+        """Run ``attempt()`` until it returns, absorbing the retryable
+        outcomes of :attr:`_RETRIES`.  Each bound counts over the whole
+        call, so one outcome never resets another's count; a spent bound
+        (or a refused pre-retry action) re-raises the last outcome."""
+        retries: dict[type, int] = {}
+        while True:
+            try:
+                return attempt()
+            except tuple(self._RETRIES) as exc:
+                outcome = type(exc)
+                limit, counter, event, prepare = self._RETRIES[outcome]
+                done = retries.get(outcome, 0)
+                if done >= limit or not prepare(self, stripe, done):
+                    raise
+                retries[outcome] = done + 1
+                if counter is not None:
+                    self.stats.bump(counter)
+                if event is not None and self.tracer.enabled:
+                    self.tracer.emit(self.client_id, event, stripe=stripe, op=op)
+
+    def _attempt(self, kind, stripe, index, op, args, kwargs, trace):
         """One RPC attempt, feeding the shared health registry.
 
         The circuit breaker gates the attempt: while a node's circuit is
@@ -345,18 +352,22 @@ class ProtocolClient:
         may be gray, not dead — so remap waits for the breaker to trip
         at the suspicion threshold; the exception still propagates so
         the caller retries or goes degraded either way."""
-        env = self._envelope(stripe, op_kind, trace_ctx)
-        dst = self.directory.node_id(self._slot(stripe, index))
+        gen, slot, dst = self._resolve(stripe, index)
         if not self.health.allow_request(dst):
             self.stats.bump("breaker_fast_fails")
             raise CircuitOpenError(dst)
+        env = Envelope(
+            kind=kind, trace=trace, gen=gen, timeout=self.config.rpc_timeout
+        )
         start = time.perf_counter()
         try:
             result = self.transport.call(
                 self.client_id, dst, op, *args, env=env, **kwargs
             )
         except NodeBusyError:
-            raise  # overload, not failure: health state untouched
+            # Overload, not failure: counted, health state untouched.
+            self.stats.bump("busy_rejections")
+            raise
         except RpcTimeoutError as exc:
             if exc.node_id == dst:
                 self.stats.bump("rpc_timeouts")
@@ -364,27 +375,71 @@ class ProtocolClient:
                     dst, "timeout", self.config.suspicion_threshold
                 ):
                     self.stats.bump("suspicion_remaps")
-                    self._remap(stripe, index, dst)
+                    self._remap(stripe, index, slot, dst)
             raise
         except NodeUnavailableError as exc:
             if exc.node_id == dst:
                 self.health.observe_failure(
                     dst, "unavailable", self.config.suspicion_threshold
                 )
-                self._remap(stripe, index, dst)
+                self._remap(stripe, index, slot, dst)
             raise
         self.health.observe_success(dst, time.perf_counter() - start)
         if self.retry_budget is not None:
             self.retry_budget.deposit()
         return result
 
-    def _account_round(self, kind: str | None, rounds: int = 1) -> None:
+    # Pre-retry actions of _RETRIES: each runs before the next attempt
+    # and returns False to give up instead.
+
+    def _back_off(self, stripe: int, done: int) -> bool:
+        self._sleep_backoff(done)
+        return True
+
+    def _refetch_placement(self, stripe: int, done: int) -> bool:
+        if self.placement is None:
+            return False
+        self.placement.invalidate(stripe)
+        return True
+
+    def _spend_and_back_off(self, stripe: int, done: int) -> bool:
+        if not self._retry_permitted():
+            return False
+        self._sleep_backoff(done)
+        return True
+
+    #: The retryable outcomes of one attempt, and how a call absorbs
+    #: each: (retries allowed over the whole call, ClientStats counter
+    #: and trace event per retry, pre-retry action).
+    #:
+    #: * A :class:`NodeBusyError` (admission shed) is overload, never
+    #:   evidence of failure, so it must not reach remap or recovery.
+    #:   Every shed is counted in ``busy_rejections`` where it is seen.
+    #: * A :class:`StalePlacementError` means the node rejected our
+    #:   placement-generation stamp: invalidate the stripe's cache entry
+    #:   so the next attempt refetches.  One refetch resolves any single
+    #:   migration; repeats need back-to-back reconfigurations.
+    #: * An :class:`UnknownSlotError` is the mid-reconfiguration window
+    #:   where the directory has not yet bound a slot this client's map
+    #:   already points at (e.g. a pool grow racing the lookup); each
+    #:   retry spends a retry-budget token.
+    _RETRIES = {
+        NodeBusyError: (BUSY_RETRY_LIMIT, None, None, _back_off),
+        StalePlacementError: (
+            3, "stale_refetches", "placement.refetch", _refetch_placement,
+        ),
+        UnknownSlotError: (
+            3, "unbound_retries", "directory.unbound_retry", _spend_and_back_off,
+        ),
+    }
+
+    def _account_round(self, kind: str) -> None:
         """Count logical round trips for the cost auditor.  A "round" is
         one client-side wait-for-answers step: a serial RPC is one
         round each; a pfor/broadcast batch is one round total (the
         paper's latency unit in Fig. 1)."""
-        if kind is not None and self.metrics.enabled:
-            self.metrics.counter("rpc_rounds_total", kind=kind).inc(rounds)
+        if self.metrics.enabled:
+            self.metrics.counter("rpc_rounds_total", kind=kind).inc()
 
     # ------------------------------------------------------------------
     # READ — Fig. 4
@@ -394,7 +449,7 @@ class ProtocolClient:
         """Read data block ``index`` (< k) of ``stripe``."""
         if not 0 <= index < self.k:
             raise IndexError(f"data index {index} out of range for k={self.k}")
-        addr = self._addr(stripe, index)
+        addr = BlockAddr(self.volume, stripe, index)
         self.stats.bump("reads")
         for attempt in range(self.config.max_op_attempts):
             if attempt and not self._retry_permitted():
@@ -404,16 +459,11 @@ class ProtocolClient:
                 )
             try:
                 if self.config.hedged_reads:
-                    result, hedged = self._hedged_read_attempt(
-                        stripe, index, addr
-                    )
+                    result, hedged = self._hedged_read_attempt(stripe, index)
                     if hedged is not None:
                         return hedged
                 else:
-                    self._account_round("read")
-                    result = self._call(
-                        stripe, index, "read", addr, op_kind="read"
-                    )
+                    result = self.rpc("read", stripe, index, "read")
             except NodeBusyError:
                 # Overloaded, not crashed: back off and retry — never
                 # remap, never recover.
@@ -427,7 +477,7 @@ class ProtocolClient:
                 self._start_recovery(stripe)
                 continue
             if result.block is not None:
-                verdict = self._verify_read(stripe, index, addr, result.block)
+                verdict = self._verify_read(stripe, index, result.block)
                 if verdict in ("verified", "unverified"):
                     return result.block
                 if verdict == "media":
@@ -457,7 +507,7 @@ class ProtocolClient:
             f"read of {addr} failed after {self.config.max_op_attempts} attempts"
         )
 
-    def _hedged_read_attempt(self, stripe: int, index: int, addr: BlockAddr):
+    def _hedged_read_attempt(self, stripe: int, index: int):
         """Race the data-node read against a k-of-n reconstruct.
 
         The primary read is issued immediately; if it has not answered
@@ -470,23 +520,19 @@ class ProtocolClient:
 
         Returns ``(read_result, None)`` when the primary wins (or no
         hedge fired) and ``(None, value)`` when the reconstruct wins.
-        Raises like :meth:`_call` when both paths fail.
+        Raises like :meth:`rpc` when both paths fail.
         """
-        node_id = self.directory.node_id(self._slot(stripe, index))
+        node_id = self.node_of(stripe, index)
         delay = self.config.hedge_delay
         if delay is None:
             delay = self.health.hedge_delay(node_id)
-        self._account_round("read")
-        future = _pool_instance().submit(
-            self._call, stripe, index, "read", addr, op_kind="read"
-        )
+        future = _pool_instance().submit(self.rpc, "read", stripe, index, "read")
         try:
             return future.result(timeout=delay), None
         except FutureTimeoutError:
             pass  # primary is slow; consider hedging
         # The hedge is extra load: it must fit in the retry budget.
-        if self.retry_budget is not None and not self.retry_budget.spend():
-            self.stats.bump("budget_denials")
+        if not self._retry_permitted():
             return future.result(), None
         self.stats.bump("hedged_reads")
         tracer = self.tracer
@@ -537,16 +583,13 @@ class ProtocolClient:
         a value some prefix of completed/in-flight writes produced —
         within the §3.1 regular-register guarantee.
         """
-        def snap(j: int) -> StateSnapshot:
-            return self._call(
-                stripe, j, "get_state", self._addr(stripe, j),
-                op_kind="read_degraded",
-            )
-
-        self._account_round("read_degraded")
+        snaps = self.fan_out(
+            "read_degraded", range(self.n),
+            lambda j: self.rpc("read_degraded", stripe, j, "get_state", leg=True),
+        )
         data: dict[int, StateSnapshot] = {
             j: res
-            for j, res in pfor(list(range(self.n)), snap).items()
+            for j, res in snaps.items()
             if isinstance(res, StateSnapshot) and j not in exclude
         }
         if self.config.verified_reads:
@@ -560,7 +603,7 @@ class ProtocolClient:
                     and snap_j.fingerprint is not None
                     and content_fingerprint(snap_j.block) != snap_j.fingerprint
                 ):
-                    node_id = self.directory.node_id(self._slot(stripe, j))
+                    node_id = self.node_of(stripe, j)
                     self._note_corruption("media", stripe, j, node_id)
                     self.health.observe_failure(
                         node_id, "corruption", self.config.suspicion_threshold
@@ -583,9 +626,7 @@ class ProtocolClient:
     # end-to-end integrity
     # ------------------------------------------------------------------
 
-    def _verify_read(
-        self, stripe: int, index: int, addr: BlockAddr, block: np.ndarray
-    ) -> str:
+    def _verify_read(self, stripe: int, index: int, block: np.ndarray) -> str:
         """Cross-check a just-read block against the serving node's
         recorded content fingerprint.
 
@@ -603,8 +644,7 @@ class ProtocolClient:
         if not self.config.verified_reads:
             return "unverified"
         try:
-            self._account_round("audit")
-            fp = self._call(stripe, index, "fingerprint", addr, op_kind="audit")
+            fp = self.rpc("audit", stripe, index, "fingerprint")
         except (NodeUnavailableError, NodeBusyError):
             return "unverified"
         if fp.stored is None or fp.opmode is not OpMode.NORM:
@@ -617,7 +657,7 @@ class ProtocolClient:
             if self.metrics.enabled:
                 self.metrics.counter("reads_verified_total").inc()
             return "verified"
-        node_id = self.directory.node_id(self._slot(stripe, index))
+        node_id = self.node_of(stripe, index)
         if wire:
             self._note_corruption("wire", stripe, index, node_id)
             # Transient: score-only penalty — the node itself is honest.
@@ -726,14 +766,12 @@ class ProtocolClient:
     ) -> SwapResult | None:
         """Fig. 5 lines 3-6: swap, running recovery when the node is out
         of service.  Returns None if attempts ran out this round."""
-        addr = self._addr(stripe, index)
         for attempt in range(self.config.max_op_attempts):
             if attempt and not self._retry_permitted():
                 return None
             try:
-                self._account_round("write")
-                swap = self._call(stripe, index, "swap", addr, value, ntid,
-                                  trace_ctx=trace_ctx, op_kind="write")
+                swap = self.rpc("write", stripe, index, "swap", value, ntid,
+                                trace_ctx=trace_ctx)
             except NodeBusyError:
                 self._sleep_backoff(attempt)
                 continue
@@ -845,16 +883,16 @@ class ProtocolClient:
                 trace_parent=trace_parent,
             )
 
-        def one(j: int) -> AddResult:
+        def one(j: int, leg: bool = True) -> AddResult:
             payload = gf.mul_block(self.code.coefficient(j, ntid.index), diff)
             ctx = (
                 self._trace_ids.child(trace_parent)
                 if trace_parent is not None
                 else None
             )
-            return self._call(
-                stripe, j, "add", self._addr(stripe, j), payload, ntid, otid,
-                epoch, trace_ctx=ctx, op_kind="write",
+            return self.rpc(
+                "write", stripe, j, "add", payload, ntid, otid, epoch,
+                leg=leg, trace_ctx=ctx,
             )
 
         ordered = sorted(targets)
@@ -863,8 +901,7 @@ class ProtocolClient:
             results: dict[int, AddResult | Exception] = {}
             for j in ordered:
                 try:
-                    self._account_round("write")
-                    results[j] = one(j)
+                    results[j] = one(j, leg=False)
                 except (NodeUnavailableError, NodeBusyError,
                         StalePlacementError) as exc:
                     results[j] = exc
@@ -876,15 +913,13 @@ class ProtocolClient:
                            position=j)
             return results
         if strategy is WriteStrategy.PARALLEL:
-            self._account_round("write")
-            return pfor(ordered, one)
+            return self.fan_out("write", ordered, one)
         if strategy is WriteStrategy.HYBRID:
             size = max(1, self.config.hybrid_group_size)
             results = {}
             for start in range(0, len(ordered), size):
                 group = ordered[start : start + size]
-                self._account_round("write")
-                results.update(pfor(group, one))
+                results.update(self.fan_out("write", group, one))
             return results
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -898,27 +933,37 @@ class ProtocolClient:
         targets: set[int],
         trace_parent: TraceContext | None = None,
     ) -> dict[int, AddResult | Exception]:
-        addr = self._addr(stripe, BROADCAST_INDEX)
-        by_node = {
-            self.directory.node_id(self._slot(stripe, j)): j for j in sorted(targets)
-        }
+        # Each receiver's route is resolved once, an unbound slot retried
+        # as in any rpc.
+        by_node: dict[str, tuple[int, int]] = {}
+        gen = None
+        for j in sorted(targets):
+            gen, slot, node_id = self._retrying(
+                stripe, "add", lambda: self._resolve(stripe, j)
+            )
+            by_node[node_id] = (j, slot)
         # One frame leaves the client, so one child span covers all
         # receivers; each node's event distinguishes itself by its
         # ``node`` detail.
-        env = self._envelope(
-            stripe, "write",
-            None if trace_parent is None else self._trace_ids.child(trace_parent),
+        trace = (
+            None if trace_parent is None
+            else self._trace_ids.child(trace_parent).wire()
         )
         self._account_round("write")
         raw = self.transport.broadcast(
-            self.client_id, list(by_node), "add", addr, diff, ntid, otid, epoch,
-            env=env,
+            self.client_id, list(by_node), "add",
+            BlockAddr(self.volume, stripe, BROADCAST_INDEX),
+            diff, ntid, otid, epoch,
+            env=Envelope(
+                kind="write", trace=trace, gen=gen,
+                timeout=self.config.rpc_timeout,
+            ),
         )
         results: dict[int, AddResult | Exception] = {}
         for node_id, res in raw.items():
-            j = by_node[node_id]
+            j, slot = by_node[node_id]
             if isinstance(res, NodeUnavailableError):
-                self._remap(stripe, j, node_id)
+                self._remap(stripe, j, slot, node_id)
             results[j] = res
         return results
 
@@ -929,14 +974,10 @@ class ProtocolClient:
         previous write's tid was garbage collected (write completed) and
         drop crashed nodes from D."""
 
-        def check(j: int) -> CheckTidStatus:
-            return self._call(
-                stripe, j, "checktid", self._addr(stripe, j), ntid, otid,
-                op_kind="write",
-            )
-
-        self._account_round("write")
-        results = pfor(sorted(done), check)
+        results = self.fan_out(
+            "write", sorted(done),
+            lambda j: self.rpc("write", stripe, j, "checktid", ntid, otid, leg=True),
+        )
         statuses = {
             j: r for j, r in results.items() if isinstance(r, CheckTidStatus)
         }
@@ -1055,36 +1096,20 @@ class ProtocolClient:
         cp = self.crashpoints
         acquired: list[tuple[int, LockMode]] = []
         for j in range(self.n):
-            result = None
-            for attempt in range(self.config.max_op_attempts):
-                if attempt and not self._retry_permitted():
-                    break  # budget spent; yield rather than hammer
-                try:
-                    self._account_round("recovery_phase1")
-                    result = self._call(
-                        stripe,
-                        j,
-                        "trylock",
-                        self._addr(stripe, j),
-                        LockMode.L1,
-                        caller=self.client_id,
-                        op_kind="recovery_phase1",
-                    )
-                    break
-                except NodeBusyError:
-                    continue  # shed; _call already backed off
-                except RpcTimeoutError:
-                    continue  # maybe granted; re-grant makes retry safe
-                except NodeUnavailableError:
-                    continue  # remapped inside _call; retry on fresh node
+            # Every attempt is its own round.  A shed was already backed
+            # off inside rpc, a timed-out trylock may have been granted
+            # (the re-grant makes retrying safe), and an unreachable node
+            # was remapped, so the retry reaches its replacement.  A
+            # spent retry budget yields rather than hammers.
+            try:
+                result = self._until_answered(
+                    "recovery_phase1", stripe, j, "trylock", LockMode.L1,
+                    caller=self.client_id, leg=False, budget=True,
+                )
+            except NodeUnavailableError:
+                result = None
             if result is None or not result.ok:
-                def release(item: tuple[int, LockMode]) -> None:
-                    pos, old = item
-                    self._setlock_robust(
-                        stripe, pos, old, op_kind="recovery_phase1"
-                    )
-                self._account_round("recovery_phase1")
-                pfor(acquired, release)
+                self._set_locks("recovery_phase1", stripe, dict(acquired))
                 return False
             acquired.append((j, result.oldlmode))
             if cp.enabled:
@@ -1092,48 +1117,30 @@ class ProtocolClient:
         return True
 
     def _setlock_robust(
-        self,
-        stripe: int,
-        pos: int,
-        lm: LockMode,
-        op_kind: str | None = None,
+        self, kind: str, stripe: int, pos: int, lm: LockMode
     ) -> None:
-        """Idempotent setlock that retries through timeouts.  A dropped
-        release would leak a lock the same client can never reclaim,
-        wedging the stripe for every future recovery; an unavailable
-        node needs no release (its replacement comes up unlocked)."""
+        """Idempotent setlock, one leg of a :meth:`_set_locks` round,
+        that retries through sheds and timeouts.  A dropped release
+        would leak a lock the same client can never reclaim, wedging the
+        stripe for every future recovery; an unavailable node needs no
+        release (its replacement comes up unlocked)."""
         if self.config.test_drop_setlock_release and lm is LockMode.UNL:
             return  # seeded regression: drop releases (see ClientConfig)
-        for _ in range(self.config.max_op_attempts):
-            try:
-                self._call(
-                    stripe, pos, "setlock", self._addr(stripe, pos), lm,
-                    caller=self.client_id, op_kind=op_kind,
-                )
-                return
-            except NodeBusyError:
-                continue  # a release must land; keep trying through sheds
-            except RpcTimeoutError:
-                continue
-            except NodeUnavailableError:
-                return
+        try:
+            self._until_answered(
+                kind, stripe, pos, "setlock", lm, caller=self.client_id,
+                retry_on=(NodeBusyError, RpcTimeoutError),
+            )
+        except NodeUnavailableError:
+            pass
 
     def _get_states(self, stripe: int, indices: list[int]) -> dict[int, StateSnapshot]:
-        def fetch(j: int) -> StateSnapshot:
-            for attempt in range(self.config.max_op_attempts):
-                if attempt and not self._retry_permitted():
-                    break
-                try:
-                    return self._call(
-                        stripe, j, "get_state", self._addr(stripe, j),
-                        op_kind="recovery_phase2",
-                    )
-                except (NodeUnavailableError, NodeBusyError):
-                    continue
-            raise NodeUnavailableError(f"slot for stripe {stripe} pos {j}")
-
-        self._account_round("recovery_phase2")
-        results = pfor(indices, fetch)
+        results = self.fan_out(
+            "recovery_phase2", indices,
+            lambda j: self._until_answered(
+                "recovery_phase2", stripe, j, "get_state", budget=True
+            ),
+        )
         out: dict[int, StateSnapshot] = {}
         for j, res in results.items():
             if isinstance(res, StateSnapshot):
@@ -1160,10 +1167,7 @@ class ProtocolClient:
                 and content_fingerprint(snap.block) != snap.fingerprint
             )
             for j in sorted(liars - exclude):
-                self._note_corruption(
-                    "media", stripe, j,
-                    self.directory.node_id(self._slot(stripe, j)),
-                )
+                self._note_corruption("media", stripe, j, self.node_of(stripe, j))
             exclude = exclude | liars
         # Pick up a crashed recovery: someone already chose a consistent
         # set and started writing it back (opmode RECONS).
@@ -1191,8 +1195,8 @@ class ProtocolClient:
             # Weaken locks on redundant nodes so outstanding WRITEs can
             # finish their adds and blocks become consistent.
             self._set_locks(
-                stripe, range(self.k, self.n), LockMode.L0,
-                op_kind="recovery_phase2",
+                "recovery_phase2", stripe,
+                dict.fromkeys(range(self.k, self.n), LockMode.L0),
             )
             if cp.enabled:
                 cp.hit("recovery.phase2.after_weaken", stripe=stripe)
@@ -1220,15 +1224,9 @@ class ProtocolClient:
             recent = {}
             for j in range(self.k, self.n):
                 try:
-                    self._account_round("recovery_phase2")
-                    recent[j] = self._call(
-                        stripe,
-                        j,
-                        "getrecent",
-                        self._addr(stripe, j),
-                        LockMode.L1,
+                    recent[j] = self.rpc(
+                        "recovery_phase2", stripe, j, "getrecent", LockMode.L1,
                         caller=self.client_id,
-                        op_kind="recovery_phase2",
                     )
                 except (NodeUnavailableError, NodeBusyError):
                     recent[j] = None
@@ -1280,31 +1278,23 @@ class ProtocolClient:
         """One phase-3 round: ``op`` to all n positions in parallel, each
         leg retried through unavailable or busy nodes before it gives up
         with :class:`NodeUnavailableError` (returned, pfor-style)."""
-
-        def one(j: int):
-            for _ in range(self.config.max_op_attempts):
-                try:
-                    return self._call(
-                        stripe, j, op, self._addr(stripe, j), *args_for(j),
-                        op_kind="recovery_phase3",
-                    )
-                except (NodeUnavailableError, NodeBusyError):
-                    continue
-            raise NodeUnavailableError(f"slot for stripe {stripe} pos {j}")
-
-        self._account_round("recovery_phase3")
-        return pfor(list(range(self.n)), one)
+        return self.fan_out(
+            "recovery_phase3", range(self.n),
+            lambda j: self._until_answered(
+                "recovery_phase3", stripe, j, op, *args_for(j)
+            ),
+        )
 
     def _set_locks(
-        self, stripe: int, indices, lm: LockMode, op_kind: str | None = None
+        self, kind: str, stripe: int, modes: dict[int, LockMode]
     ) -> None:
-        def one(j: int) -> None:
-            self._setlock_robust(stripe, j, lm, op_kind=op_kind)
-
-        self._account_round(op_kind)
-        pfor(list(indices), one)
+        """One round: set each position's lock to ``modes[j]``."""
+        self.fan_out(
+            kind, modes,
+            lambda j: self._setlock_robust(kind, stripe, j, modes[j]),
+        )
 
     def _unlock_all(self, stripe: int) -> None:
         self._set_locks(
-            stripe, range(self.n), LockMode.UNL, op_kind="recovery_abort"
+            "recovery_abort", stripe, dict.fromkeys(range(self.n), LockMode.UNL)
         )

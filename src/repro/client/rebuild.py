@@ -65,16 +65,14 @@ class Rebuilder:
         node that silently missed writes looks NORM to probes; the
         monitor's deep sweep is what finds it."""
         for j in range(self.client.n):
-            addr = self.client._addr(stripe, j)
             try:
-                self.client._account_round("rebuild")
-                opmode, lmode, _age, _epoch = self.client._call(
-                    stripe, j, "probe", addr, op_kind="rebuild"
+                opmode, lmode, _age, _epoch = self.client.rpc(
+                    "rebuild", stripe, j, "probe"
                 )
             except NodeBusyError:
                 return False  # overloaded, not damaged; skip this pass
             except NodeUnavailableError:
-                return True  # _call remapped the slot; recovery needed
+                return True  # rpc remapped the slot; recovery needed
             if opmode is not OpMode.NORM or lmode is LockMode.EXP:
                 return True
         return False

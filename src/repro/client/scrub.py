@@ -58,12 +58,8 @@ class Scrubber:
         unavailable/busy or the stripe is mid-operation (cannot judge)."""
         snapshots = {}
         for j in range(self.client.n):
-            addr = self.client._addr(stripe, j)
             try:
-                self.client._account_round("scrub")
-                snap = self.client._call(
-                    stripe, j, "get_state", addr, op_kind="scrub"
-                )
+                snap = self.client.rpc("scrub", stripe, j, "get_state")
             except (NodeUnavailableError, NodeBusyError):
                 return None, None
             if snap.opmode is not OpMode.NORM or snap.block is None:
@@ -213,13 +209,8 @@ class SamplingAuditor:
         """True = digests agree; False = at-rest corruption; None = no
         meaningful verdict (unreachable, mid-write, INIT/RECONS limbo,
         or no fingerprint on record) — never reported as corruption."""
-        client = self.client
-        addr = client._addr(stripe, index)
         try:
-            client._account_round("audit")
-            fp = client._call(
-                stripe, index, "fingerprint", addr, op_kind="audit"
-            )
+            fp = self.client.rpc("audit", stripe, index, "fingerprint")
         except (NodeUnavailableError, NodeBusyError):
             return None
         if fp.stored is None or fp.opmode is not OpMode.NORM or fp.pending:
@@ -251,7 +242,7 @@ class SamplingAuditor:
                 report.verified += 1
                 continue
             report.hits.append((stripe, index))
-            node_id = client.directory.node_id(client._slot(stripe, index))
+            node_id = client.node_of(stripe, index)
             client._note_corruption("audit", stripe, index, node_id)
             # Escalate: the cheap probe only convicts one block; the
             # exclude-one cross-check confirms the location against the

@@ -27,15 +27,13 @@ def pin_node(cluster: Cluster, node_id: str) -> None:
 def primary_node(cluster: Cluster, block: int) -> str:
     client = cluster.protocol_client("layout-probe")
     loc = cluster.layout.locate(block)
-    return cluster.directory.node_id(
-        client._slot(loc.stripe, loc.data_index)
-    )
+    return client.node_of(loc.stripe, loc.data_index)
 
 
 def assert_stripe_unlocked(cluster: Cluster, stripe: int) -> None:
     prober = cluster.protocol_client("lockcheck")
     for j in range(cluster.code.n):
-        _, lmode, _, _ = prober._call(stripe, j, "probe", prober._addr(stripe, j))
+        _, lmode, _, _ = prober.rpc("monitor", stripe, j, "probe")
         assert lmode is LockMode.UNL
 
 

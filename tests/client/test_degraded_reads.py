@@ -7,7 +7,6 @@ import pytest
 
 from repro.client.config import ClientConfig
 from repro.core.cluster import Cluster
-from repro.ids import BlockAddr
 from repro.storage.state import LockMode
 
 
@@ -53,8 +52,7 @@ class TestReadDegraded:
         from repro.ids import Tid
 
         bad = cluster.protocol_client("bad")
-        bad._call(0, 0, "swap", BlockAddr("vol0", 0, 0),
-                  np.full(64, 99, np.uint8), Tid(1, 0, "bad"))
+        bad.rpc("write", 0, 0, "swap", np.full(64, 99, np.uint8), Tid(1, 0, "bad"))
         cluster.crash_client("bad")
         client = cluster.protocol_client("c")
         value = client.read_degraded(0, 0)

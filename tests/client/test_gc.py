@@ -72,8 +72,8 @@ class TestGcSafety:
         # Lock the stripe (as a recovery would).
         locker = small_cluster.protocol_client("locker")
         for j in range(4):
-            locker._call(0, j, "trylock", BlockAddr("vol0", 0, j), LockMode.L1,
-                         caller="locker")
+            locker.rpc("recovery_phase1", 0, j, "trylock", LockMode.L1,
+                       caller="locker")
         transport = small_cluster.transport
         original = transport.call
         sent = []
@@ -93,8 +93,8 @@ class TestGcSafety:
         assert len(state.recentlist) == 1  # untouched
         # Unlock and retry: the batch was carried over.
         for j in range(4):
-            locker._call(0, j, "setlock", BlockAddr("vol0", 0, j), LockMode.UNL,
-                         caller="locker")
+            locker.rpc("recovery_abort", 0, j, "setlock", LockMode.UNL,
+                       caller="locker")
         vol.collect_garbage()
         state = data_node_state(small_cluster, 0, 0)
         assert not state.recentlist and len(state.oldlist) == 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cluster import Cluster
-from repro.ids import BlockAddr, Tid
+from repro.ids import Tid
 from repro.storage.state import LockMode
 
 
@@ -39,7 +39,7 @@ class TestMonitorDetection:
         vol.collect_garbage()
         vol.collect_garbage()
         bad = small_cluster.protocol_client("bad")
-        bad._call(0, 0, "swap", BlockAddr("vol0", 0, 0), fill(64, 9), Tid(1, 0, "bad"))
+        bad.rpc("write", 0, 0, "swap", fill(64, 9), Tid(1, 0, "bad"))
         small_cluster.crash_client("bad")
         vol.monitor.stale_after = 0.0
         report = vol.monitor_sweep([0])
@@ -54,8 +54,8 @@ class TestMonitorDetection:
         vol.collect_garbage()
         vol.collect_garbage()
         holder = small_cluster.protocol_client("holder")
-        holder._call(0, 2, "trylock", BlockAddr("vol0", 0, 2), LockMode.L1,
-                     caller="holder")
+        holder.rpc("recovery_phase1", 0, 2, "trylock", LockMode.L1,
+                   caller="holder")
         small_cluster.crash_client("holder")
         report = vol.monitor_sweep([0])
         assert report.expired_locks >= 1
@@ -73,8 +73,7 @@ class TestMonitorDetection:
         # t_p + 1 = 2 clients crash mid-write on the same stripe.
         for who, index in (("bad1", 0), ("bad2", 1)):
             bad = cluster.protocol_client(who)
-            bad._call(0, index, "swap", BlockAddr("vol0", 0, index),
-                      fill(64, 100), Tid(1, index, who))
+            bad.rpc("write", 0, index, "swap", fill(64, 100), Tid(1, index, who))
             cluster.crash_client(who)
         vol.monitor.stale_after = 0.0
         report = vol.monitor_sweep([0])

@@ -104,7 +104,7 @@ class TestBusyReads:
         saturate(cluster)
         try:
             with pytest.raises(NodeBusyError):
-                client._call(0, 0, "probe", client._addr(0, 0))
+                client.rpc("monitor", 0, 0, "probe")
         finally:
             drain(cluster)
         # BUSY_RETRY_LIMIT retries + the initial attempt, all shed.
@@ -140,7 +140,7 @@ class TestBusyBackground:
         saturate(cluster)
         try:
             with pytest.raises(NodeBusyError):
-                client._call(0, 0, "probe", client._addr(0, 0))
+                client.rpc("monitor", 0, 0, "probe")
         finally:
             drain(cluster)
         assert all(
@@ -157,5 +157,5 @@ class TestBusyBackground:
         # Nothing held a recovery lock through the episode.
         prober = cluster.protocol_client("lockcheck")
         for j in range(4):
-            _, lmode, _, _ = prober._call(0, j, "probe", prober._addr(0, j))
+            _, lmode, _, _ = prober.rpc("monitor", 0, j, "probe")
             assert lmode is LockMode.UNL

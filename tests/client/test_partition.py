@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.errors import DataLossError, PartitionedError
-from repro.ids import BlockAddr, Tid
+from repro.ids import Tid
 from repro.client.config import ClientConfig
 
 
@@ -26,8 +26,7 @@ def fill(size, value):
 def partial_write(cluster, client_id, index, value):
     """Swap lands, then the client is cut off by a partition."""
     client = cluster.protocol_client(client_id)
-    addr = BlockAddr(cluster.volume_name, 0, index)
-    result = client._call(0, index, "swap", addr, fill(64, value), Tid(1, index, client_id))
+    result = client.rpc("write", 0, index, "swap", fill(64, value), Tid(1, index, client_id))
     assert result.block is not None
     storage_ids = [cluster.directory.node_id(s) for s in range(cluster.code.n)]
     cluster.transport.partition([client_id], storage_ids)
@@ -40,13 +39,13 @@ class TestPartitionBasics:
         storage_ids = [f"storage-{j}" for j in range(4)]
         small_cluster.transport.partition(["cut"], storage_ids)
         with pytest.raises(PartitionedError):
-            client._call(0, 0, "read", BlockAddr("vol0", 0, 0))
+            client.rpc("read", 0, 0, "read")
 
     def test_heal_restores_connectivity(self, small_cluster):
         client = small_cluster.protocol_client("cut")
         small_cluster.transport.partition(["cut"], ["storage-0"])
         small_cluster.transport.heal()
-        client._call(0, 0, "read", BlockAddr("vol0", 0, 0))
+        client.rpc("read", 0, 0, "read")
 
     def test_other_clients_unaffected(self, small_cluster):
         vol = small_cluster.client("ok")

@@ -8,7 +8,6 @@ import pytest
 from repro.client.config import ClientConfig, WriteStrategy
 from repro.core.cluster import Cluster
 from repro.errors import ReadFailedError, WriteAbortedError
-from repro.ids import BlockAddr
 from repro.storage.state import LockMode
 
 
@@ -20,8 +19,8 @@ def lock_stripe(cluster, stripe, holder="wedge"):
     """Take L1 everywhere and never release (holder stays 'alive')."""
     client = cluster.protocol_client(holder)
     for j in range(cluster.code.n):
-        client._call(stripe, j, "trylock", BlockAddr("vol0", stripe, j),
-                     LockMode.L1, caller=holder)
+        client.rpc("recovery_phase1", stripe, j, "trylock", LockMode.L1,
+                   caller=holder)
     return client
 
 

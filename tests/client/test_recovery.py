@@ -111,9 +111,9 @@ class TestClientCrashMidWrite:
     def _partial_swap(self, cluster, client_id="bad", value=77):
         """Swap lands at the data node, adds never issued, client dies."""
         bad = cluster.protocol_client(client_id)
-        addr = BlockAddr("vol0", 0, 0)
-        result = bad.protocol_client_swap = bad._call(
-            0, 0, "swap", addr, fill(cluster.meta.block_size, value), Tid(1, 0, client_id)
+        result = bad.protocol_client_swap = bad.rpc(
+            "write", 0, 0, "swap", fill(cluster.meta.block_size, value),
+            Tid(1, 0, client_id),
         )
         assert result.block is not None
         cluster.crash_client(client_id)
@@ -134,15 +134,14 @@ class TestClientCrashMidWrite:
         bad = small_cluster.protocol_client("bad")
         good = small_cluster.protocol_client("good")
         good.write(0, 0, fill(64, 5))
-        addr = BlockAddr("vol0", 0, 0)
         ntid = Tid(1, 0, "bad")
-        swap = bad._call(0, 0, "swap", addr, fill(64, 8), ntid)
+        swap = bad.rpc("write", 0, 0, "swap", fill(64, 8), ntid)
         diff = np.bitwise_xor(fill(64, 8), swap.block)
         code = small_cluster.code
         from repro.gf import field as gf
 
-        bad._call(
-            0, 2, "add", BlockAddr("vol0", 0, 2),
+        bad.rpc(
+            "write", 0, 2, "add",
             gf.mul_block(code.coefficient(2, 0), diff), ntid, swap.otid, swap.epoch,
         )
         small_cluster.crash_client("bad")
@@ -173,8 +172,8 @@ class TestClientCrashMidWrite:
         good.write(0, 0, fill(64, 3))
         holder = small_cluster.protocol_client("holder")
         for j in range(4):
-            holder._call(0, j, "trylock", BlockAddr("vol0", 0, j), LockMode.L1,
-                         caller="holder")
+            holder.rpc("recovery_phase1", 0, j, "trylock", LockMode.L1,
+                       caller="holder")
         small_cluster.crash_client("holder")
         node = small_cluster.node_for_slot(small_cluster.layout.node_of_stripe_index(0, 0))
         assert node.peek(BlockAddr("vol0", 0, 0)).lmode is LockMode.EXP
@@ -192,15 +191,15 @@ class TestRecoveryPickup:
         crasher = small_cluster.protocol_client("crasher")
         # Manually run phases 1-2 plus a partial phase 3 write-back.
         for j in range(4):
-            crasher._call(0, j, "trylock", BlockAddr("vol0", 0, j), LockMode.L1,
-                          caller="crasher")
-        states = {j: crasher._call(0, j, "get_state", BlockAddr("vol0", 0, j))
+            crasher.rpc("recovery_phase1", 0, j, "trylock", LockMode.L1,
+                        caller="crasher")
+        states = {j: crasher.rpc("recovery_phase2", 0, j, "get_state")
                   for j in range(4)}
         cset = frozenset(range(4))
         blocks = small_cluster.code.reconstruct_stripe(
             {j: states[j].block for j in cset}
         )
-        crasher._call(0, 0, "reconstruct", BlockAddr("vol0", 0, 0), cset, blocks[0])
+        crasher.rpc("recovery_phase3", 0, 0, "reconstruct", cset, blocks[0])
         small_cluster.crash_client("crasher")
         # good stumbles on the expired locks and picks up the recovery.
         assert good.read(0, 0)[0] == 9
@@ -255,17 +254,16 @@ class TestWritesDuringRecovery:
         """An add from before a recovery must not corrupt the stripe."""
         client = small_cluster.protocol_client("c")
         client.write(0, 0, fill(64, 1))
-        addr0 = BlockAddr("vol0", 0, 0)
         ntid = Tid(99, 0, "слow")
-        swap = client._call(0, 0, "swap", addr0, fill(64, 7), ntid)
+        swap = client.rpc("write", 0, 0, "swap", fill(64, 7), ntid)
         old_epoch = swap.epoch
         # Recovery happens (rolls back the half-done write, bumps epoch).
         assert client.recover(0)
         from repro.storage.state import AddStatus
 
         code = small_cluster.code
-        result = client._call(
-            0, 2, "add", BlockAddr("vol0", 0, 2),
+        result = client.rpc(
+            "write", 0, 2, "add",
             np.asarray(code.delta(2, 0, fill(64, 7), swap.block)), ntid,
             swap.otid, old_epoch,
         )

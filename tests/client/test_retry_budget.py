@@ -49,8 +49,7 @@ def block_on_gray_node(cluster: Cluster) -> int:
     client = cluster.protocol_client("layout-probe")
     for block in range(8):
         loc = cluster.layout.locate(block)
-        slot = client._slot(loc.stripe, loc.data_index)
-        if cluster.directory.node_id(slot) == "storage-0":
+        if client.node_of(loc.stripe, loc.data_index) == "storage-0":
             return block
     raise AssertionError("no block maps to storage-0")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.client.config import ClientConfig, WriteStrategy
 from repro.core.cluster import Cluster
 from repro.directory.local import UnknownSlotError
 from repro.net.backpressure import RetryBudget
@@ -48,11 +49,27 @@ def payload() -> np.ndarray:
 
 
 class TestUnboundRetry:
-    def test_transient_unbound_is_absorbed(self, cluster):
-        client = cluster.protocol_client("late")
+    @pytest.mark.parametrize(
+        "strategy", list(WriteStrategy), ids=lambda s: s.value
+    )
+    def test_transient_unbound_is_absorbed(self, cluster, strategy):
+        """Every add strategy rides out the window, BROADCAST included:
+        its per-receiver lookups retry like a unicast call's."""
+        client = cluster.protocol_client("late", ClientConfig(strategy=strategy))
         client.directory = LateBindingDirectory(client.directory, failures=2)
         client.write(0, 0, payload())
         assert np.array_equal(client.read(0, 0), payload())
+        # Two retries each for the data slot and both redundant slots.
+        assert client.stats.unbound_retries == 6
+
+    def test_hedged_read_takes_the_same_path(self, cluster):
+        seeded = cluster.protocol_client("seeder")
+        seeded.write(1, 0, payload())
+        client = cluster.protocol_client(
+            "late-hedger", ClientConfig(hedged_reads=True, hedge_delay=0.5)
+        )
+        client.directory = LateBindingDirectory(client.directory, failures=1)
+        assert np.array_equal(client.read(1, 0), payload())
         assert client.stats.unbound_retries > 0
 
     def test_reads_take_the_same_path(self, cluster):

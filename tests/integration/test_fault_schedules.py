@@ -70,10 +70,9 @@ class ScheduleRunner:
         client_id = f"doomed-{self.partial_counter}"
         doomed = self.cluster.protocol_client(client_id)
         stripe, index = divmod(block, self.K)
-        addr = BlockAddr("vol0", stripe, index)
         try:
-            result = doomed._call(
-                stripe, index, "swap", addr,
+            result = doomed.rpc(
+                "write", stripe, index, "swap",
                 np.full(self.BS, value, np.uint8),
                 Tid(1, index, client_id),
             )
@@ -112,7 +111,7 @@ class ScheduleRunner:
             data = {
                 j: self.cluster.node_for_slot(
                     self.cluster.layout.node_of_stripe_index(stripe, j)
-                ).get_state(self.vol.protocol._addr(stripe, j))
+                ).get_state(BlockAddr(self.vol.protocol.volume, stripe, j))
                 for j in range(self.N)
             }
             norm = {j for j in data if data[j].opmode is OpMode.NORM}

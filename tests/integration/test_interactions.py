@@ -70,8 +70,7 @@ class TestPartitionMidWrite:
         vol.write_block(0, b"base")
         wedged = cluster.protocol_client("wedged", ClientConfig(
             max_op_attempts=3, max_write_attempts=1, backoff=0.0001))
-        swap = wedged._call(0, 0, "swap", BlockAddr("vol0", 0, 0),
-                            fill(64, 77), Tid(1, 0, "wedged"))
+        swap = wedged.rpc("write", 0, 0, "swap", fill(64, 77), Tid(1, 0, "wedged"))
         assert swap.block is not None
         storage = [cluster.directory.node_id(s) for s in range(4)]
         cluster.transport.partition(["wedged"], storage)
@@ -79,8 +78,8 @@ class TestPartitionMidWrite:
         from repro.errors import PartitionedError
 
         with pytest.raises(PartitionedError):
-            wedged._call(0, 2, "add", BlockAddr("vol0", 0, 2),
-                         fill(64, 0), Tid(1, 0, "wedged"), None, swap.epoch)
+            wedged.rpc("write", 0, 2, "add", fill(64, 0), Tid(1, 0, "wedged"),
+                       None, swap.epoch)
         vol.monitor.stale_after = 0.0
         vol.monitor_sweep([0])
         assert cluster.stripe_consistent(0)

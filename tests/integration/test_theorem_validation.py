@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.analysis.resiliency import d_serial
 from repro.client.config import ClientConfig
 from repro.core.cluster import Cluster
-from repro.ids import BlockAddr, Tid
+from repro.ids import Tid
 
 
 def run_budgeted_failure_schedule(
@@ -43,8 +43,7 @@ def run_budgeted_failure_schedule(
         index = int(rng.integers(0, k))
         ntid = Tid(1, index, client_id)
         value = np.full(32, 200 + w, np.uint8)
-        swap = doomed._call(0, index, "swap", BlockAddr("vol0", 0, index),
-                            value, ntid)
+        swap = doomed.rpc("write", 0, index, "swap", value, ntid)
         if swap.block is None:
             cluster.crash_client(client_id)
             continue
@@ -56,8 +55,8 @@ def run_budgeted_failure_schedule(
             payload = np.asarray(
                 cluster.code.delta(j, index, value, swap.block)
             )
-            doomed._call(0, j, "add", BlockAddr("vol0", 0, j), payload,
-                         ntid, swap.otid, swap.epoch)
+            doomed.rpc("write", 0, j, "add", payload, ntid, swap.otid,
+                       swap.epoch)
         cluster.crash_client(client_id)
 
     # t_d storage crashes at random positions.

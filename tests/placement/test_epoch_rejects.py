@@ -67,9 +67,8 @@ class TestEpochRejectAcrossRemap:
         # away by the same check that rejects post-recovery stragglers.
         laggard = cluster.protocol_client("laggard")
         before = counter_total(obs, "node_epoch_rejects_total")
-        result = laggard._call(
-            stripe, 2, "add",
-            BlockAddr("vol0", stripe, 2),
+        result = laggard.rpc(
+            "write", stripe, 2, "add",
             np.full(32, 99, dtype=np.uint8),
             Tid(9, 0, "laggard"),
             None,

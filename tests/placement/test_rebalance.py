@@ -114,8 +114,8 @@ class TestMigration:
         stripe = placement.moved_stripes(range(6))[0]
         slot = placement.slots_for(stripe, 0)[0]
         holder = cluster.protocol_client("holder")
-        holder._call(stripe, 0, "trylock", BlockAddr("vol0", stripe, 0),
-                     LockMode.L1, "holder")
+        holder.rpc("recovery_phase1", stripe, 0, "trylock", LockMode.L1,
+                   "holder")
         reb = cluster.rebalancer("reb")
         record = reb.migrate(stripe)
         assert record.result == "yielded"

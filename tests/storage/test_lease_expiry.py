@@ -7,7 +7,6 @@ import time
 import numpy as np
 
 from repro.core.cluster import Cluster
-from repro.ids import BlockAddr
 from repro.storage.state import LockMode, OpMode
 
 from tests.storage.test_node_ops import addr, block, make_node, tid
@@ -80,8 +79,8 @@ class TestLeaseDrivenRecoveryTakeover:
         vol.write_block(0, b"val")
         stuck = cluster.protocol_client("stuck")
         for j in range(4):
-            stuck._call(0, j, "trylock", BlockAddr("vol0", 0, j), LockMode.L1,
-                        caller="stuck")
+            stuck.rpc("recovery_phase1", 0, j, "trylock", LockMode.L1,
+                      caller="stuck")
         # NOTE: no crash_client("stuck") — the detector never fires.
         time.sleep(0.03)
         assert vol.read_block(0)[:3] == b"val"

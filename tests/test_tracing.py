@@ -111,11 +111,11 @@ class TestProtocolIntegration:
         """Force an ORDER response by pre-staging a competing swap."""
         import numpy as np
 
-        from repro.ids import BlockAddr, Tid
+        from repro.ids import Tid
 
         staged = small_cluster.protocol_client("staged")
-        staged._call(0, 0, "swap", BlockAddr("vol0", 0, 0),
-                     np.full(64, 5, np.uint8), Tid(1, 0, "staged"))
+        staged.rpc("write", 0, 0, "swap", np.full(64, 5, np.uint8),
+                   Tid(1, 0, "staged"))
         vol = small_cluster.client("c")
         tracer = Tracer()
         vol.protocol.tracer = tracer
