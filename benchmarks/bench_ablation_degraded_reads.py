@@ -45,13 +45,9 @@ def _run(degraded: bool):
     return elapsed, max(latencies), client.stats.recoveries_completed, consistent
 
 
-def bench_degraded_vs_recovering_reads(benchmark):
-    def measure():
-        return _run(False), _run(True)
-
-    (rec_t, rec_worst, rec_recov, rec_ok), (deg_t, deg_worst, deg_recov, deg_ok) = (
-        benchmark.pedantic(measure, rounds=1, iterations=1)
-    )
+def bench_degraded_vs_recovering_reads():
+    rec_t, rec_worst, rec_recov, rec_ok = _run(False)
+    deg_t, deg_worst, deg_recov, deg_ok = _run(True)
     print_table(
         f"Ablation — reading every block of {STRIPES} stripes after a crash",
         ["mode", "total time", "worst stripe", "recoveries", "stripes healthy after"],

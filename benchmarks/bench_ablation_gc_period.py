@@ -14,30 +14,26 @@ from benchmarks.conftest import print_table
 BS = 1024
 
 
-def bench_gc_period_vs_metadata(benchmark):
-    def measure():
-        rows = []
-        for period in (1, 8, 32, 128):
-            cluster = Cluster(k=2, n=4, block_size=BS)
-            vol = cluster.client("c")
-            peak = 0
-            for i in range(128):
-                vol.write_block(i % 8, bytes([i % 256]))
-                if (i + 1) % period == 0:
-                    vol.collect_garbage()
-                peak = max(peak, cluster.metadata_bytes())
-            vol.collect_garbage()
-            vol.collect_garbage()
-            rows.append(
-                (
-                    period,
-                    peak / cluster.block_count(),
-                    cluster.metadata_bytes() / cluster.block_count(),
-                )
+def bench_gc_period_vs_metadata():
+    rows = []
+    for period in (1, 8, 32, 128):
+        cluster = Cluster(k=2, n=4, block_size=BS)
+        vol = cluster.client("c")
+        peak = 0
+        for i in range(128):
+            vol.write_block(i % 8, bytes([i % 256]))
+            if (i + 1) % period == 0:
+                vol.collect_garbage()
+            peak = max(peak, cluster.metadata_bytes())
+        vol.collect_garbage()
+        vol.collect_garbage()
+        rows.append(
+            (
+                period,
+                peak / cluster.block_count(),
+                cluster.metadata_bytes() / cluster.block_count(),
             )
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+        )
     print_table(
         "Ablation — GC period vs per-block metadata (128 writes over 8 blocks)",
         ["writes between GC", "peak B/blk", "final B/blk"],

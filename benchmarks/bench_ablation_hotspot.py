@@ -35,15 +35,11 @@ def _run(make_pattern) -> tuple[float, int, int]:
     return result.ops_per_second(), retries, recoveries
 
 
-def bench_hotspot_order_contention(benchmark):
-    def measure():
-        uniform = _run(lambda s: UniformPattern(BLOCKS, 0.0, seed=s))
-        mild = _run(lambda s: ZipfPattern(BLOCKS, 0.0, seed=s, theta=0.5))
-        hot = _run(lambda s: ZipfPattern(BLOCKS, 0.0, seed=s, theta=0.99))
-        single = _run(lambda s: UniformPattern(1, 0.0, seed=s))  # worst case
-        return uniform, mild, hot, single
-
-    uniform, mild, hot, single = benchmark.pedantic(measure, rounds=1, iterations=1)
+def bench_hotspot_order_contention():
+    uniform = _run(lambda s: UniformPattern(BLOCKS, 0.0, seed=s))
+    mild = _run(lambda s: ZipfPattern(BLOCKS, 0.0, seed=s, theta=0.5))
+    hot = _run(lambda s: ZipfPattern(BLOCKS, 0.0, seed=s, theta=0.99))
+    single = _run(lambda s: UniformPattern(1, 0.0, seed=s))  # worst case
     rows = [
         ["uniform", f"{uniform[0]:.0f}", uniform[1], uniform[2]],
         ["zipf θ=0.5", f"{mild[0]:.0f}", mild[1], mild[2]],

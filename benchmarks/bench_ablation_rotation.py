@@ -18,17 +18,16 @@ from repro.sim.workload import WorkloadSpec
 from benchmarks.conftest import print_table
 
 
-def bench_rotation_balances_redundancy(benchmark):
-    def measure():
-        spun = StripeLayout(3, 5, rotate=True)
-        flat = StripeLayout(3, 5, rotate=False)
-        stripes = 200
-        return (
-            [spun.redundancy_share(node, stripes) for node in range(5)],
-            [flat.redundancy_share(node, stripes) for node in range(5)],
-        )
-
-    spun, flat = benchmark(measure)
+def bench_rotation_balances_redundancy():
+    stripes = 200
+    spun = [
+        StripeLayout(3, 5, rotate=True).redundancy_share(node, stripes)
+        for node in range(5)
+    ]
+    flat = [
+        StripeLayout(3, 5, rotate=False).redundancy_share(node, stripes)
+        for node in range(5)
+    ]
     print_table(
         "Ablation — redundancy share per node (3-of-5, 200 stripes)",
         ["node", "rotated", "fixed (RAID-4-like)"],
@@ -38,18 +37,13 @@ def bench_rotation_balances_redundancy(benchmark):
     assert max(flat) == 1.0 and min(flat) == 0.0  # concentrated
 
 
-def bench_rotation_sequential_write_throughput(benchmark):
+def bench_rotation_sequential_write_throughput():
     """Sequential writes: rotation spreads add-load over all NICs."""
-
-    def measure():
-        spec = lambda: WorkloadSpec(
-            outstanding=16, sequential=True, duration=0.25, warmup=0.05, stripes=512
-        )
-        with_rotation = run_throughput(4, 3, 5, spec(), rotate=True)
-        without = run_throughput(4, 3, 5, spec(), rotate=False)
-        return with_rotation, without
-
-    with_rotation, without = benchmark.pedantic(measure, rounds=1, iterations=1)
+    spec = lambda: WorkloadSpec(
+        outstanding=16, sequential=True, duration=0.25, warmup=0.05, stripes=512
+    )
+    with_rotation = run_throughput(4, 3, 5, spec(), rotate=True)
+    without = run_throughput(4, 3, 5, spec(), rotate=False)
     print_table(
         "Ablation — sequential write throughput, 4 clients, 3-of-5",
         ["layout", "MB/s", "max storage NIC util"],
@@ -75,22 +69,17 @@ def bench_rotation_sequential_write_throughput(benchmark):
     assert with_rotation.write_mbps >= without.write_mbps * 0.95
 
 
-def bench_functional_correctness_without_rotation(benchmark):
+def bench_functional_correctness_without_rotation():
     """Rotation is a performance knob only — correctness is identical."""
-
-    def run():
-        cluster = Cluster(k=3, n=5, block_size=64, rotate=False)
-        vol = cluster.client("c")
-        for b in range(9):
-            vol.write_block(b, bytes([b + 1]))
-        cluster.crash_storage(4)  # a dedicated redundancy node
-        vol.write_block(0, b"post-crash")
-        # Without rotation node 4 held redundancy of *every* stripe;
-        # sweep to repair the stripes no access has touched yet.
-        vol.monitor_sweep(range(3))
-        return cluster, vol
-
-    cluster, vol = benchmark.pedantic(run, rounds=1, iterations=1)
+    cluster = Cluster(k=3, n=5, block_size=64, rotate=False)
+    vol = cluster.client("c")
+    for b in range(9):
+        vol.write_block(b, bytes([b + 1]))
+    cluster.crash_storage(4)  # a dedicated redundancy node
+    vol.write_block(0, b"post-crash")
+    # Without rotation node 4 held redundancy of *every* stripe;
+    # sweep to repair the stripes no access has touched yet.
+    vol.monitor_sweep(range(3))
     for s in range(3):
         assert cluster.stripe_consistent(s)
     assert vol.read_block(0)[:10] == b"post-crash"

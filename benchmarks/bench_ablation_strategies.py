@@ -38,11 +38,8 @@ def _median_write_latency(strategy: WriteStrategy) -> float:
     return float(np.median(samples))
 
 
-def bench_strategy_latency_vs_resiliency(benchmark):
-    def measure():
-        return {s: _median_write_latency(s) for s in WriteStrategy}
-
-    latencies = benchmark.pedantic(measure, rounds=1, iterations=1)
+def bench_strategy_latency_vs_resiliency():
+    latencies = {s: _median_write_latency(s) for s in WriteStrategy}
     rows = []
     for strategy in WriteStrategy:
         if strategy in (WriteStrategy.SERIAL, WriteStrategy.HYBRID):

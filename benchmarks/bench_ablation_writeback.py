@@ -35,11 +35,8 @@ def _run(write_back: bool) -> tuple[int, int]:
     return total, peak_buffer
 
 
-def bench_writeback_device_writes(benchmark):
-    def measure():
-        return _run(False), _run(True)
-
-    (through, _), (back, peak) = benchmark.pedantic(measure, rounds=1, iterations=1)
+def bench_writeback_device_writes():
+    (through, _), (back, peak) = _run(False), _run(True)
     data_writes = STRIPES * K
     p = N - K
     rows = [

@@ -99,13 +99,9 @@ def _measure(replicas: int) -> dict:
     }
 
 
-def bench_directory_quorum(benchmark):
+def bench_directory_quorum():
     """Quorum lookup/RMW wire cost scales as 2R / 6R; cache hits free."""
-
-    def measure():
-        return [_measure(replicas) for replicas in (3, 5)]
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rows = [_measure(replicas) for replicas in (3, 5)]
     print_table(
         f"Replicated directory quorum costs ({SLOTS} slots, "
         f"{LOOKUPS} lookups)",

@@ -17,18 +17,14 @@ CLIENTS = [1, 4, 16, 64]
 FAST = dict(duration=0.12, warmup=0.02, stripes=512, outstanding=8)
 
 
-def bench_fig10a_write_scaling(benchmark):
-    def sweep_all():
-        series = {}
-        for k, n in CODES:
-            points = [
-                (c, run_throughput(c, k, n, WorkloadSpec(**FAST)).write_mbps)
-                for c in CLIENTS
-            ]
-            series[f"{k}-of-{n}"] = points
-        return series
-
-    series = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
+def bench_fig10a_write_scaling():
+    series = {
+        f"{k}-of-{n}": [
+            (c, run_throughput(c, k, n, WorkloadSpec(**FAST)).write_mbps)
+            for c in CLIENTS
+        ]
+        for k, n in CODES
+    }
     print_series(
         "Fig. 10a — simulated aggregate write throughput (MB/s)",
         "clients",

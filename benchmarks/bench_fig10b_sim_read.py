@@ -20,18 +20,14 @@ FAST = dict(
 )
 
 
-def bench_fig10b_read_scaling(benchmark):
-    def sweep_all():
-        series = {}
-        for k, n in [(16, 20), (12, 20), (8, 10)]:
-            points = [
-                (c, run_throughput(c, k, n, WorkloadSpec(**FAST)).read_mbps)
-                for c in CLIENTS
-            ]
-            series[f"{k}-of-{n}"] = points
-        return series
-
-    series = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
+def bench_fig10b_read_scaling():
+    series = {
+        f"{k}-of-{n}": [
+            (c, run_throughput(c, k, n, WorkloadSpec(**FAST)).read_mbps)
+            for c in CLIENTS
+        ]
+        for k, n in [(16, 20), (12, 20), (8, 10)]
+    }
     print_series(
         "Fig. 10b — simulated aggregate read throughput (MB/s)",
         "clients",

@@ -16,18 +16,14 @@ FAST = dict(duration=0.12, warmup=0.02, stripes=512, outstanding=16)
 CLIENTS = 16
 
 
-def bench_fig10c_max_write_vs_redundancy(benchmark):
-    def sweep_all():
-        series = {}
-        for k in (8, 16):
-            points = []
-            for p in (1, 2, 4, 8):
-                result = run_throughput(CLIENTS, k, k + p, WorkloadSpec(**FAST))
-                points.append((p, result.write_mbps))
-            series[f"k={k}"] = points
-        return series
-
-    series = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
+def bench_fig10c_max_write_vs_redundancy():
+    series = {
+        f"k={k}": [
+            (p, run_throughput(CLIENTS, k, k + p, WorkloadSpec(**FAST)).write_mbps)
+            for p in (1, 2, 4, 8)
+        ]
+        for k in (8, 16)
+    }
     print_series(
         f"Fig. 10c — max write throughput (MB/s) vs n-k, {CLIENTS} clients",
         "n-k",

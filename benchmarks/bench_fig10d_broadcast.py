@@ -19,24 +19,17 @@ K = 8
 PS = [1, 2, 4, 8]
 
 
-def bench_fig10d_broadcast_vs_unicast(benchmark):
-    def sweep_all():
-        series = {}
-        for label, clients, strategy in [
-            ("bcast, 1 client", 1, WriteStrategy.BROADCAST),
-            ("unicast, 1 client", 1, WriteStrategy.PARALLEL),
-            ("bcast, 64 clients", 64, WriteStrategy.BROADCAST),
-        ]:
-            points = []
-            for p in PS:
-                spec = WorkloadSpec(outstanding=8, strategy=strategy, **FAST)
-                points.append(
-                    (p, run_throughput(clients, K, K + p, spec).write_mbps)
-                )
-            series[label] = points
-        return series
-
-    series = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
+def bench_fig10d_broadcast_vs_unicast():
+    series = {}
+    for label, clients, strategy in [
+        ("bcast, 1 client", 1, WriteStrategy.BROADCAST),
+        ("unicast, 1 client", 1, WriteStrategy.PARALLEL),
+        ("bcast, 64 clients", 64, WriteStrategy.BROADCAST),
+    ]:
+        spec = WorkloadSpec(outstanding=8, strategy=strategy, **FAST)
+        series[label] = [
+            (p, run_throughput(clients, K, K + p, spec).write_mbps) for p in PS
+        ]
     print_series(
         "Fig. 10d — write throughput (MB/s) with broadcast adds, k=8",
         "n-k",

@@ -57,9 +57,9 @@ def _measure_ajx(strategy: WriteStrategy) -> tuple[int, int, int]:
     )
 
 
-def bench_fig1_table(benchmark):
+def bench_fig1_table():
     """Regenerate Fig. 1 and check AJX rows against measured traffic."""
-    rows = benchmark(cost_table, N, K)
+    rows = cost_table(N, K)
     p = N - K
     measured = {
         "AJX-par": _measure_ajx(WriteStrategy.PARALLEL),
@@ -98,28 +98,23 @@ def bench_fig1_table(benchmark):
         assert wbytes <= row.write_bandwidth_blocks * BS + 150 * wmsg
 
 
-def bench_fig1_fab_gwgr_structure(benchmark):
+def bench_fig1_fab_gwgr_structure():
     """FAB/GWGR rows: every write touches all n nodes (4n messages)."""
-
-    def measure() -> dict[str, int]:
-        code = ReedSolomonCode(K, N)
-        transport = LocalTransport()
-        registry = transport.metrics = MetricsRegistry()
-        fab = FabClient("cf", transport, build_fab(transport, code), code, BS)
-        gwgr = GwgrClient("cg", transport, build_gwgr(transport, code), code, BS)
-        blocks = [np.full(BS, i + 1, np.uint8) for i in range(K)]
-        out = {}
-        for name, action in (
-            ("fab_write", lambda: fab.write_stripe(0, blocks)),
-            ("gwgr_write", lambda: gwgr.write_stripe(0, blocks)),
-            ("gwgr_read", lambda: gwgr.read_stripe(0)),
-        ):
-            before = registry.sum_counter("rpc_messages_total")
-            action()
-            out[name] = registry.sum_counter("rpc_messages_total") - before
-        return out
-
-    out = benchmark.pedantic(measure, rounds=1, iterations=1)
+    code = ReedSolomonCode(K, N)
+    transport = LocalTransport()
+    registry = transport.metrics = MetricsRegistry()
+    fab = FabClient("cf", transport, build_fab(transport, code), code, BS)
+    gwgr = GwgrClient("cg", transport, build_gwgr(transport, code), code, BS)
+    blocks = [np.full(BS, i + 1, np.uint8) for i in range(K)]
+    out = {}
+    for name, action in (
+        ("fab_write", lambda: fab.write_stripe(0, blocks)),
+        ("gwgr_write", lambda: gwgr.write_stripe(0, blocks)),
+        ("gwgr_read", lambda: gwgr.read_stripe(0)),
+    ):
+        before = registry.sum_counter("rpc_messages_total")
+        action()
+        out[name] = registry.sum_counter("rpc_messages_total") - before
     print_table(
         "Fig. 1 baselines measured (3-of-5)",
         ["op", "messages", "paper"],

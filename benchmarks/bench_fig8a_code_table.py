@@ -3,21 +3,19 @@
 The paper lists, for the real 4-7-node runs, each code's failure
 resiliency and the times for Delta (client-side alpha*(v-w) on 1KB),
 Add (node-side GF add of 1KB), and full stripe encode/decode.  We
-benchmark our numpy kernels for the same codes; absolute numbers are
+time our numpy kernels for the same codes; absolute numbers are
 machine-dependent, but all must be "very small" (microseconds) and the
 resiliency column is exact.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-import pytest
 
 from repro.analysis.resiliency import resiliency_profile
 from repro.erasure.rs import ReedSolomonCode
 from repro.gf import field
+from repro.sim.calibration import time_kernel
 
 from benchmarks.conftest import print_table
 
@@ -27,90 +25,36 @@ BS = 1024
 #: correctness precondition of Section 4).
 CODES = [(2, 4), (3, 5), (4, 6), (3, 6), (5, 7), (4, 7)]
 
-_RESULTS: dict[tuple[int, int], dict[str, float]] = {}
 
-
-def _timeit(fn, repeats=300) -> float:
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        best = min(best, (time.perf_counter() - start) / repeats)
-    return best
-
-
-@pytest.mark.parametrize("k,n", CODES)
-def bench_fig8a_delta(benchmark, rng, k, n):
-    code = ReedSolomonCode(k, n)
-    new = rng.integers(0, 256, BS, dtype=np.uint8)
-    old = rng.integers(0, 256, BS, dtype=np.uint8)
-    benchmark(code.delta, k, 0, new, old)
-    entry = _RESULTS.setdefault((k, n), {})
-    entry["delta_us"] = _timeit(lambda: code.delta(k, 0, new, old)) * 1e6
-
-
-@pytest.mark.parametrize("k,n", CODES)
-def bench_fig8a_add(benchmark, rng, k, n):
-    acc = rng.integers(0, 256, BS, dtype=np.uint8)
-    v = rng.integers(0, 256, BS, dtype=np.uint8)
-    benchmark(field.iadd_block, acc, v)
-    entry = _RESULTS.setdefault((k, n), {})
-    entry["add_us"] = _timeit(lambda: field.iadd_block(acc, v)) * 1e6
-
-
-@pytest.mark.parametrize("k,n", CODES)
-def bench_fig8a_full_encode(benchmark, rng, k, n):
-    code = ReedSolomonCode(k, n)
-    data = [rng.integers(0, 256, BS, dtype=np.uint8) for _ in range(k)]
-    benchmark(code.encode_redundant, data)
-    entry = _RESULTS.setdefault((k, n), {})
-    entry["encode_us"] = _timeit(lambda: code.encode_redundant(data), 100) * 1e6
-
-
-@pytest.mark.parametrize("k,n", CODES)
-def bench_fig8a_full_decode(benchmark, rng, k, n):
-    code = ReedSolomonCode(k, n)
-    data = [rng.integers(0, 256, BS, dtype=np.uint8) for _ in range(k)]
-    stripe = code.encode(data)
-    available = {i: stripe[i] for i in range(n - k, n)}  # all-redundant path
-    benchmark(code.decode, available)
-    entry = _RESULTS.setdefault((k, n), {})
-    entry["decode_us"] = _timeit(lambda: code.decode(available), 100) * 1e6
-
-
-def bench_fig8a_render_table(benchmark):
-    """Assemble and print the Fig. 8a table from the measurements."""
-
-    def build():
-        rows = []
-        for k, n in CODES:
-            profile = ", ".join(
-                str(e) for e in resiliency_profile(n, k, "serial")
-            )
-            r = _RESULTS.get((k, n), {})
-            rows.append(
-                [
-                    f"{k}-of-{n}",
-                    profile,
-                    f"{r.get('delta_us', float('nan')):.1f}",
-                    f"{r.get('add_us', float('nan')):.1f}",
-                    f"{r.get('encode_us', float('nan')):.1f}",
-                    f"{r.get('decode_us', float('nan')):.1f}",
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+def bench_fig8a_code_table():
+    """Time every code's four kernels and print the Fig. 8a table."""
+    rng = np.random.default_rng(2005)
+    rows, times = [], []
+    for k, n in CODES:
+        code = ReedSolomonCode(k, n)
+        data = [rng.integers(0, 256, BS, dtype=np.uint8) for _ in range(k)]
+        stripe = code.encode(data)
+        available = {i: stripe[i] for i in range(n - k, n)}  # all-redundant path
+        new = rng.integers(0, 256, BS, dtype=np.uint8)
+        acc = stripe[-1].copy()
+        us = [
+            time_kernel(lambda: code.delta(k, 0, new, data[0]), 300) * 1e6,
+            time_kernel(lambda: field.iadd_block(acc, new), 300) * 1e6,
+            time_kernel(lambda: code.encode_redundant(data), 100) * 1e6,
+            time_kernel(lambda: code.decode(available), 100) * 1e6,
+        ]
+        times += us
+        profile = ", ".join(str(e) for e in resiliency_profile(n, k, "serial"))
+        rows.append([f"{k}-of-{n}", profile, *(f"{t:.1f}" for t in us)])
     print_table(
         "Fig. 8a — codes, resiliency, computation times (1KB block, us)",
         ["code", "resiliency (serial)", "Delta", "Add", "encode", "decode"],
         rows,
     )
-    # Shape assertions: everything is microseconds-small, and the
-    # resiliency of 2-of-4 matches the paper's "1c1s, 0c2s" example.
-    for r in _RESULTS.values():
-        for key, value in r.items():
-            assert value < 1000, (key, value)  # < 1 ms
+    # Shape assertions: every one of the 24 times is microseconds-small,
+    # and the resiliency of 2-of-4 matches the paper's "1c1s, 0c2s".
+    assert len(times) == 4 * len(CODES)
+    for t in times:
+        assert t < 1000, times  # < 1 ms
     profile = [str(e) for e in resiliency_profile(4, 2, "serial")]
     assert "1c1s" in profile and "0c2s" in profile

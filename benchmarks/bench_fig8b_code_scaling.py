@@ -7,13 +7,11 @@ constant — so the protocol's common path is insensitive to code size.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-import pytest
 
 from repro.erasure.rs import ReedSolomonCode
 from repro.gf import field
+from repro.sim.calibration import time_kernel
 
 from benchmarks.conftest import print_series
 
@@ -22,51 +20,21 @@ KS = [2, 4, 8, 12, 16]
 P = 2  # small redundancy, the paper's "highly-efficient" regime
 
 
-def _timeit(fn, repeats=100) -> float:
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        best = min(best, (time.perf_counter() - start) / repeats)
-    return best
-
-
-@pytest.mark.parametrize("k", KS)
-def bench_fig8b_encode_scaling(benchmark, rng, k):
-    code = ReedSolomonCode(k, k + P)
-    data = [rng.integers(0, 256, BS, dtype=np.uint8) for _ in range(k)]
-    benchmark(code.encode_redundant, data)
-
-
-@pytest.mark.parametrize("k", KS)
-def bench_fig8b_delta_flat(benchmark, rng, k):
-    code = ReedSolomonCode(k, k + P)
-    new = rng.integers(0, 256, BS, dtype=np.uint8)
-    old = rng.integers(0, 256, BS, dtype=np.uint8)
-    benchmark(code.delta, k, 0, new, old)
-
-
-def bench_fig8b_shape(benchmark):
+def bench_fig8b_shape():
     """Measure the full series and assert the Fig. 8b shape."""
-
-    def measure():
-        rng = np.random.default_rng(8)
-        encode, decode, delta, add = [], [], [], []
-        for k in KS:
-            code = ReedSolomonCode(k, k + P)
-            data = [rng.integers(0, 256, BS, dtype=np.uint8) for _ in range(k)]
-            stripe = code.encode(data)
-            available = {i: stripe[i] for i in range(P, k + P)}
-            new, old = data[0], stripe[0]
-            acc = stripe[-1].copy()
-            encode.append((k, _timeit(lambda: code.encode_redundant(data)) * 1e6))
-            decode.append((k, _timeit(lambda: code.decode(available)) * 1e6))
-            delta.append((k, _timeit(lambda: code.delta(k, 0, new, old), 300) * 1e6))
-            add.append((k, _timeit(lambda: field.iadd_block(acc, new), 300) * 1e6))
-        return encode, decode, delta, add
-
-    encode, decode, delta, add = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rng = np.random.default_rng(8)
+    encode, decode, delta, add = [], [], [], []
+    for k in KS:
+        code = ReedSolomonCode(k, k + P)
+        data = [rng.integers(0, 256, BS, dtype=np.uint8) for _ in range(k)]
+        stripe = code.encode(data)
+        available = {i: stripe[i] for i in range(P, k + P)}
+        new, old = data[0], stripe[0]
+        acc = stripe[-1].copy()
+        encode.append((k, time_kernel(lambda: code.encode_redundant(data), 100) * 1e6))
+        decode.append((k, time_kernel(lambda: code.decode(available), 100) * 1e6))
+        delta.append((k, time_kernel(lambda: code.delta(k, 0, new, old), 300) * 1e6))
+        add.append((k, time_kernel(lambda: field.iadd_block(acc, new), 300) * 1e6))
     print_series(
         "Fig. 8b — computation time vs k (1KB block, us)",
         "k",

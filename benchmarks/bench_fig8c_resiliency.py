@@ -11,19 +11,15 @@ from repro.analysis.resiliency import resiliency_profile
 from benchmarks.conftest import print_table
 
 
-def bench_fig8c_table(benchmark):
-    def build():
-        rows = []
-        for p in range(1, 17):
-            k = max(2, p)  # keep n-k <= k
-            serial = ", ".join(str(e) for e in resiliency_profile(k + p, k, "serial"))
-            parallel = ", ".join(
-                str(e) for e in resiliency_profile(k + p, k, "parallel")
-            )
-            rows.append([p, serial, parallel])
-        return rows
-
-    rows = benchmark(build)
+def bench_fig8c_table():
+    rows = []
+    for p in range(1, 17):
+        k = max(2, p)  # keep n-k <= k
+        serial = ", ".join(str(e) for e in resiliency_profile(k + p, k, "serial"))
+        parallel = ", ".join(
+            str(e) for e in resiliency_profile(k + p, k, "parallel")
+        )
+        rows.append([p, serial, parallel])
     print_table(
         "Fig. 8c — tolerated failures vs n-k (XcYs = X client, Y storage)",
         ["n-k", "serial adds", "parallel adds"],

@@ -18,20 +18,19 @@ OUTSTANDING = [1, 4, 16, 64, 128]
 FAST = dict(duration=0.3, warmup=0.05, stripes=256)
 
 
-def bench_fig9a_write_vs_outstanding(benchmark):
-    def sweep_all():
-        series = {}
-        for k, n in CODES:
-            points = []
-            for outstanding in OUTSTANDING:
-                result = run_throughput(
+def bench_fig9a_write_vs_outstanding():
+    series = {
+        f"{k}-of-{n}": [
+            (
+                outstanding,
+                run_throughput(
                     2, k, n, WorkloadSpec(outstanding=outstanding, **FAST)
-                )
-                points.append((outstanding, result.write_mbps))
-            series[f"{k}-of-{n}"] = points
-        return series
-
-    series = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
+                ).write_mbps,
+            )
+            for outstanding in OUTSTANDING
+        ]
+        for k, n in CODES
+    }
     print_series(
         "Fig. 9a — aggregate write throughput (MB/s), 2 clients, 1KB",
         "outstanding",
@@ -51,17 +50,14 @@ def bench_fig9a_write_vs_outstanding(benchmark):
     assert max(final.values()) < 2.0 * min(final.values())
 
 
-def bench_fig9a_reads_4to5x_writes(benchmark):
+def bench_fig9a_reads_4to5x_writes():
     """§6.2: read throughput is typically 4-5x write throughput."""
-
-    def measure():
-        write = run_throughput(2, 3, 5, WorkloadSpec(outstanding=64, **FAST))
-        read = run_throughput(
-            2, 3, 5, WorkloadSpec(outstanding=64, read_fraction=1.0, **FAST)
-        )
-        return write.write_mbps, read.read_mbps
-
-    write_mbps, read_mbps = benchmark.pedantic(measure, rounds=1, iterations=1)
+    write_mbps = run_throughput(
+        2, 3, 5, WorkloadSpec(outstanding=64, **FAST)
+    ).write_mbps
+    read_mbps = run_throughput(
+        2, 3, 5, WorkloadSpec(outstanding=64, read_fraction=1.0, **FAST)
+    ).read_mbps
     ratio = read_mbps / write_mbps
     print(f"\nFig. 9a aside — read {read_mbps:.1f} MB/s vs write "
           f"{write_mbps:.1f} MB/s (ratio {ratio:.1f}x; paper: 4-5x)")

@@ -15,18 +15,14 @@ from benchmarks.conftest import print_series
 FAST = dict(duration=0.3, warmup=0.05, stripes=256, outstanding=32)
 
 
-def bench_fig9b_write_vs_clients(benchmark):
-    def sweep_all():
-        series = {}
-        for k, n in [(2, 4), (3, 5), (5, 7)]:
-            points = []
-            for clients in (1, 2, 3, 4, 6):
-                result = run_throughput(clients, k, n, WorkloadSpec(**FAST))
-                points.append((clients, result.write_mbps))
-            series[f"{k}-of-{n}"] = points
-        return series
-
-    series = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
+def bench_fig9b_write_vs_clients():
+    series = {
+        f"{k}-of-{n}": [
+            (clients, run_throughput(clients, k, n, WorkloadSpec(**FAST)).write_mbps)
+            for clients in (1, 2, 3, 4, 6)
+        ]
+        for k, n in [(2, 4), (3, 5), (5, 7)]
+    }
     print_series(
         "Fig. 9b — aggregate write throughput (MB/s) vs clients",
         "clients",

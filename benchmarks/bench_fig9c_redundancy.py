@@ -16,20 +16,15 @@ from benchmarks.conftest import print_series
 FAST = dict(duration=0.3, warmup=0.05, stripes=256, outstanding=32)
 
 
-def bench_fig9c_write_vs_redundancy(benchmark):
-    def sweep_all():
-        series = {}
-        for k in (2, 4, 8):
-            points = []
-            for p in (1, 2, 3, 4):
-                if p > k:
-                    continue  # Section 4 requires n-k <= k
-                result = run_throughput(2, k, k + p, WorkloadSpec(**FAST))
-                points.append((p, result.write_mbps))
-            series[f"k={k}"] = points
-        return series
-
-    series = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
+def bench_fig9c_write_vs_redundancy():
+    series = {
+        f"k={k}": [
+            (p, run_throughput(2, k, k + p, WorkloadSpec(**FAST)).write_mbps)
+            for p in (1, 2, 3, 4)
+            if p <= k  # Section 4 requires n-k <= k
+        ]
+        for k in (2, 4, 8)
+    }
     print_series(
         "Fig. 9c — write throughput (MB/s) vs redundancy p = n-k, 2 clients",
         "p",

@@ -8,12 +8,11 @@ byte-loop, on the Delta and Add operations of the hot path.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.gf import field
 from repro.gf.tables import EXP_TABLE, GROUP_ORDER, LOG_TABLE
+from repro.sim.calibration import time_kernel
 
 from benchmarks.conftest import print_table
 
@@ -38,38 +37,16 @@ def textbook_add_block(acc: np.ndarray, v: np.ndarray) -> None:
         acc[i] ^= v[i]
 
 
-def _timeit(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        best = min(best, (time.perf_counter() - start) / repeats)
-    return best
-
-
-def bench_optimized_delta(benchmark, rng):
-    new = rng.integers(0, 256, BS, dtype=np.uint8)
-    old = rng.integers(0, 256, BS, dtype=np.uint8)
-    benchmark(field.delta_block, 37, new, old)
-
-
-def bench_optimized_vs_textbook(benchmark):
-    def measure():
-        rng = np.random.default_rng(42)
-        blk = rng.integers(0, 256, BS, dtype=np.uint8)
-        acc = rng.integers(0, 256, BS, dtype=np.uint8)
-        fast_mul = _timeit(lambda: field.mul_block(37, blk), 200)
-        slow_mul = _timeit(lambda: textbook_mul_block(37, blk), 3)
-        fast_add = _timeit(lambda: field.iadd_block(acc, blk), 500)
-        slow_add = _timeit(lambda: textbook_add_block(acc, blk), 3)
-        # Cross-check correctness while we are here.
-        assert np.array_equal(field.mul_block(37, blk), textbook_mul_block(37, blk))
-        return fast_mul, slow_mul, fast_add, slow_add
-
-    fast_mul, slow_mul, fast_add, slow_add = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+def bench_optimized_vs_textbook():
+    rng = np.random.default_rng(42)
+    blk = rng.integers(0, 256, BS, dtype=np.uint8)
+    acc = rng.integers(0, 256, BS, dtype=np.uint8)
+    fast_mul = time_kernel(lambda: field.mul_block(37, blk), 200)
+    slow_mul = time_kernel(lambda: textbook_mul_block(37, blk), 3)
+    fast_add = time_kernel(lambda: field.iadd_block(acc, blk), 500)
+    slow_add = time_kernel(lambda: textbook_add_block(acc, blk), 3)
+    # Cross-check correctness while we are here.
+    assert np.array_equal(field.mul_block(37, blk), textbook_mul_block(37, blk))
     rows = [
         ["GF mul (1KB)", f"{fast_mul * 1e6:.1f}", f"{slow_mul * 1e6:.1f}",
          f"{slow_mul / fast_mul:.0f}x"],

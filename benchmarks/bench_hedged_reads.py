@@ -15,7 +15,7 @@ from repro.chaos.gray_soak import GraySoakConfig, run_gray_soak
 from benchmarks.conftest import bench_record, print_table
 
 
-def bench_hedged_vs_unhedged_tail(benchmark):
+def bench_hedged_vs_unhedged_tail():
     config = GraySoakConfig(
         seed=23,
         reads=120,
@@ -24,10 +24,7 @@ def bench_hedged_vs_unhedged_tail(benchmark):
         overload=False,
         observe=False,
     )
-
-    report = benchmark.pedantic(
-        lambda: run_gray_soak(config), rounds=1, iterations=1
-    )
+    report = run_gray_soak(config)
 
     rows = []
     for phase in (report.unhedged, report.hedged):

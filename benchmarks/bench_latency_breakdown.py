@@ -11,52 +11,33 @@ the same operations.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
 from repro.core.cluster import Cluster
 from repro.net.local import DelayModel
-from repro.sim.calibration import measure_costs
+from repro.sim.calibration import measure_costs, time_kernel
 
 BS = 1024
 
 
-def bench_4block_write_latency(benchmark):
+def bench_4block_write_latency():
     """The paper's 4-block write, against the LAN delay model."""
     cluster = Cluster(k=3, n=5, block_size=BS, delay=DelayModel.paper_lan())
     vol = cluster.client("c")
     data = [bytes([i]) * BS for i in range(4)]
     vol.write_blocks(0, data)  # warm the block states
-
-    def write4():
-        vol.write_blocks(0, data)
-
-    benchmark(write4)
-    mean = benchmark.stats.stats.mean
-    print(f"\n§6.3 4-block write latency: {mean * 1e3:.2f} ms (paper: < 3 ms)")
-    assert mean < 0.05  # sanity bound: tens of ms at worst in-process
+    latency = time_kernel(lambda: vol.write_blocks(0, data), 10)
+    print(f"\n§6.3 4-block write latency: {latency * 1e3:.2f} ms (paper: < 3 ms)")
+    assert latency < 0.05  # sanity bound: tens of ms at worst in-process
 
 
-def bench_computation_fraction(benchmark):
+def bench_computation_fraction():
     """Computation share of a write's latency (< 5% in the paper)."""
-
-    def measure():
-        costs = measure_costs(block_size=BS, k=3, n=5, repeats=50)
-        cluster = Cluster(k=3, n=5, block_size=BS, delay=DelayModel.paper_lan())
-        vol = cluster.client("c")
-        vol.write_block(0, b"warm")
-        samples = []
-        for i in range(30):
-            start = time.perf_counter()
-            vol.write_block(0, bytes([i]))
-            samples.append(time.perf_counter() - start)
-        write_latency = float(np.median(samples))
-        p = 2
-        compute = costs.delta_cpu * p + costs.add_cpu * p
-        return write_latency, compute
-
-    write_latency, compute = benchmark.pedantic(measure, rounds=1, iterations=1)
+    costs = measure_costs(block_size=BS, k=3, n=5, repeats=50)
+    cluster = Cluster(k=3, n=5, block_size=BS, delay=DelayModel.paper_lan())
+    vol = cluster.client("c")
+    vol.write_block(0, b"warm")
+    write_latency = time_kernel(lambda: vol.write_block(0, b"x"), 10)
+    p = 2
+    compute = costs.delta_cpu * p + costs.add_cpu * p
     fraction = compute / write_latency
     print(
         f"\n§6.3 computation fraction of write latency: {fraction:.1%} "

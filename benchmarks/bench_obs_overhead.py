@@ -98,20 +98,16 @@ def _guard_cost() -> float:
     return elapsed / GUARD_LOOPS
 
 
-def bench_disabled_path_overhead(benchmark, bench_obs):
-    def measure():
-        guard = _guard_cost()
-        rows = []
-        for op in ("swap", "add"):
-            disabled = _time_ops(_make_node(), op, traced=False)
-            enabled_node = _make_node()
-            enabled_node.metrics = bench_obs.registry
-            enabled_node.tracer = bench_obs.tracer
-            enabled = _time_ops(enabled_node, op, traced=True)
-            rows.append((op, disabled, enabled, guard / disabled))
-        return guard, rows
-
-    guard, rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+def bench_disabled_path_overhead(bench_obs):
+    guard = _guard_cost()
+    rows = []
+    for op in ("swap", "add"):
+        disabled = _time_ops(_make_node(), op, traced=False)
+        enabled_node = _make_node()
+        enabled_node.metrics = bench_obs.registry
+        enabled_node.tracer = bench_obs.tracer
+        enabled = _time_ops(enabled_node, op, traced=True)
+        rows.append((op, disabled, enabled, guard / disabled))
     print_table(
         f"Observability overhead on storage ops ({OPS} ops, {BS} B blocks)",
         ["op", "disabled us/op", "enabled us/op", "guard/op ratio"],

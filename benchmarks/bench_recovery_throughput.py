@@ -19,6 +19,7 @@ import time
 from repro.client.config import ClientConfig
 from repro.core.cluster import Cluster
 from repro.net.local import DelayModel
+from repro.sim.calibration import time_kernel
 
 STRIPES = 60
 #: Larger blocks amortize the OS sleep granularity behind our injected
@@ -27,40 +28,37 @@ STRIPES = 60
 BS = 8192
 
 
-def bench_recovery_throughput_3_clients(benchmark):
-    def run():
-        cluster = Cluster(
-            k=3, n=5, block_size=BS, delay=DelayModel.paper_lan(), seed=4
+def bench_recovery_throughput_3_clients():
+    cluster = Cluster(
+        k=3, n=5, block_size=BS, delay=DelayModel.paper_lan(), seed=4
+    )
+    seeder = cluster.client("seed")
+    for b in range(STRIPES * 3):
+        seeder.write_block(b, bytes([b % 256]))
+    cluster.crash_storage(0)
+    clients = [
+        cluster.protocol_client(f"r{i}", ClientConfig()) for i in range(3)
+    ]
+
+    def recover_range(client, lo, hi):
+        for stripe in range(lo, hi):
+            client._start_recovery(stripe)
+
+    start = time.perf_counter()
+    share = STRIPES // 3
+    threads = [
+        threading.Thread(
+            target=recover_range, args=(c, i * share, (i + 1) * share)
         )
-        seeder = cluster.client("seed")
-        for b in range(STRIPES * 3):
-            seeder.write_block(b, bytes([b % 256]))
-        cluster.crash_storage(0)
-        clients = [
-            cluster.protocol_client(f"r{i}", ClientConfig()) for i in range(3)
-        ]
-
-        def recover_range(client, lo, hi):
-            for stripe in range(lo, hi):
-                client._start_recovery(stripe)
-
-        start = time.perf_counter()
-        share = STRIPES // 3
-        threads = [
-            threading.Thread(
-                target=recover_range, args=(c, i * share, (i + 1) * share)
-            )
-            for i, c in enumerate(clients)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - start
-        recovered_bytes = STRIPES * 3 * BS  # data payload made safe again
-        return cluster, elapsed, recovered_bytes / elapsed / 1e6
-
-    cluster, elapsed, mbps = benchmark.pedantic(run, rounds=1, iterations=1)
+        for i, c in enumerate(clients)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    elapsed = time.perf_counter() - start
+    recovered_bytes = STRIPES * 3 * BS  # data payload made safe again
+    mbps = recovered_bytes / elapsed / 1e6
     print(
         f"\n§6.2 recovery: {STRIPES} stripes by 3 clients in {elapsed:.2f}s "
         f"-> {mbps:.1f} MB/s aggregate (paper: ~17 MB/s on 2005 LAN)"
@@ -70,20 +68,15 @@ def bench_recovery_throughput_3_clients(benchmark):
         assert cluster.stripe_consistent(s)
 
 
-def bench_16_block_request_latency(benchmark):
+def bench_16_block_request_latency():
     cluster = Cluster(k=3, n=5, block_size=BS, delay=DelayModel.paper_lan())
     vol = cluster.client("c")
     payload = [bytes([i]) * BS for i in range(16)]
     vol.write_blocks(0, payload)
-
-    def read16():
-        return vol.read_blocks(0, 16)
-
-    result = benchmark(read16)
-    assert len(result) == 16
-    stats_mean = benchmark.stats.stats.mean
+    assert vol.read_blocks(0, 16) == payload
+    latency = time_kernel(lambda: vol.read_blocks(0, 16), 5)
     print(
-        f"\n§6.2 16-block read latency: {stats_mean * 1e3:.1f} ms "
+        f"\n§6.2 16-block read latency: {latency * 1e3:.1f} ms "
         f"(paper: ~22 ms for a 16-block recovery-read request)"
     )
-    assert stats_mean < 0.5  # sanity: well under half a second
+    assert latency < 0.5  # sanity: well under half a second

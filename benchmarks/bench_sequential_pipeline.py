@@ -36,11 +36,8 @@ def _run(window: int) -> float:
     return BLOCKS * BS / elapsed / 1e6
 
 
-def bench_sequential_pipelining(benchmark):
-    def measure():
-        return {w: _run(w) for w in (1, 2, 4, 8)}
-
-    mbps = benchmark.pedantic(measure, rounds=1, iterations=1)
+def bench_sequential_pipelining():
+    mbps = {w: _run(w) for w in (1, 2, 4, 8)}
     print_table(
         f"§3.11 — sequential write bandwidth vs pipeline window "
         f"({BLOCKS} blocks, 1ms RPC latency)",

@@ -40,16 +40,11 @@ def _rebuild_rate(num_clients: int, k: int, n: int) -> float:
     return data_bytes / system.sim.now / 1e6
 
 
-def bench_sim_rebuild_scaling(benchmark):
-    def measure():
-        rows = []
-        for clients in (1, 3, 8):
-            rows.append(
-                (clients, _rebuild_rate(clients, 3, 5), _rebuild_rate(clients, 8, 10))
-            )
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+def bench_sim_rebuild_scaling():
+    rows = [
+        (clients, _rebuild_rate(clients, 3, 5), _rebuild_rate(clients, 8, 10))
+        for clients in (1, 3, 8)
+    ]
     print_table(
         f"§6.2 extended — simulated rebuild rate (data MB/s), {STRIPES} stripes",
         ["rebuild clients", "3-of-5", "8-of-10"],

@@ -45,24 +45,19 @@ def _run_workload(strategy: WriteStrategy) -> dict:
     return obs.registry.snapshot()
 
 
-def bench_wire_costs(benchmark):
+def bench_wire_costs():
     """Per-kind wire accounting must match the cost model exactly."""
     strategy_names = {
         WriteStrategy.PARALLEL: "parallel",
         WriteStrategy.SERIAL: "serial",
         WriteStrategy.BROADCAST: "broadcast",
     }
-
-    def measure():
-        results = {}
-        for strategy, name in strategy_names.items():
-            snapshot = _run_workload(strategy)
-            model = CostModel(n=N, k=K, block_size=BS, strategy=name)
-            report = CostAuditor(model, fault_free=True).audit(snapshot)
-            results[name] = (report, measured_kinds(snapshot))
-        return results
-
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
+    results = {}
+    for strategy, name in strategy_names.items():
+        snapshot = _run_workload(strategy)
+        model = CostModel(n=N, k=K, block_size=BS, strategy=name)
+        report = CostAuditor(model, fault_free=True).audit(snapshot)
+        results[name] = (report, measured_kinds(snapshot))
     parallel_report, parallel_wire = results["parallel"]
     print_table(
         f"Wire accounting vs cost model ({K}-of-{N}, {WRITES} writes, "

@@ -1,9 +1,11 @@
 """Shared helpers for the benchmark harness.
 
 Every bench regenerates one of the paper's tables or figures.  Results
-print to stdout (run ``pytest benchmarks/ --benchmark-only -s`` to see
-them) and the structural assertions encode the *shape* the paper
-reports — who wins, what grows, where curves flatten.
+print to stdout (run ``PYTHONPATH=src python -m pytest benchmarks -q -s``
+to see them) and the structural assertions encode the *shape* the paper
+reports — who wins, what grows, where curves flatten.  Kernel times
+come from :func:`repro.sim.calibration.time_kernel`, the timer the
+simulator is calibrated with.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.obs import Observability
@@ -80,8 +81,3 @@ def print_series(title: str, xlabel: str, series: dict[str, list[tuple]]) -> Non
         print(f"-- {name}")
         for x, y in points:
             print(f"   {xlabel}={x:<8} {y}")
-
-
-@pytest.fixture
-def rng() -> np.random.Generator:
-    return np.random.default_rng(2005)

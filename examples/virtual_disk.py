@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import Cluster, VolumeClient
-from repro.analysis.overhead import erasure_storage_blowup, replication_equivalent
 
 
 @dataclass
@@ -53,9 +52,9 @@ def main() -> None:
     disk = TinyDisk(cluster.client("fileserver"))
 
     print(f"virtual disk on a {k}-of-{n} code")
-    print(f"  storage blowup: {erasure_storage_blowup(n, k):.2f}x "
-          f"(replication with equal tolerance: "
-          f"{replication_equivalent(n, k)}x)")
+    # Replication survives n - k losses with n - k + 1 copies.
+    print(f"  storage blowup: {n / k:.2f}x "
+          f"(replication with equal tolerance: {n - k + 1}x)")
 
     files = {
         "readme.txt": b"erasure codes provide space-optimal redundancy\n" * 40,

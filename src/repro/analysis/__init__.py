@@ -1,5 +1,5 @@
-"""Closed-form analysis: Section 4 resiliency theorems, §6.5 overhead,
-Fig. 1 wire-cost conformance auditing, plus executable invariant packs
+"""Closed-form analysis: Section 4 resiliency theorems, Fig. 1 wire-cost
+conformance auditing, plus executable invariant packs
 (quiescence, regular registers)."""
 
 from repro.analysis.costmodel import (
@@ -19,17 +19,6 @@ from repro.analysis.invariants import (
     check_quiescence,
     check_stripe,
     stripe_states,
-)
-from repro.analysis.overhead import (
-    OverheadModel,
-    erasure_storage_blowup,
-    replication_equivalent,
-)
-from repro.analysis.stats import (
-    LatencySummary,
-    mean,
-    percentile,
-    summarize,
 )
 from repro.analysis.resiliency import (
     ResiliencyEntry,
@@ -60,20 +49,13 @@ __all__ = [
     "check_quiescence",
     "check_stripe",
     "stripe_states",
-    "LatencySummary",
-    "OverheadModel",
     "ResiliencyEntry",
-    "mean",
-    "percentile",
-    "summarize",
     "d_parallel",
     "d_serial",
-    "erasure_storage_blowup",
     "hybrid_ok",
     "max_client_failures",
     "redundancy_parallel",
     "redundancy_serial",
-    "replication_equivalent",
     "resiliency_profile",
     "write_latency_hybrid",
     "write_latency_parallel",

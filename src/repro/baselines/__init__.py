@@ -1,4 +1,4 @@
-"""Comparator protocols (FAB / GWGR / replication) and the Fig. 1 cost model."""
+"""Comparator protocols (FAB / GWGR) and the Fig. 1 cost model."""
 
 from repro.baselines.costs import (
     ALL_SCHEMES,
@@ -13,11 +13,6 @@ from repro.baselines.costs import (
 )
 from repro.baselines.fab import ConcurrentWriteError, FabClient, FabNode, build_fab
 from repro.baselines.gwgr import GwgrClient, GwgrNode, build_gwgr
-from repro.baselines.replication import (
-    ReplicaNode,
-    ReplicationClient,
-    build_replication,
-)
 
 __all__ = [
     "ALL_SCHEMES",
@@ -27,14 +22,11 @@ __all__ = [
     "FabNode",
     "GwgrClient",
     "GwgrNode",
-    "ReplicaNode",
-    "ReplicationClient",
     "ajx_bcast",
     "ajx_par",
     "ajx_ser",
     "build_fab",
     "build_gwgr",
-    "build_replication",
     "cost_table",
     "fab",
     "format_cost_table",

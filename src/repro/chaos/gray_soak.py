@@ -53,6 +53,7 @@ from repro.core.cluster import Cluster
 from repro.errors import ReproError
 from repro.net.chaos import FaultPlan, FaultRule
 from repro.net.rpc import pfor
+from repro.obs.metrics import summarize
 
 #: Payload letter and op-stream seed salt: this soak's own constants.
 TAG = "g"
@@ -253,13 +254,6 @@ class GraySoakReport:
         return "\n".join(lines)
 
 
-def _percentile(latencies: list[float], q: float) -> float:
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
 def _gray_plan(config: GraySoakConfig, gray_node: str) -> FaultPlan:
     """One rule: the gray node's read path stalls, unconditionally.
 
@@ -303,8 +297,9 @@ def _run_phase(
 
     latencies = h.read_latencies
     result.reads = config.reads
-    result.p50 = _percentile(latencies, 0.50)
-    result.p99 = _percentile(latencies, 0.99)
+    summary = summarize(latencies)
+    result.p50 = summary["p50"] or 0.0
+    result.p99 = summary["p99"] or 0.0
     result.mean = sum(latencies) / len(latencies) if latencies else 0.0
     result.worst = max(latencies, default=0.0)
     result.hedges_fired = h.stat("hedged_reads")

@@ -65,7 +65,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from repro.analysis.costmodel import CostAuditor, CostModel
+from repro.analysis.costmodel import CostAuditor, CostModel, sum_counters
 from repro.analysis.resiliency import resiliency_profile
 from repro.baselines.costs import format_cost_table
 from repro.chaos.corruption_soak import (
@@ -102,7 +102,6 @@ from repro.obs import (
     flight_events,
     load_flight,
     load_snapshot,
-    parse_exposition,
     render_span_tree,
     snapshot_to_json,
     to_prometheus,
@@ -495,20 +494,14 @@ def _demo_observed_workload(writes: int = 4) -> Observability:
 
 
 def _validate_snapshot(snapshot: dict) -> str:
-    """Render + parse the exposition; require live RPC counters.
+    """Render the exposition; require live RPC counters.
 
     Returns the exposition text; raises ``ValueError`` when the
     snapshot is malformed or records no RPC traffic (the CI check for
     artifacts captured by the soak jobs).
     """
     text = to_prometheus(snapshot)
-    series = parse_exposition(text)
-    rpc_total = sum(
-        value
-        for name, value in series.items()
-        if name.startswith("rpc_calls_total")
-    )
-    if rpc_total <= 0:
+    if sum_counters(snapshot, "rpc_calls_total") <= 0:
         raise ValueError("snapshot records no rpc_calls_total traffic")
     return text
 

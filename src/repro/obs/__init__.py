@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 from repro.obs.export import (
     load_snapshot,
-    parse_exposition,
-    parse_sample_line,
     snapshot_to_json,
     to_prometheus,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "flight_events",
     "load_flight",
     "load_snapshot",
-    "parse_exposition",
-    "parse_sample_line",
     "render_span_tree",
     "snapshot_to_json",
     "to_prometheus",

@@ -5,12 +5,10 @@ a snapshot written to disk (by the flight recorder, a soak, or
 ``repro metrics --out``) can later be re-rendered as exposition text —
 which is also how CI checks that a captured snapshot is well-formed.
 
-The exposition round-trip is **lossless**: label values are escaped on
-render (``\\``, ``"``, newline) and unescaped on parse, non-finite
-values render as Prometheus' ``NaN`` / ``+Inf`` / ``-Inf`` tokens, and
-finite floats use shortest-round-trip formatting — so
-``parse_exposition(to_prometheus(snapshot))`` recovers every sample's
-series identity and exact value.
+Exposition rules: label values are escaped (``\\``, ``"``, newline),
+non-finite values render as Prometheus' ``NaN`` / ``+Inf`` / ``-Inf``
+tokens, integral values render without a fraction, and other floats
+use shortest-round-trip ``repr`` formatting.
 """
 
 from __future__ import annotations
@@ -21,32 +19,6 @@ import math
 
 def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _unescape(value: str) -> str:
-    """Reverse of :func:`_escape`.  Unknown escape pairs pass through
-    verbatim (the exposition format reserves only these three)."""
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-            if nxt == '"':
-                out.append('"')
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
 
 
 def _format_value(value: float | int) -> str:
@@ -120,80 +92,6 @@ def to_prometheus(snapshot: dict) -> str:
             f"{name}_sum{_labels(row['labels'])} {_format_value(row['sum'])}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_sample_line(line: str) -> tuple[str, dict[str, str], float]:
-    """Parse one exposition sample into ``(name, labels, value)``.
-
-    Label values are unescaped; the value text accepts Prometheus'
-    ``NaN``/``+Inf``/``-Inf`` tokens (Python's ``float`` does natively).
-    Raises ``ValueError`` on malformed input: unterminated label
-    strings, junk after the value, whitespace inside a metric name.
-    """
-    line = line.strip()
-    brace = line.find("{")
-    labels: dict[str, str] = {}
-    if brace == -1:
-        name, _, value_text = line.rpartition(" ")
-        name = name.strip()
-    else:
-        name = line[:brace]
-        i = brace + 1
-        while True:
-            if i >= len(line):
-                raise ValueError(f"unterminated label set: {line!r}")
-            if line[i] == "}":
-                i += 1
-                break
-            if line[i] == ",":
-                i += 1
-                continue
-            eq = line.find('="', i)
-            if eq == -1:
-                raise ValueError(f"malformed label pair: {line!r}")
-            key = line[i:eq]
-            i = eq + 2
-            buf: list[str] = []
-            while i < len(line) and line[i] != '"':
-                if line[i] == "\\":
-                    if i + 1 >= len(line):
-                        raise ValueError(f"dangling escape: {line!r}")
-                    buf.append(line[i : i + 2])
-                    i += 2
-                else:
-                    buf.append(line[i])
-                    i += 1
-            if i >= len(line):
-                raise ValueError(f"unterminated label value: {line!r}")
-            labels[key] = _unescape("".join(buf))
-            i += 1  # past the closing quote
-        value_text = line[i:].strip()
-    if not name or " " in name or "\t" in name:
-        raise ValueError(f"malformed sample line: {line!r}")
-    try:
-        value = float(value_text)
-    except ValueError:
-        raise ValueError(f"malformed sample value in: {line!r}") from None
-    return name, labels, value
-
-
-def parse_exposition(text: str) -> dict[str, float]:
-    """Exposition parser: ``{canonical-series: value}``.
-
-    The canonical series key is the metric name plus its sorted,
-    re-escaped label set — identical to what :func:`to_prometheus`
-    renders, so ``parse_exposition(to_prometheus(s))`` keys match the
-    rendered sample lines exactly.  Raises ``ValueError`` on a
-    malformed sample line.
-    """
-    series: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, labels, value = parse_sample_line(line)
-        series[f"{name}{_labels(labels)}"] = value
-    return series
 
 
 def snapshot_to_json(snapshot: dict, indent: int | None = 2) -> str:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 #: Canonical ordering of a label set, so {"op": "swap"} and identical
 #: mappings resolve to the same instrument.
@@ -150,6 +150,14 @@ def _nearest_rank(samples: list[float], q: float) -> float | None:
         return None
     rank = round(q / 100.0 * (len(samples) - 1))
     return samples[max(0, min(len(samples) - 1, rank))]
+
+
+def summarize(samples: Sequence[float]) -> dict[str, float | int | None]:
+    """:meth:`Histogram.summary` of ``samples``, with every one kept."""
+    hist = Histogram(capacity=max(1, len(samples)))
+    for value in samples:
+        hist.observe(value)
+    return hist.summary()
 
 
 class MetricsRegistry:

@@ -70,8 +70,12 @@ def paper_costs(block_size: int = 1024) -> CostModel:
     return CostModel().scaled_to_block(block_size)
 
 
-def _time_kernel(fn, repeats: int = 200) -> float:
-    """Median-of-three timing of ``fn`` averaged over ``repeats`` runs."""
+def time_kernel(fn, repeats: int = 200) -> float:
+    """Median-of-three timing of ``fn`` averaged over ``repeats`` runs.
+
+    The kernel and single-op latency benches under ``benchmarks/`` time
+    with it too, so the simulator is tuned by the same clock they print.
+    """
     samples = []
     for _ in range(3):
         start = time.perf_counter()
@@ -97,10 +101,10 @@ def measure_costs(
     stripe = code.encode(data)
     available = {i: stripe[i] for i in range(1, k + 1)}  # forces real decode
 
-    delta = _time_kernel(lambda: code.delta(k, 0, new, data[0]), repeats)
-    add = _time_kernel(lambda: field.iadd_block(acc, new), repeats)
-    encode = _time_kernel(lambda: code.encode_redundant(data), repeats)
-    decode = _time_kernel(lambda: code.decode(available), repeats)
+    delta = time_kernel(lambda: code.delta(k, 0, new, data[0]), repeats)
+    add = time_kernel(lambda: field.iadd_block(acc, new), repeats)
+    encode = time_kernel(lambda: code.encode_redundant(data), repeats)
+    decode = time_kernel(lambda: code.decode(available), repeats)
 
     base = CostModel(block_size=block_size)
     return replace(

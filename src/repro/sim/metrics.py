@@ -5,6 +5,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+from repro.obs.metrics import summarize
+
 
 @dataclass
 class Metrics:
@@ -44,11 +46,10 @@ class Metrics:
         lat = self.read_latencies if kind == "read" else self.write_latencies
         return sum(lat) / len(lat) if lat else 0.0
 
-    def latency_summary(self, kind: str):
+    def latency_summary(self, kind: str) -> dict[str, float | int | None]:
         """Percentile summary of the latency distribution (long tails
-        matter for storage; benches report p95/p99, not just means)."""
-        from repro.analysis.stats import summarize
-
+        matter for storage; benches report p95/p99, not just means):
+        ``count``/``sum``/``min``/``max``/``p50``/``p95``/``p99``."""
         lat = self.read_latencies if kind == "read" else self.write_latencies
         return summarize(lat)
 

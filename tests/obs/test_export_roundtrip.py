@@ -1,11 +1,11 @@
-"""Prometheus exposition round-trip and snapshot determinism.
+"""Prometheus exposition rendering and snapshot determinism.
 
-The cost auditor and CI reconciliation scripts re-parse what
-``to_prometheus`` rendered, so the exposition must be lossless: label
-values containing quotes, backslashes, and newlines must survive a
-render → parse cycle, non-finite values must use the Prometheus
-tokens, and a seeded multi-threaded run must snapshot identically
-every time.
+CI re-renders captured snapshots with ``to_prometheus``, so each
+rendering rule is pinned here on the rendered text: label values
+containing quotes, backslashes and newlines are escaped onto one line,
+non-finite values use the Prometheus tokens, integral values carry no
+fraction, other floats render so ``float`` reads them back exactly, and
+a seeded multi-threaded run must snapshot identically every time.
 """
 
 from __future__ import annotations
@@ -14,51 +14,49 @@ import json
 import math
 import threading
 
-import pytest
-
 from repro.obs import (
     MetricsRegistry,
-    parse_exposition,
-    parse_sample_line,
     snapshot_to_json,
     to_prometheus,
 )
 
 
+def _samples(text: str) -> dict[str, str]:
+    """``{series: value text}`` of an exposition's unlabelled samples."""
+    return dict(
+        line.split(" ")
+        for line in text.splitlines()
+        if line and not line.startswith("#")
+    )
+
+
 class TestLabelEscaping:
+    #: (label value, its escaped exposition form)
     NASTY = [
-        'plain',
-        'has "quotes"',
-        "back\\slash",
-        "new\nline",
-        'all \\ of "them"\ntogether',
-        "",
+        ("plain", "plain"),
+        ('has "quotes"', r'has \"quotes\"'),
+        ("back\\slash", r"back\\slash"),
+        ("new\nline", r"new\nline"),
+        ('all \\ of "them"\ntogether', r'all \\ of \"them\"\ntogether'),
+        ("", ""),
     ]
 
     def test_nasty_label_values_round_trip(self):
         reg = MetricsRegistry()
-        for i, value in enumerate(self.NASTY):
+        for i, (value, _) in enumerate(self.NASTY):
             reg.counter("escaped_total", src=value).inc(i + 1)
-        series = parse_exposition(to_prometheus(reg.snapshot()))
-        # Every series must be recoverable and distinct.
-        assert len([k for k in series if k.startswith("escaped_total")]) == (
-            len(self.NASTY)
-        )
-        for i, value in enumerate(self.NASTY):
-            line_value = None
-            for key, v in series.items():
-                name, labels, _ = parse_sample_line(f"{key} {v}")
-                if name == "escaped_total" and labels.get("src") == value:
-                    line_value = v
-            assert line_value == i + 1, f"lost series for {value!r}"
+        lines = to_prometheus(reg.snapshot()).splitlines()
+        # Every series renders as its own, distinct sample line.
+        samples = [l for l in lines if l.startswith("escaped_total")]
+        assert len(samples) == len(self.NASTY)
+        for i, (_, escaped) in enumerate(self.NASTY):
+            assert f'escaped_total{{src="{escaped}"}} {i + 1}' in samples
 
-    def test_parse_sample_line_unescapes(self):
-        name, labels, value = parse_sample_line(
-            'x_total{msg="a\\"b\\\\c\\nd"} 3'
-        )
-        assert name == "x_total"
-        assert labels == {"msg": 'a"b\\c\nd'}
-        assert value == 3.0
+    def test_label_value_escapes(self):
+        reg = MetricsRegistry()
+        reg.counter("x_total", msg='a"b\\c\nd').inc(3)
+        text = to_prometheus(reg.snapshot())
+        assert 'x_total{msg="a\\"b\\\\c\\nd"} 3' in text.splitlines()
 
     def test_exposition_is_single_logical_lines(self):
         """A newline inside a label value must be escaped, never split
@@ -79,31 +77,36 @@ class TestNonFiniteValues:
         reg.gauge("g_nan").set(float("nan"))
         reg.gauge("g_pinf").set(float("inf"))
         reg.gauge("g_ninf").set(float("-inf"))
-        text = to_prometheus(reg.snapshot())
-        assert "g_nan NaN" in text
-        assert "g_pinf +Inf" in text
-        assert "g_ninf -Inf" in text
-        series = parse_exposition(text)
-        assert math.isnan(series["g_nan"])
-        assert series["g_pinf"] == float("inf")
-        assert series["g_ninf"] == float("-inf")
+        samples = _samples(to_prometheus(reg.snapshot()))
+        assert samples["g_nan"] == "NaN"
+        assert samples["g_pinf"] == "+Inf"
+        assert samples["g_ninf"] == "-Inf"
+        # The Prometheus tokens are also what ``float`` reads.
+        assert math.isnan(float(samples["g_nan"]))
+        assert float(samples["g_pinf"]) == float("inf")
+        assert float(samples["g_ninf"]) == float("-inf")
 
     def test_integral_floats_render_without_exponent(self):
         reg = MetricsRegistry()
         reg.counter("big_total").inc(10**12)
-        text = to_prometheus(reg.snapshot())
-        assert "big_total 1000000000000" in text
-        assert parse_exposition(text)["big_total"] == 10**12
+        reg.gauge("whole").set(5.0)
+        samples = _samples(to_prometheus(reg.snapshot()))
+        assert samples["big_total"] == "1000000000000"
+        assert samples["whole"] == "5"
 
     def test_fractional_values_round_trip_exactly(self):
         reg = MetricsRegistry()
         reg.gauge("ratio").set(0.1)
-        series = parse_exposition(to_prometheus(reg.snapshot()))
-        assert series["ratio"] == 0.1  # repr() round-trips floats
+        reg.gauge("third").set(1 / 3)
+        samples = _samples(to_prometheus(reg.snapshot()))
+        assert samples["ratio"] == "0.1"  # shortest repr, not 0.1000...01
+        assert float(samples["third"]) == 1 / 3
 
 
 class TestLosslessRoundTrip:
     def test_full_registry_round_trips(self):
+        """Every series of a mixed registry renders with its exact
+        label set and value, histograms as quantiles + count + sum."""
         reg = MetricsRegistry()
         reg.counter("rpc_messages_total", kind="write", dir="request").inc(12)
         reg.counter("rpc_messages_total", kind="write", dir="response").inc(12)
@@ -112,22 +115,18 @@ class TestLosslessRoundTrip:
         h = reg.histogram("op_seconds", op="swap")
         for v in (0.25, 0.5, 0.75):
             h.observe(v)
-        snap = reg.snapshot()
-        series = parse_exposition(to_prometheus(snap))
-        assert series['rpc_messages_total{dir="request",kind="write"}'] == 12
-        assert series['rpc_bytes_sent_total{kind="write"}'] == 4096
-        assert series["nodes_live"] == 5
-        assert series['op_seconds_count{op="swap"}'] == 3
-        assert series['op_seconds_sum{op="swap"}'] == 1.5
-
-    def test_parse_rejects_malformed_lines(self):
-        for bad in (
-            'x_total{unterminated="v 1',
-            "two words 1",
-            "x_total notanumber",
+        lines = to_prometheus(reg.snapshot()).splitlines()
+        for sample in (
+            'rpc_messages_total{dir="request",kind="write"} 12',
+            'rpc_messages_total{dir="response",kind="write"} 12',
+            'rpc_bytes_sent_total{kind="write"} 4096',
+            "nodes_live 5",
+            'op_seconds{op="swap",quantile="0.5"} 0.5',
+            'op_seconds{op="swap",quantile="0.99"} 0.75',
+            'op_seconds_count{op="swap"} 3',
+            'op_seconds_sum{op="swap"} 1.5',
         ):
-            with pytest.raises(ValueError):
-                parse_sample_line(bad)
+            assert sample in lines, sample
 
 
 class TestSnapshotDeterminism:

@@ -10,7 +10,6 @@ from repro.obs import (
     NULL_REGISTRY,
     MetricsRegistry,
     load_snapshot,
-    parse_exposition,
     snapshot_to_json,
     to_prometheus,
 )
@@ -178,20 +177,13 @@ class TestSnapshotAndExports:
         reg.counter("rpc_calls_total", op="swap", result="ok").inc(7)
         reg.gauge("node_blocks_materialized", node="storage-0").set(12)
         reg.histogram("rpc_latency_seconds", op="swap").observe(0.001)
-        text = to_prometheus(reg.snapshot())
-        assert '# TYPE rpc_calls_total counter' in text
-        assert '# TYPE rpc_latency_seconds summary' in text
-        series = parse_exposition(text)
-        assert series['rpc_calls_total{op="swap",result="ok"}'] == 7
-        assert series['node_blocks_materialized{node="storage-0"}'] == 12
-        assert series['rpc_latency_seconds_count{op="swap"}'] == 1
-        assert (
-            series['rpc_latency_seconds{op="swap",quantile="0.5"}'] == 0.001
-        )
-
-    def test_parse_exposition_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_exposition("rpc_calls_total 1 trailing junk")
+        lines = to_prometheus(reg.snapshot()).splitlines()
+        assert "# TYPE rpc_calls_total counter" in lines
+        assert "# TYPE rpc_latency_seconds summary" in lines
+        assert 'rpc_calls_total{op="swap",result="ok"} 7' in lines
+        assert 'node_blocks_materialized{node="storage-0"} 12' in lines
+        assert 'rpc_latency_seconds_count{op="swap"} 1' in lines
+        assert 'rpc_latency_seconds{op="swap",quantile="0.5"} 0.001' in lines
 
 
 class TestNullRegistry:

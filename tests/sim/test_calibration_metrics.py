@@ -91,3 +91,11 @@ class TestMetrics:
     def test_zero_window(self):
         m = Metrics()
         assert m.ops_per_second("write", 1.0, 1.0) == 0.0
+
+    def test_metrics_integration(self):
+        m = Metrics()
+        for i in range(100):
+            m.record("write", i * 0.01, latency=0.001 * (i + 1))
+        summary = m.latency_summary("write")
+        assert summary["count"] == 100
+        assert summary["p99"] > summary["p50"]
