@@ -159,7 +159,8 @@ class OpCounts:
     degraded_invocations: int = 0
     recoveries_completed: int = 0
     recoveries_yielded: int = 0
-    gc_batches: int = 0
+    gc_batches: int = 0  # GC node frames answered
+    gc_rounds: int = 0
     monitor_probes: int = 0
     hedged_reads: int = 0
     busy_rejections: int = 0
@@ -187,6 +188,7 @@ def op_counts(snapshot: dict, wire: dict[str, MeasuredKind]) -> OpCounts:
         recoveries_completed=client("recoveries_completed"),
         recoveries_yielded=client("recoveries_yielded"),
         gc_batches=int(sum_counters(snapshot, "gc_batches_total")),
+        gc_rounds=int(sum_counters(snapshot, "gc_rounds_total")),
         monitor_probes=int(sum_counters(snapshot, "monitor_probes_total")),
         hedged_reads=client("hedged_reads"),
         busy_rejections=client("busy_rejections"),
@@ -281,8 +283,13 @@ class CostModel:
             return recoveries * 2  # reconstruct batch + finalize batch
         raise ValueError(f"unknown recovery phase {phase!r}")
 
-    def gc_messages(self, batches: int) -> int:
-        return batches * 2  # one RPC (request + response) per acked batch
+    def gc_messages(self, frames: int) -> int:
+        return frames * 2  # one request + response per answered node frame
+
+    def gc_frames_ceiling(self, rounds: int) -> int:
+        """A GC round is two fan-outs, all ``gc_old`` frames and then all
+        ``gc_recent`` frames, each at most one frame per node."""
+        return rounds * 2 * self.n
 
     def paired_messages(self, rounds: int) -> int:
         return rounds * 2
@@ -473,10 +480,11 @@ class CostAuditor:
             bytes_floor: int | None = None,
             bytes_ceiling: int | None = None,
             note: str = "",
+            violation: str = "",
         ) -> None:
             m = measured(kind)
-            ok = True
-            reasons: list[str] = []
+            ok = not violation
+            reasons: list[str] = [violation] if violation else []
             if predicted_messages is not None:
                 excess = m.messages - predicted_messages
                 if self.fault_free:
@@ -579,8 +587,17 @@ class CostAuditor:
             0 if self.fault_free else None,
             note="exception-path unlock",
         )
-        check("gc", model.gc_messages(counts.gc_batches),
-              note=f"{counts.gc_batches} batches")
+        frames_ceiling = model.gc_frames_ceiling(counts.gc_rounds)
+        check(
+            "gc",
+            model.gc_messages(counts.gc_batches),
+            note=f"{counts.gc_batches} frames in {counts.gc_rounds} rounds",
+            violation=(
+                f"{counts.gc_batches} frames above {frames_ceiling} "
+                f"(2n per round)"
+                if counts.gc_batches > frames_ceiling else ""
+            ),
+        )
         for kind in PAIRED_KINDS:
             m = measured(kind)
             check(

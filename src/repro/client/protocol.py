@@ -39,6 +39,7 @@ from repro.errors import (
     NodeBusyError,
     NodeUnavailableError,
     ReadFailedError,
+    ReproError,
     RpcTimeoutError,
     StalePlacementError,
     WriteAbortedError,
@@ -223,12 +224,16 @@ class ProtocolClient:
             slot = slots[index]
         return gen, slot, self.directory.node_id(slot)
 
-    def node_of(self, stripe: int, index: int) -> str:
-        """The node serving one stripe position now.  An unbound slot is
-        retried exactly as an RPC's own lookup is."""
+    def _locate(self, stripe: int, index: int) -> tuple[int | None, int, str]:
+        """:meth:`_resolve`, with an unbound slot retried exactly as an
+        RPC's own lookup is."""
         return self._retrying(
             stripe, "lookup", lambda: self._resolve(stripe, index)
-        )[2]
+        )
+
+    def node_of(self, stripe: int, index: int) -> str:
+        """The node serving one stripe position now."""
+        return self._locate(stripe, index)[2]
 
     def _remap(self, stripe: int, index: int, slot: int, failed: str) -> None:
         """Point the failed node's slot at a fresh replacement (§3.5)."""
@@ -292,6 +297,63 @@ class ProtocolClient:
         self._account_round(kind)
         return pfor(list(indices), body)
 
+    def fan_out_frames(
+        self, kind: str, op: str, batches: dict[tuple[int, int], object]
+    ) -> tuple[int, set[tuple[int, int]]]:
+        """One round of ``kind`` that sends ``op`` once to every node
+        serving a position in ``batches``: the node's frame maps the
+        :class:`BlockAddr` of each of its positions to that position's
+        batch.  In placement mode ``gens={addr: generation}`` rides
+        along for the node to check per address.  The node answers with
+        the addresses it refused.
+
+        Each frame is one :meth:`_attempt`, so it is counted, breakered
+        and health-scored like any call, and it is never retried.
+        Returns the number of frames answered, and every position that
+        was not applied: refused, unresolvable, or carried by a frame
+        that was shed, timed out or found its node gone.  A refused
+        stripe's placement is invalidated, so a stale one is refetched
+        before it is used again."""
+        missed: set[tuple[int, int]] = set()
+        frames: dict[tuple[int, str], dict[BlockAddr, object]] = {}
+        gens: dict[BlockAddr, int] = {}
+        for stripe, index in sorted(batches):
+            try:
+                gen, slot, dst = self._locate(stripe, index)
+            except ReproError:
+                missed.add((stripe, index))
+                continue
+            addr = BlockAddr(self.volume, stripe, index)
+            frames.setdefault((slot, dst), {})[addr] = batches[stripe, index]
+            if gen is not None:
+                gens[addr] = gen
+        if not frames:
+            return 0, missed
+
+        def send(target: tuple[int, str]):
+            frame = frames[target]
+            kwargs = {}
+            if self.placement is not None:
+                kwargs["gens"] = {addr: gens[addr] for addr in frame}
+            first = next(iter(frame))
+            return self._attempt(
+                kind, first.stripe, first.index, op, (frame,), kwargs, None,
+                target=(None, *target),
+            )
+
+        answered = 0
+        for target, result in self.fan_out(kind, sorted(frames), send).items():
+            if isinstance(result, Exception):
+                refused = frames[target]
+            else:
+                answered += 1
+                refused = result
+                if self.placement is not None:
+                    for addr in refused:
+                        self.placement.invalidate(addr.stripe)
+            missed.update((addr.stripe, addr.index) for addr in refused)
+        return answered, missed
+
     def _until_answered(
         self,
         kind: str,
@@ -340,8 +402,10 @@ class ProtocolClient:
                 if event is not None and self.tracer.enabled:
                     self.tracer.emit(self.client_id, event, stripe=stripe, op=op)
 
-    def _attempt(self, kind, stripe, index, op, args, kwargs, trace):
-        """One RPC attempt, feeding the shared health registry.
+    def _attempt(self, kind, stripe, index, op, args, kwargs, trace, target=None):
+        """One RPC attempt, feeding the shared health registry.  The
+        ``(gen, slot, node)`` target is resolved from the position unless
+        the caller resolved it already (a per-node frame).
 
         The circuit breaker gates the attempt: while a node's circuit is
         open the call fails fast with :class:`CircuitOpenError` (a
@@ -352,7 +416,7 @@ class ProtocolClient:
         may be gray, not dead — so remap waits for the breaker to trip
         at the suspicion threshold; the exception still propagates so
         the caller retries or goes degraded either way."""
-        gen, slot, dst = self._resolve(stripe, index)
+        gen, slot, dst = target or self._resolve(stripe, index)
         if not self.health.allow_request(dst):
             self.stats.bump("breaker_fast_fails")
             raise CircuitOpenError(dst)
@@ -644,7 +708,12 @@ class ProtocolClient:
         if not self.config.verified_reads:
             return "unverified"
         try:
-            fp = self.rpc("audit", stripe, index, "fingerprint")
+            # A lost or shed probe is asked again: the block in hand
+            # may be the one the wire damaged.
+            fp = self._until_answered(
+                "audit", stripe, index, "fingerprint", leg=False,
+                budget=True, retry_on=(NodeBusyError, RpcTimeoutError),
+            )
         except (NodeUnavailableError, NodeBusyError):
             return "unverified"
         if fp.stored is None or fp.opmode is not OpMode.NORM:

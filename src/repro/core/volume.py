@@ -102,7 +102,6 @@ class VolumeClient:
         periodically").  Returns a stop callable; idempotent to call
         twice (the prior loop is stopped first)."""
         import threading
-        import time as _time
 
         self.stop_gc_loop()
         stop = threading.Event()

@@ -84,8 +84,8 @@ CRASH_POINT_CATALOGUE: dict[str, tuple[str, str]] = {
         "finalizes them without redoing the decode",
     ),
     "gc.between_phases": (
-        "GC Fig. 7, between phase 1 (gc_old) and phase 2 (gc_recent) of "
-        "one round",
+        "GC Fig. 7, between phase 1 (every gc_old frame) and phase 2 "
+        "(every gc_recent frame) of one round, for all of its stripes",
         "oldlists already dropped the older generation, recentlists "
         "still hold the newer one; the G-set invariant holds and any "
         "later GC pass collects the stranded tids",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time as _time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,7 +392,8 @@ class StorageNode(RpcHandler):
             return AddResult(
                 status=AddStatus.ERROR, opmode=state.opmode, lmode=state.lmode
             )
-        if otid is not None and otid not in tids(state.recentlist | state.oldlist):
+        seen = tids(state.recentlist | state.oldlist)
+        if otid is not None and otid not in seen:
             if self.metrics.enabled:
                 self.metrics.counter(
                     "node_order_rejects_total", node=self.node_id
@@ -399,7 +401,7 @@ class StorageNode(RpcHandler):
             return AddResult(
                 status=AddStatus.ORDER, opmode=state.opmode, lmode=state.lmode
             )
-        if ntid in tids(state.recentlist | state.oldlist):
+        if ntid in seen:
             # Duplicated delivery: this add was already applied.  GF
             # addition is not idempotent (applying the diff twice
             # corrupts the block), so acknowledge OK without touching
@@ -529,25 +531,57 @@ class StorageNode(RpcHandler):
     # Fig. 7 — garbage collection
     # ------------------------------------------------------------------
 
-    def gc_old(self, addr: BlockAddr, tid_list: list[Tid] | set[Tid]) -> str | None:
-        state = self._state(addr)
-        if state.opmode is not OpMode.NORM or state.lmode is not LockMode.UNL:
-            return None
-        drop = set(tid_list)
-        state.oldlist = {e for e in state.oldlist if e.tid not in drop}
-        self._persist_meta(addr, state)
-        return "OK"
+    def gc_old(
+        self,
+        frame: dict[BlockAddr, Iterable[Tid]],
+        gens: dict[BlockAddr, int] | None = None,
+    ) -> list[BlockAddr]:
+        """Phase 1 for every address of ``frame``: discard its tids from
+        the oldlist.  Returns the addresses refused (see :meth:`_gc`)."""
+        return self._gc(frame, gens, recent=False)
 
-    def gc_recent(self, addr: BlockAddr, tid_list: list[Tid] | set[Tid]) -> str | None:
-        state = self._state(addr)
-        if state.opmode is not OpMode.NORM or state.lmode is not LockMode.UNL:
-            return None
-        move = set(tid_list)
-        moving = {e for e in state.recentlist if e.tid in move}
-        state.recentlist -= moving
-        state.oldlist |= moving
-        self._persist_meta(addr, state)
-        return "OK"
+    def gc_recent(
+        self,
+        frame: dict[BlockAddr, Iterable[Tid]],
+        gens: dict[BlockAddr, int] | None = None,
+    ) -> list[BlockAddr]:
+        """Phase 2 for every address of ``frame``: move its tids from
+        the recentlist to the oldlist.  Returns the addresses refused."""
+        return self._gc(frame, gens, recent=True)
+
+    def _gc(
+        self,
+        frame: dict[BlockAddr, Iterable[Tid]],
+        gens: dict[BlockAddr, int] | None,
+        recent: bool,
+    ) -> list[BlockAddr]:
+        """One GC frame: every stripe this node holds a batch for, in one
+        request.  Each address is applied on its own terms, only when it
+        is NORM and UNL, and refused otherwise; in placement mode
+        ``gens`` stamps each address with the sender's generation and a
+        stale one is refused too.  One metadata record per applied
+        address."""
+        refused = []
+        for addr, tid_list in frame.items():
+            if gens is not None:
+                try:
+                    self._check_generation(addr, gens[addr])
+                except StalePlacementError:
+                    refused.append(addr)
+                    continue
+            state = self._state(addr)
+            if state.opmode is not OpMode.NORM or state.lmode is not LockMode.UNL:
+                refused.append(addr)
+                continue
+            batch = set(tid_list)
+            if recent:
+                moving = {e for e in state.recentlist if e.tid in batch}
+                state.recentlist -= moving
+                state.oldlist |= moving
+            else:
+                state.oldlist = {e for e in state.oldlist if e.tid not in batch}
+            self._persist_meta(addr, state)
+        return refused
 
     # ------------------------------------------------------------------
     # Section 3.10 — monitoring probe

@@ -78,6 +78,11 @@ class TestCostModel:
             2 * (N - 1)
         )
 
+    def test_gc_costs_two_messages_per_node_frame(self):
+        model = CostModel(n=N, k=K, block_size=BS)
+        assert model.gc_messages(3) == 6
+        assert model.gc_frames_ceiling(1) == 2 * N
+
     def test_unknown_strategy_and_phase_rejected(self):
         with pytest.raises(ValueError):
             CostModel(n=N, k=K, block_size=BS, strategy="quantum")
@@ -98,7 +103,7 @@ class TestSnapshotExtraction:
         assert counts.writes == 6
         assert counts.reads == 6
         assert counts.recoveries_completed == 1
-        assert counts.gc_batches > 0
+        assert 0 < counts.gc_batches <= 2 * N * counts.gc_rounds
         assert counts.monitor_probes > 0
 
     def test_sum_counters_label_filter(self):
@@ -195,6 +200,27 @@ class TestExactMode:
         bad = next(v for v in report.verdicts if v.kind == "write")
         assert not bad.ok
         assert "below floor" in bad.note
+
+
+    def test_gc_frames_beyond_two_per_node_per_round_fail(self):
+        """Per-stripe GC (a frame per stripe per node) breaks the 2n
+        frames-per-round ceiling even when every message is paired."""
+        snapshot = _fault_free_workload()
+        extra = 2 * N + 1
+        for row in snapshot["counters"]:
+            if row["name"] == "gc_batches_total":
+                row["value"] += extra
+            elif row["name"] == "rpc_messages_total" and (
+                row["labels"].get("kind") == "gc"
+            ):
+                row["value"] += extra  # requests and responses alike
+        report = CostAuditor(
+            CostModel(n=N, k=K, block_size=BS), fault_free=True
+        ).audit(snapshot)
+        bad = next(v for v in report.verdicts if v.kind == "gc")
+        assert bad.excess_messages == 0
+        assert not bad.ok
+        assert "2n per round" in bad.note
 
 
 class TestBoundedMode:

@@ -86,8 +86,9 @@ class TestGcSafety:
         transport.call = spy
         vol.collect_garbage()  # cannot make progress, must not wedge
         transport.call = original
-        # One refused gc_recent per batch holder (the data node and both
-        # redundant nodes); the refusal rolls over, it is not re-sent.
+        # One gc_recent frame per node that holds a batch (the data node
+        # and both redundant nodes), each refused; the refusal rolls
+        # over, it is not re-sent.
         assert len(sent) == len(set(sent)) == 3
         state = data_node_state(small_cluster, 0, 0)
         assert len(state.recentlist) == 1  # untouched

@@ -12,6 +12,7 @@ from repro.client.gc import GcManager
 from repro.core.cluster import Cluster
 from repro.crashpoints import CrashPlan
 from repro.errors import ClientCrash
+from repro.storage.state import LockMode
 
 
 def value(tag: int, size: int = 32) -> np.ndarray:
@@ -64,6 +65,68 @@ class TestGcCrashBetweenPhases:
             assert final[j].recent_tids() == set()
             assert final[j].old_tids() == set()
         assert check_stripe(cluster, 0) == []
+
+    def test_crash_between_multi_stripe_frames(self):
+        """Per-node frames make one phase span every stripe of the round:
+        the crash point sits after *all* gc_old frames and before *any*
+        gc_recent frame.  Three stripes, one of them locked (its
+        batches are refused and must roll over); every stripe stays
+        clean and a later pass, fed the stranded tids, empties every
+        list."""
+        cluster = Cluster(k=2, n=4, block_size=32)
+        victim = cluster.protocol_client("gc-victim")
+        gc = GcManager(victim)
+        stripes = (0, 1, 2)
+        for stripe in stripes:
+            victim.write(stripe, 0, value(1 + stripe))
+            victim.write(stripe, 1, value(4 + stripe))
+        gc.run_once()  # round 1: every stripe's tids recent -> old
+        for stripe in stripes:
+            victim.write(stripe, 0, value(7 + stripe))
+
+        locker = cluster.protocol_client("locker")
+        for j in range(4):
+            locker.rpc("recovery_phase1", 1, j, "trylock", LockMode.L1,
+                       caller="locker")
+        plan = CrashPlan()
+        plan.arm("gc.between_phases")
+        victim.crashpoints = plan
+        with pytest.raises(ClientCrash) as info:
+            gc.run_once()
+        assert info.value.detail == {"stripes": list(stripes)}
+        for j in range(4):
+            locker.rpc("recovery_abort", 1, j, "setlock", LockMode.UNL,
+                       caller="locker")
+
+        states = {stripe: stripe_states(cluster, stripe) for stripe in stripes}
+        for stripe in (0, 2):
+            # gc_old went through: round 1's generation is gone, the
+            # newest write is stranded in recentlists.
+            for j in range(4):
+                assert states[stripe][j].old_tids() == set()
+            assert states[stripe][0].recent_tids()
+        # The locked stripe refused its gc_old frame entry: both
+        # generations are still listed.
+        assert states[1][0].old_tids() and states[1][0].recent_tids()
+        for stripe in stripes:
+            assert check_stripe(cluster, stripe) == []
+
+        survivor = cluster.protocol_client("gc-survivor")
+        survivor.gc_pending = {
+            stripe: {
+                j: states[stripe][j].recent_tids() | states[stripe][j].old_tids()
+                for j in range(4)
+            }
+            for stripe in stripes
+        }
+        later = GcManager(survivor)
+        later.run_once()  # recentlist -> oldlist
+        later.run_once()  # oldlist -> gone
+        for stripe in stripes:
+            for state in stripe_states(cluster, stripe).values():
+                assert state.recent_tids() == set()
+                assert state.old_tids() == set()
+            assert check_stripe(cluster, stripe) == []
 
     def test_recovery_is_the_other_collector(self):
         """The dead client's in-memory completed-write notes die with

@@ -77,6 +77,28 @@ class TestWireCorruption:
         assert stats.corruptions_detected == injected
         assert stats.verified_reads > 0
 
+    def test_lost_probe_is_asked_again_not_served_unverified(self):
+        """The reader's first read comes back damaged and the fingerprint
+        probe that would catch it is lost: the probe is re-sent, the
+        damage is detected, and only the re-read block is served."""
+        plan = FaultPlan(
+            [
+                FaultRule(src="reader", op="read", corrupt=1.0, before_op=1),
+                FaultRule(
+                    src="reader", op="fingerprint", drop=1.0, before_op=2
+                ),
+            ],
+            seed=3,
+        )
+        cluster = Cluster(k=2, n=4, block_size=64, chaos_plan=plan)
+        cluster.client("writer", verified_config()).write_block(0, b"\x07")
+        vol = cluster.client("reader", verified_config(rpc_timeout=0.05))
+        assert vol.read_block(0)[:1] == b"\x07"
+        assert cluster.chaos.ledger_counts() == {"corrupt": 1, "drop": 1}
+        wire = [c for c in vol.protocol.corruption_log if c.source == "wire"]
+        assert len(wire) == 1
+        assert vol.protocol.stats.verified_reads == 1
+
     def test_does_not_trip_the_breaker(self):
         """In-flight damage says nothing about the node's disk."""
         plan = FaultPlan([FaultRule(op="read", corrupt=0.3)], seed=3)

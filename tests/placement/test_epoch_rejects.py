@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.client.gc import GcManager
 from repro.core.cluster import Cluster
 from repro.errors import StalePlacementError
 from repro.ids import BlockAddr, Tid
@@ -122,3 +123,31 @@ class TestEpochRejectAcrossRemap:
         assert client.stats.stale_refetches > 0
         reader = cluster.protocol_client("reader")
         assert bytes(reader.read(stripe, 0)) == bytes(value2)
+
+    def test_gc_frame_refuses_stale_addresses_and_refetches(self, rig):
+        cluster, _obs, stripe, _old, _new, _epoch = rig
+        # Prime the client's cache, then migrate the stripe once more:
+        # the GC frames of the next round carry a stale generation for
+        # every position of that stripe, and only for that stripe.
+        client = cluster.protocol_client("gc-stale")
+        other = next(s for s in range(6) if s != stripe)
+        client.write(stripe, 0, np.full(32, 55, dtype=np.uint8))
+        client.write(other, 0, np.full(32, 66, dtype=np.uint8))
+        placement = cluster.placement
+        newer = cluster.add_storage(2)
+        placement.propose(placement.members() | set(newer))
+        cluster.rebalancer("reb2").migrate_all(
+            placement.pending_stripes([stripe])
+        )
+        gc = GcManager(client)
+        gc.run_once()
+        # Refused, not applied and not re-sent: the stripe's batches
+        # roll over, the other stripe's went through.
+        assert set(client.gc_pending) == {stripe}
+        # The refusal invalidated the stale entry, so the next round
+        # reaches the new placement and the batches go through.
+        gc.run_once()
+        assert client.gc_pending == {}
+        assert gc.pending_tids() > 0  # awaiting gc_old
+        gc.run_once()
+        assert gc.pending_tids() == 0

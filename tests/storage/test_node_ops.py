@@ -191,7 +191,7 @@ class TestAdd:
         node = make_node()
         t1 = tid(1)
         node.add(addr(2), block(1), t1, None, 0)
-        node.gc_recent(addr(2), [t1])
+        node.gc_recent({addr(2): [t1]})
         assert t1 not in node.peek(addr(2)).recent_tids()
         assert node.add(addr(2), block(2), tid(2), t1, 0).status is AddStatus.OK
 
