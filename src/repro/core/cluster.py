@@ -38,6 +38,7 @@ from repro.placement.rebalance import Rebalancer
 from repro.storage.node import StorageNode, VolumeMeta
 from repro.storage.state import BlockState, OpMode
 from repro.storage.store import BlockStore
+from repro.storage.wal import WalStore
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,10 @@ class Cluster:
         # ``lambda slot: SimulatedDiskStore()`` for the §3.11 study.
         self._store_factory = store_factory
         self.stores: dict[int, object] = {}
-        #: Slots crashed under the "restart" policy, awaiting restart_storage.
-        self._down: dict[int, str] = {}
+        #: Slots crashed under the "restart" policy, awaiting
+        #: restart_storage: the node id and whether it was a fresh
+        #: replacement.
+        self._down: dict[int, tuple[str, bool]] = {}
         self._nodes: dict[str, StorageNode] = {}
         self._clients: dict[str, ProtocolClient] = {}
         self._lock = threading.Lock()
@@ -404,11 +407,11 @@ class Cluster:
           served must be fully reconstructed from its peers.
 
         * ``"restart"``: the node will come back *with its own disk*
-          (requires a store with ``supports_restart``, e.g.
-          :class:`~repro.storage.wal.WalStore`).  The slot is pinned in
-          the directory — client-triggered remaps become no-ops, so
-          the downtime is ridden out with retries and degraded reads —
-          and the store takes its seeded crash-time media damage.
+          (requires a :class:`~repro.storage.wal.WalStore`).  The slot
+          is pinned in the directory — client-triggered remaps become
+          no-ops, so the downtime is ridden out with retries and
+          degraded reads — and the store takes its seeded crash-time
+          media damage.
           Call :meth:`restart_storage` to bring the node back: a clean
           WAL replay restores the exact pre-crash state (epoch, tid
           lists, blocks) and only the writes missed while down need
@@ -427,7 +430,7 @@ class Cluster:
         node_id = self.directory.node_id(slot)
         if policy == "restart":
             store = self.stores.get(slot)
-            if store is None or not getattr(store, "supports_restart", False):
+            if not isinstance(store, WalStore):
                 raise ValueError(
                     f"slot {slot} has no restart-capable store; use a "
                     f"store_factory building WalStore for policy='restart'"
@@ -435,7 +438,9 @@ class Cluster:
             # Pin before crashing so no client can slip in a remap
             # between failure detection and the eventual restart.
             self.directory.pin(slot)
-            self._down[slot] = node_id
+            with self._lock:
+                fresh = self._nodes[node_id].fresh
+            self._down[slot] = (node_id, fresh)
             self.transport.crash(node_id)
             store.crash(force=media_force)
         else:
@@ -449,20 +454,22 @@ class Cluster:
         its old identity with its persisted epoch, tid lists and block
         images intact, and serves immediately — the monitor/rebuilder
         then repair only stripes whose tid bookkeeping shows writes the
-        node missed while down.  Dirty replay (torn or lost records):
-        the media is wiped and the node rejoins fresh, all-``INIT``,
-        exactly like a remapped replacement.
+        node missed while down.  A restarted *replacement* stays one:
+        an address its log never held comes back ``INIT``, not as the
+        zeros an original node starts from.  Dirty replay (torn or lost
+        records): the media is wiped and the node rejoins fresh,
+        all-``INIT``, exactly like a remapped replacement.
         """
         if slot not in self._down:
             raise ValueError(
                 f"slot {slot} was not crashed with policy='restart'"
             )
-        node_id = self._down.pop(slot)
+        node_id, fresh = self._down.pop(slot)
         store = self.stores[slot]
         result = store.reopen()
         if result.clean:
             node = self._install_node(
-                node_id, slot, fresh=False, store=store, restore=result.states
+                node_id, slot, fresh=fresh, store=store, restore=result.states
             )
         else:
             store.reset()
@@ -524,41 +531,28 @@ class Cluster:
         return self.code.is_consistent_stripe(self.stripe_blocks(stripe, volume))
 
     def verify_store_consistency(self) -> list[str]:
-        """Audit: every node's persisted store matches its in-memory state.
+        """Audit: every WAL-backed node's log matches its in-memory state.
 
-        For each live node with a store, flush write-back buffers and
-        compare, per persisted address, the store's block image (and,
-        for durable stores exposing ``persisted_state``, the metadata:
-        opmode, epoch, tid lists, recons_set) against the node's
-        in-memory :class:`BlockState`.  Returns human-readable mismatch
-        descriptions — empty means the durable and volatile views agree.
-        Catches write-back and replay bugs the parity scrub cannot see.
+        For each live node with a :class:`~repro.storage.wal.WalStore`,
+        decode the last record logged per address and compare it with
+        the node's in-memory :class:`BlockState`: the block, opmode,
+        epoch, both tid lists, recons_set and the fingerprint.  Returns
+        human-readable mismatch descriptions — empty means the durable
+        and volatile views agree.  Catches persistence and replay bugs
+        the parity scrub cannot see.
         """
         mismatches: list[str] = []
         for slot in self.directory.slots():
             node = self.node_for_slot(slot)
             store = node.store
-            if store is None:
+            if not isinstance(store, WalStore):
                 continue
-            store.sync()
-            addrs = store.addresses()
-            if addrs is None:
-                continue  # store cannot enumerate; nothing to audit
-            get_state = getattr(store, "persisted_state", None)
-            for addr in addrs:
+            for addr in store.addresses():
+                durable = store.persisted_state(addr)
                 memory = node.peek(addr)
-                image = store.load(addr)
-                if image is None or not np.array_equal(image, memory.block):
+                if not np.array_equal(durable.block, memory.block):
                     mismatches.append(
                         f"slot {slot} {addr}: persisted block != memory"
-                    )
-                    continue
-                if get_state is None:
-                    continue
-                durable = get_state(addr)
-                if durable is None:
-                    mismatches.append(
-                        f"slot {slot} {addr}: no persisted state"
                     )
                     continue
                 for fld in ("opmode", "epoch", "recentlist", "oldlist",

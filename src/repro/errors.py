@@ -3,8 +3,24 @@
 from __future__ import annotations
 
 
+def _rebuild(cls: type, args: tuple, fields: dict) -> BaseException:
+    """Unpickle an error without re-running its ``__init__``: restore the
+    class, the rendered ``args`` and every attribute as they were.  The
+    default path would re-call ``__init__(*args)``, i.e. with the
+    message as its first field, which breaks every error whose
+    constructor is not ``(message,)``."""
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(fields)
+    return exc
+
+
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Survive pickling over TcpTransport with fields intact.
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class NodeUnavailableError(ReproError):
@@ -20,12 +36,6 @@ class NodeUnavailableError(ReproError):
         self.node_id = node_id
         self.reason = reason
 
-    def __reduce__(self):
-        # Survive pickling over TcpTransport with fields intact: the
-        # default path would re-call __init__ with the rendered message
-        # as node_id.
-        return (NodeUnavailableError, (self.node_id, self.reason))
-
 
 class PartitionedError(NodeUnavailableError):
     """The caller is partitioned from the target (switch failure etc.)."""
@@ -33,9 +43,6 @@ class PartitionedError(NodeUnavailableError):
     def __init__(self, src: str, dst: str):
         super().__init__(dst, reason=f"partitioned from {src}")
         self.src = src
-
-    def __reduce__(self):
-        return (PartitionedError, (self.src, self.node_id))
 
 
 class RpcTimeoutError(NodeUnavailableError):
@@ -59,9 +66,6 @@ class RpcTimeoutError(NodeUnavailableError):
         self.op = op
         self.deadline = deadline
 
-    def __reduce__(self):
-        return (RpcTimeoutError, (self.node_id, self.op, self.deadline))
-
 
 class NodeBusyError(ReproError):
     """The target shed this request: its admission queue is full.
@@ -77,10 +81,6 @@ class NodeBusyError(ReproError):
         super().__init__(f"node {node_id!r} busy: {reason}")
         self.node_id = node_id
         self.reason = reason
-
-    def __reduce__(self):
-        # Survive pickling over TcpTransport with fields intact.
-        return (NodeBusyError, (self.node_id, self.reason))
 
 
 class StalePlacementError(ReproError):
@@ -114,14 +114,6 @@ class StalePlacementError(ReproError):
         self.seen_gen = seen_gen
         self.current_gen = current_gen
         self.retired = retired
-
-    def __reduce__(self):
-        # Survive pickling over TcpTransport with fields intact.
-        return (
-            StalePlacementError,
-            (self.node_id, self.stripe, self.seen_gen, self.current_gen,
-             self.retired),
-        )
 
 
 class IntegrityError(ReproError):
@@ -165,13 +157,6 @@ class CorruptionDetected(IntegrityError):
         self.source = source
         self.detail = detail
 
-    def __reduce__(self):
-        # Survive pickling over TcpTransport with fields intact.
-        return (
-            CorruptionDetected,
-            (self.node_id, self.stripe, self.index, self.source, self.detail),
-        )
-
 
 class CircuitOpenError(NodeUnavailableError):
     """Fast-fail raised by the client's circuit breaker while a node's
@@ -182,9 +167,6 @@ class CircuitOpenError(NodeUnavailableError):
 
     def __init__(self, node_id: str):
         super().__init__(node_id, reason="circuit open")
-
-    def __reduce__(self):
-        return (CircuitOpenError, (self.node_id,))
 
 
 class UnknownNodeError(ReproError):
@@ -226,8 +208,7 @@ class ClientCrash(BaseException):
         self.hit = hit
         self.detail = dict(detail or {})
 
-    def __reduce__(self):
-        return (ClientCrash, (self.point, self.hit, self.detail))
+    __reduce__ = ReproError.__reduce__
 
 
 class DirectoryUnavailableError(ReproError):
@@ -248,9 +229,6 @@ class DirectoryUnavailableError(ReproError):
         super().__init__(message)
         self.op = op
         self.detail = detail
-
-    def __reduce__(self):
-        return (DirectoryUnavailableError, (self.op, self.detail))
 
 
 class WriteAbortedError(ReproError):

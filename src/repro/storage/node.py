@@ -39,7 +39,7 @@ from repro.net.transport import RpcHandler
 from repro.errors import StalePlacementError, UnknownOperationError
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.trace import NULL_TRACER
-from repro.storage.store import BlockStore
+from repro.storage.store import BlockStore, MemoryStore
 from repro.storage.state import (
     AddResult,
     AddStatus,
@@ -111,7 +111,9 @@ class StorageNode(RpcHandler):
         self.slot = slot
         self.volumes = dict(volumes)
         self.fresh = fresh
-        self.store = store  # persistence backend (None = state-only)
+        # The medium under ``_blocks``; RAM (nothing beyond this node's
+        # own map) unless the cluster wires a durable one.
+        self.store = store if store is not None else MemoryStore()
         # Lease-based lock expiry: the alternative liveness mechanism
         # when crash notifications are unavailable (the paper's Fig. 6
         # footnote about nodes "losing their locked state").  None
@@ -231,21 +233,18 @@ class StorageNode(RpcHandler):
         return TidEntry(tid=tid, seq_time=seq_time, wall_time=wall)
 
     def _persist(self, addr: BlockAddr, state: BlockState) -> None:
-        """Push a content change to the persistence backend (if any).
+        """Push a content change to the persistence backend.
 
         Redundant-block images may be buffered by a write-back store
         (§3.11); data blocks are always written through.
         """
-        if self.store is None:
-            return
         redundant = addr.index >= self._meta(addr).code.k
         self.store.persist(addr, state, redundant)
 
     def _persist_meta(self, addr: BlockAddr, state: BlockState) -> None:
         """Push a metadata-only change (epoch, tid lists, opmode) to the
-        backend; a no-op for content-only stores."""
-        if self.store is not None:
-            self.store.persist_meta(addr, state)
+        backend; only a store that logs metadata (the WAL) keeps it."""
+        self.store.persist_meta(addr, state)
 
     def _maybe_expire(self, state: BlockState) -> None:
         """Lease expiry: a lock older than ``lock_lease`` becomes EXP."""
@@ -260,8 +259,7 @@ class StorageNode(RpcHandler):
         """Advance the store's sequential-write cursor (§3.11: flush a
         buffered redundant block once a write for a large enough
         logical block arrives)."""
-        if self.store is not None:
-            self.store.observe_stripe(addr.stripe)
+        self.store.observe_stripe(addr.stripe)
 
     def _check_generation(self, addr: BlockAddr, gen: int) -> None:
         """Reject requests stamped with a stale placement generation.

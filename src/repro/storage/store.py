@@ -1,21 +1,26 @@
 """Persistence backends for storage nodes, with the §3.11 write-back
 optimization for sequential I/O.
 
-The paper's experiments used RAM as the storage medium
-(:class:`MemoryStore`).  For disk-backed nodes, §3.11 observes that
-during sequential writes a redundant block R is updated k times (once
-per data block of its stripe), so "the storage node can postpone
-writing R to disk until after the node knows that the sequential writes
-will no longer affect R.  This can be determined when the node sees a
-write for large enough logical block C."
+A node's ``_blocks`` map is the one live copy of every block slot's
+state.  A :class:`BlockStore` hears about each change to it and keeps
+only what its medium models — never a second copy of that state:
 
-:class:`SimulatedDiskStore` models a block device by *counting* device
-writes (we care about I/O economy, not persistence): in write-through
-mode every update hits the device; in write-back mode redundant-block
-updates are buffered and flushed once activity moves ``defer_window``
-stripes past them — reducing device writes per redundant block from k
-to ~1 for sequential workloads (asserted by tests and the ablation
-bench).
+* :class:`MemoryStore` — RAM, the medium of the paper's §5.1
+  experiments.  The node's own map *is* the RAM, so it keeps nothing.
+* :class:`SimulatedDiskStore` — a block device modelled by *counting*
+  device writes (we care about I/O economy, not persistence).  §3.11
+  observes that during sequential writes a redundant block R is
+  updated k times (once per data block of its stripe), so "the storage
+  node can postpone writing R to disk until after the node knows that
+  the sequential writes will no longer affect R.  This can be
+  determined when the node sees a write for large enough logical block
+  C."  In write-through mode every update hits the device; in
+  write-back mode redundant-block updates are buffered and flushed once
+  activity moves ``defer_window`` stripes past them — reducing device
+  writes per redundant block from k to ~1 for sequential workloads
+  (asserted by tests and the ablation bench).
+* :class:`~repro.storage.wal.WalStore` — a write-ahead log of encoded
+  records that survives a crash-restart cycle.
 """
 
 from __future__ import annotations
@@ -33,42 +38,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class BlockStore(ABC):
-    """Where a storage node persists block contents.
-
-    Stores that also persist protocol *metadata* (tid lists, epoch,
-    opmode) and can survive a crash-restart cycle set
-    ``supports_restart = True`` and override :meth:`persist` /
-    :meth:`persist_meta` (see :class:`~repro.storage.wal.WalStore`).
-    The defaults keep content-only stores working unchanged: ``persist``
-    forwards the block image to :meth:`store` and ``persist_meta`` is a
-    no-op (so e.g. :class:`SimulatedDiskStore`'s device-write counting
-    is not perturbed by metadata churn).
-    """
-
-    #: Whether this store can back ``Cluster.crash_storage(policy="restart")``.
-    supports_restart = False
+    """The medium under a storage node, told of every change it acks."""
 
     @abstractmethod
-    def store(self, addr: BlockAddr, block: np.ndarray, redundant: bool) -> None:
-        """Persist a block image (called after every content change)."""
-
-    @abstractmethod
-    def load(self, addr: BlockAddr) -> np.ndarray | None:
-        """Most recently persisted image, or None if never stored."""
-
     def persist(self, addr: BlockAddr, state: "BlockState", redundant: bool) -> None:
-        """Persist a slot after a *content* change.  Durable stores log
-        the full state; the default keeps the legacy content-only path."""
-        self.store(addr, state.block, redundant)
+        """A slot's *content* changed (swap, add, reconstruct).
+        ``redundant`` marks a redundant-block position (§3.11)."""
 
     def persist_meta(self, addr: BlockAddr, state: "BlockState") -> None:
-        """Persist a slot after a *metadata-only* change (finalize, GC).
-        No-op for content-only stores."""
-
-    def addresses(self) -> list[BlockAddr] | None:
-        """Every address this store holds an image for, or None when the
-        store cannot enumerate (content-only stores need not track it)."""
-        return None
+        """A slot's *metadata* changed (finalize, GC).  Only a store
+        that logs metadata cares; the default ignores it, so e.g.
+        :class:`SimulatedDiskStore`'s device-write counting is not
+        perturbed by metadata churn."""
 
     def observe_stripe(self, stripe: int) -> None:
         """Hint: the node is now serving activity for ``stripe``."""
@@ -78,26 +59,12 @@ class BlockStore(ABC):
 
 
 class MemoryStore(BlockStore):
-    """RAM storage — the medium of the paper's §5.1 experiments."""
+    """RAM storage — the medium of the paper's §5.1 experiments.  The
+    node's in-memory state is the RAM image, so there is nothing more
+    to keep."""
 
-    def __init__(self) -> None:
-        self._blocks: dict[BlockAddr, np.ndarray] = {}
-        self._lock = threading.Lock()
-
-    def store(self, addr: BlockAddr, block: np.ndarray, redundant: bool) -> None:
-        with self._lock:
-            self._blocks[addr] = np.array(block, dtype=np.uint8, copy=True)
-
-    def load(self, addr: BlockAddr) -> np.ndarray | None:
-        with self._lock:
-            block = self._blocks.get(addr)
-            return None if block is None else block.copy()
-
-    def addresses(self) -> list[BlockAddr]:
-        with self._lock:
-            return sorted(
-                self._blocks, key=lambda a: (a.volume, a.stripe, a.index)
-            )
+    def persist(self, addr: BlockAddr, state: "BlockState", redundant: bool) -> None:
+        pass
 
 
 class SimulatedDiskStore(BlockStore):
@@ -121,21 +88,14 @@ class SimulatedDiskStore(BlockStore):
 
     # -- BlockStore interface ------------------------------------------------
 
-    def store(self, addr: BlockAddr, block: np.ndarray, redundant: bool) -> None:
-        image = np.array(block, dtype=np.uint8, copy=True)
+    def persist(self, addr: BlockAddr, state: "BlockState", redundant: bool) -> None:
+        image = state.block.copy()
         with self._lock:
             if self.write_back and redundant:
                 self._dirty[addr] = image
                 self.buffered_peak = max(self.buffered_peak, len(self._dirty))
             else:
                 self._write_device(addr, image)
-
-    def load(self, addr: BlockAddr) -> np.ndarray | None:
-        with self._lock:
-            image = self._dirty.get(addr)
-            if image is None:
-                image = self._disk.get(addr)
-            return None if image is None else image.copy()
 
     def observe_stripe(self, stripe: int) -> None:
         """Flush buffered redundant blocks the cursor has moved past."""
@@ -155,11 +115,6 @@ class SimulatedDiskStore(BlockStore):
             for addr, image in self._dirty.items():
                 self._write_device(addr, image)
             self._dirty.clear()
-
-    def addresses(self) -> list[BlockAddr]:
-        with self._lock:
-            known = set(self._disk) | set(self._dirty)
-            return sorted(known, key=lambda a: (a.volume, a.stripe, a.index))
 
     # -- introspection ---------------------------------------------------------
 

@@ -15,6 +15,10 @@ of that story:
   (addr, lsn) and is idempotent and order-insensitive by construction;
 * the log is periodically compacted into a snapshot (one record per
   live address, rewritten atomically);
+* the store holds no live state of its own: the node's block map is
+  the one live copy, and per address the store keeps only the encoded
+  record it last logged — compaction re-frames those bytes at fresh
+  LSNs, and the store-vs-memory audit decodes them;
 * the "device" underneath (:class:`SimMedia`) injects *disk* faults at
   crash time — torn (partially written) and lost (reordered-out) tail
   records — under a seed, mirroring ``FaultPlan``'s determinism for
@@ -54,6 +58,10 @@ from repro.storage.store import BlockStore
 
 #: Frame header: LSN (8 bytes), payload length (4), payload CRC32 (4).
 _FRAME = struct.Struct(">QII")
+
+#: Compact the log into a snapshot once it holds this many frames (or
+#: twice the live addresses, whichever is more).
+SNAPSHOT_EVERY = 256
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +124,17 @@ def record_to_state(record: dict) -> tuple[BlockAddr, BlockState]:
     return BlockAddr(volume, stripe, index), state
 
 
-def encode_frame(lsn: int, record: dict) -> bytes:
-    payload = pickle.dumps(record, protocol=4)
+def _encode_record(record: dict) -> bytes:
+    """A record's frame payload: what the log keeps per address."""
+    return pickle.dumps(record, protocol=4)
+
+
+def _frame(lsn: int, payload: bytes) -> bytes:
     return _FRAME.pack(lsn, len(payload), zlib.crc32(payload)) + payload
+
+
+def encode_frame(lsn: int, record: dict) -> bytes:
+    return _frame(lsn, _encode_record(record))
 
 
 def decode_frame(data: bytes) -> tuple[int, dict] | None:
@@ -397,36 +413,28 @@ class WalStore(BlockStore):
     :class:`ReplayResult` — clean means the caller may restore the
     states verbatim); ``reset()`` wipes the media when replay was dirty
     and the node must come back fresh-INIT.
-    """
 
-    supports_restart = True
+    The store holds no live state: per address it keeps only the
+    encoded record it last logged, which is what compaction re-frames
+    and what :meth:`persisted_state` decodes for audits.
+    """
 
     def __init__(
         self,
         media: SimMedia | None = None,
         plan: MediaFaultPlan | None = None,
         tag: str = "media",
-        snapshot_every: int = 256,
     ):
-        if snapshot_every < 8:
-            raise ValueError("snapshot_every must be >= 8")
         self.media = media or SimMedia(plan, tag=tag)
-        self.snapshot_every = snapshot_every
         self.compactions = 0
         self.metrics = NULL_REGISTRY
         self._metrics_tag = tag
         self._lsn = 0
-        self._states: dict[BlockAddr, BlockState] = {}
+        self._records: dict[BlockAddr, bytes] = {}
         self._open = True
         self._lock = threading.Lock()
 
     # -- BlockStore interface ------------------------------------------------
-
-    def store(self, addr: BlockAddr, block: np.ndarray, redundant: bool) -> None:
-        """Content-only persist (legacy path); wraps into a full image
-        with default metadata so the log stays homogeneous."""
-        self.persist(addr, BlockState(block=np.asarray(block, dtype=np.uint8)),
-                     redundant)
 
     def persist(self, addr: BlockAddr, state: BlockState, redundant: bool) -> None:
         self._append(addr, state)
@@ -435,47 +443,44 @@ class WalStore(BlockStore):
         # Full-image records: metadata changes re-log the whole slot.
         self._append(addr, state)
 
-    def load(self, addr: BlockAddr) -> np.ndarray | None:
-        with self._lock:
-            state = self._states.get(addr)
-            return None if state is None else state.block.copy()
-
     def addresses(self) -> list[BlockAddr]:
         with self._lock:
             return sorted(
-                self._states, key=lambda a: (a.volume, a.stripe, a.index)
+                self._records, key=lambda a: (a.volume, a.stripe, a.index)
             )
 
     def persisted_state(self, addr: BlockAddr) -> BlockState | None:
-        """Durable image of one slot (for store-vs-memory audits)."""
+        """Durable image of one slot (for store-vs-memory audits),
+        decoded from the last record logged for it."""
         with self._lock:
-            state = self._states.get(addr)
-            if state is None:
-                return None
-            _, copy = record_to_state(state_to_record(addr, state))
-            return copy
+            payload = self._records.get(addr)
+        if payload is None:
+            return None
+        return record_to_state(pickle.loads(payload))[1]
 
     # -- lifecycle -----------------------------------------------------------
 
     def crash(self, force: str | None = None) -> None:
         """Fail-stop the node this store backs: the media takes its
-        seeded (or ``force``-d) tail damage; the in-memory mirror is
+        seeded (or ``force``-d) tail damage; the kept records are
         invalid until :meth:`reopen`."""
         with self._lock:
             self._open = False
-            self._states = {}
+            self._records = {}
         self.media.crash(force=force)
 
     def reopen(self) -> ReplayResult:
-        """Replay the media.  On a clean replay the mirror is rebuilt
-        and the store serves again; on a dirty one the caller must
-        :meth:`reset` and bring the node up fresh."""
+        """Replay the media.  On a clean replay the kept records are
+        rebuilt from the replayed log and the store serves again; on a
+        dirty one the caller must :meth:`reset` and bring the node up
+        fresh."""
         frames, header_lsn = self.media.read()
         result = replay(frames, header_lsn)
         with self._lock:
             if result.clean:
-                self._states = {
-                    addr: state for addr, state in result.states.items()
+                self._records = {
+                    addr: _encode_record(state_to_record(addr, state))
+                    for addr, state in result.states.items()
                 }
                 self._lsn = max(result.max_lsn, self._lsn)
                 self._open = True
@@ -485,7 +490,7 @@ class WalStore(BlockStore):
         """Wipe the media (mkfs): used when replay detected damage and
         the node rejoins as a fresh INIT replacement."""
         with self._lock:
-            self._states = {}
+            self._records = {}
             self._lsn = 0
             self._open = True
         self.media.rewrite([])
@@ -493,18 +498,15 @@ class WalStore(BlockStore):
     # -- internals -----------------------------------------------------------
 
     def _append(self, addr: BlockAddr, state: BlockState) -> None:
-        record = state_to_record(addr, state)
+        payload = _encode_record(state_to_record(addr, state))
         with self._lock:
             if not self._open:
                 raise RuntimeError("WalStore is crashed; reopen() first")
             self._lsn += 1
             lsn = self._lsn
-            # Mirror through the codec so load()/persisted_state() see
-            # exactly what replay would reconstruct.
-            _, mirrored = record_to_state(record)
-            self._states[addr] = mirrored
-            live = len(self._states)
-        frame = encode_frame(lsn, record)
+            self._records[addr] = payload
+            live = len(self._records)
+        frame = _frame(lsn, payload)
         self.media.append(lsn, frame)
         self.media.sync()  # sync-on-commit: acked implies durable
         metrics = self.metrics
@@ -512,7 +514,7 @@ class WalStore(BlockStore):
             tag = self._metrics_tag
             metrics.counter("wal_appends_total", media=tag).inc()
             metrics.counter("wal_append_bytes_total", media=tag).inc(len(frame))
-        if self.media.frame_count() >= max(self.snapshot_every, 2 * live):
+        if self.media.frame_count() >= max(SNAPSHOT_EVERY, 2 * live):
             self._compact()
 
     def _compact(self) -> None:
@@ -521,11 +523,12 @@ class WalStore(BlockStore):
         with self._lock:
             frames: list[tuple[int, bytes]] = []
             for addr in sorted(
-                self._states, key=lambda a: (a.volume, a.stripe, a.index)
+                self._records, key=lambda a: (a.volume, a.stripe, a.index)
             ):
                 self._lsn += 1
-                record = state_to_record(addr, self._states[addr])
-                frames.append((self._lsn, encode_frame(self._lsn, record)))
+                frames.append(
+                    (self._lsn, _frame(self._lsn, self._records[addr]))
+                )
             self.compactions += 1
         self.media.rewrite(frames)
         metrics = self.metrics

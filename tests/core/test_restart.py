@@ -12,6 +12,7 @@ from repro.client.monitor import Monitor
 from repro.core.cluster import Cluster
 from repro.errors import WriteAbortedError
 from repro.ids import BlockAddr
+from repro.storage.state import OpMode
 from repro.storage.wal import WalStore
 
 
@@ -177,6 +178,41 @@ class TestDeltaBehindRestart:
             assert cluster.stripe_consistent(s)
 
 
+class TestRestartedReplacement:
+    def test_unlogged_address_comes_back_init_not_zeros(self, seeded):
+        """A remapped replacement that materialized an address as INIT
+        but never logged it must not restart serving that address as an
+        original node's zero block."""
+        cluster, vol = seeded
+        addr = BlockAddr("vol0", 0, 0)
+        slot = cluster.layout.node_of_stripe_index(0, 0)
+        cluster.crash_storage(slot)  # remap policy
+        # Touch another stripe the slot serves: the client remaps the
+        # slot and recovery rebuilds that stripe onto the replacement.
+        layout = cluster.layout
+
+        def elsewhere_on_slot(b: int) -> bool:
+            loc = layout.locate(b)
+            return loc.stripe != 0 and slot == layout.node_of_stripe_index(
+                loc.stripe, loc.data_index
+            )
+
+        other = next(b for b in range(BLOCKS) if elsewhere_on_slot(b))
+        assert vol.read_block(other)[:1] == bytes([other + 1])
+        replacement = cluster.node_for_slot(slot)
+        assert replacement.fresh
+        # Materialize stripe 0's slot on the replacement, as any probe
+        # would: INIT garbage, never logged.
+        assert replacement.peek(addr).opmode is OpMode.INIT
+        assert addr not in cluster.stores[slot].addresses()
+
+        cluster.crash_storage(slot, policy="restart")
+        report = cluster.restart_storage(slot)
+        assert report.clean
+        reader = cluster.client("reader", _FAST)
+        assert reader.read_block(0)[:1] == bytes([1])
+
+
 class TestDirtyRestart:
     def test_torn_tail_degrades_to_init_and_is_repaired(self, seeded):
         cluster, vol = seeded
@@ -212,6 +248,17 @@ class TestStoreAudit:
         cluster.crash_storage(1, policy="restart")
         cluster.restart_storage(1)
         assert cluster.verify_store_consistency() == []
+
+    def test_detects_unpersisted_change_after_restart(self, seeded):
+        """The audit compares the log with the node, not the node with
+        itself: after a clean restart the two share no state object."""
+        cluster, _ = seeded
+        cluster.crash_storage(1, policy="restart")
+        cluster.restart_storage(1)
+        addr = cluster.stores[1].addresses()[0]
+        cluster.node_for_slot(1).peek(addr).epoch += 7  # never persisted
+        mismatches = cluster.verify_store_consistency()
+        assert any("persisted epoch" in m for m in mismatches)
 
     def test_detects_tampered_store(self, seeded):
         cluster, _ = seeded

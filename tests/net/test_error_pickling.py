@@ -116,8 +116,7 @@ def test_sample_registry_is_complete():
     missing = [cls for cls in all_error_classes() if cls not in SAMPLES]
     assert not missing, (
         f"error classes without a pickle-safety sample: "
-        f"{[cls.__name__ for cls in missing]} — add one to SAMPLES (and "
-        f"a __reduce__ to the class if its __init__ is not (message,))"
+        f"{[cls.__name__ for cls in missing]} — add one to SAMPLES"
     )
 
 

@@ -7,56 +7,45 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.ids import BlockAddr
-from repro.storage.store import MemoryStore, SimulatedDiskStore
+from repro.storage.state import BlockState
+from repro.storage.store import SimulatedDiskStore
 
 from tests.storage.test_node_ops import BS, addr, block, make_node, tid
 
 
-class TestMemoryStore:
-    def test_roundtrip(self):
-        store = MemoryStore()
-        store.store(addr(0), block(5), redundant=False)
-        assert store.load(addr(0))[0] == 5
-
-    def test_load_missing_is_none(self):
-        assert MemoryStore().load(addr(9)) is None
-
-    def test_store_copies(self):
-        store = MemoryStore()
-        image = block(5)
-        store.store(addr(0), image, redundant=False)
-        image[:] = 0
-        assert store.load(addr(0))[0] == 5
+def state(fill: int) -> BlockState:
+    return BlockState(block=block(fill))
 
 
 class TestSimulatedDiskStore:
     def test_write_through_counts_every_write(self):
         store = SimulatedDiskStore(write_back=False)
         for i in range(4):
-            store.store(addr(2), block(i), redundant=True)
+            store.persist(addr(2), state(i), redundant=True)
         assert store.device_writes == 4
 
     def test_write_back_buffers_redundant_blocks(self):
         store = SimulatedDiskStore(write_back=True)
         for i in range(4):
-            store.store(addr(2, stripe=0), block(i), redundant=True)
+            store.persist(addr(2, stripe=0), state(i), redundant=True)
         assert store.device_writes == 0
         assert store.dirty_count() == 1
 
     def test_data_blocks_always_write_through(self):
         store = SimulatedDiskStore(write_back=True)
-        store.store(addr(0), block(1), redundant=False)
+        store.persist(addr(0), state(1), redundant=False)
         assert store.device_writes == 1
 
     def test_load_sees_buffered_image(self):
         store = SimulatedDiskStore(write_back=True)
-        store.store(addr(2), block(7), redundant=True)
-        assert store.load(addr(2))[0] == 7  # read hits the buffer
+        store.persist(addr(2), state(7), redundant=True)
         assert store.device_image(addr(2)) is None  # device untouched
+        store.sync()
+        assert store.device_image(addr(2))[0] == 7  # the buffer held it
 
     def test_observe_stripe_flushes_past_window(self):
         store = SimulatedDiskStore(write_back=True, defer_window=2)
-        store.store(addr(2, stripe=0), block(1), redundant=True)
+        store.persist(addr(2, stripe=0), state(1), redundant=True)
         store.observe_stripe(1)
         assert store.device_writes == 0  # still inside the window
         store.observe_stripe(2)
@@ -65,8 +54,8 @@ class TestSimulatedDiskStore:
 
     def test_sync_flushes_everything(self):
         store = SimulatedDiskStore(write_back=True)
-        store.store(addr(2, stripe=0), block(1), redundant=True)
-        store.store(addr(3, stripe=5), block(2), redundant=True)
+        store.persist(addr(2, stripe=0), state(1), redundant=True)
+        store.persist(addr(3, stripe=5), state(2), redundant=True)
         store.sync()
         assert store.device_writes == 2
         assert store.dirty_count() == 0
@@ -82,7 +71,7 @@ class TestNodeIntegration:
         node = make_node()
         node.store = store
         node.swap(addr(0), block(9), tid(1))
-        assert store.load(addr(0))[0] == 9
+        assert store.device_image(addr(0))[0] == 9
         assert store.device_writes == 1
 
     def test_add_to_redundant_block_is_buffered(self):
@@ -91,7 +80,7 @@ class TestNodeIntegration:
         node.store = store
         node.add(addr(2), block(1), tid(1), None, 0)
         assert store.device_writes == 0
-        assert store.load(addr(2)) is not None
+        assert store.dirty_count() == 1
 
     def test_sequential_writes_coalesce_redundant_device_writes(self):
         """The §3.11 payoff measured end to end: writing every data

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.ids import BlockAddr, Tid
+from repro.storage import wal
 from repro.storage.state import BlockState, LockMode, OpMode, TidEntry
 from repro.storage.wal import (
     MediaFaultPlan,
@@ -81,12 +82,12 @@ class TestWalStoreLifecycle:
         store = WalStore()
         state = _state(3, epoch=2, recentlist={_entry(8)})
         store.persist(_addr(1), state, redundant=False)
-        assert np.array_equal(store.load(_addr(1)), state.block)
         durable = store.persisted_state(_addr(1))
+        assert np.array_equal(durable.block, state.block)
         assert durable.epoch == 2
         assert durable.recentlist == state.recentlist
         assert store.addresses() == [_addr(1)]
-        assert store.load(_addr(9)) is None
+        assert store.persisted_state(_addr(9)) is None
 
     def test_clean_crash_reopen_restores_exact_state(self):
         store = WalStore()
@@ -159,12 +160,13 @@ class TestWalStoreLifecycle:
 
         assert run() == run()
 
-    def test_compaction_bounds_log_and_replays_clean(self):
-        store = WalStore(snapshot_every=8)
+    def test_compaction_bounds_log_and_replays_clean(self, monkeypatch):
+        monkeypatch.setattr(wal, "SNAPSHOT_EVERY", 8)
+        store = WalStore()
         for i in range(100):
             store.persist(_addr(i % 3), _state(i % 251), redundant=False)
         assert store.compactions > 0
-        assert store.media.frame_count() <= max(8, 2 * 3)
+        assert store.media.frame_count() <= max(wal.SNAPSHOT_EVERY, 2 * 3)
         store.crash()
         result = store.reopen()
         assert result.clean
