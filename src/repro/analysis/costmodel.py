@@ -27,7 +27,6 @@ the metrics embedded in a flight-recorder dump.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.baselines.costs import CostRow, ajx_bcast, ajx_par, ajx_ser
@@ -626,7 +625,3 @@ class CostAuditor:
                 "or retry cause to explain it"
             )
         return report
-
-
-def audit_to_json_str(report: CostAuditReport) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"

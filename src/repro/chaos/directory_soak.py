@@ -360,7 +360,7 @@ def run_directory_soak(config: DirectorySoakConfig) -> DirectorySoakReport:
     placement.propose(placement.members() | set(new_slots))
     pending = placement.pending_stripes(stripes)
     rebalancer = cluster.rebalancer(
-        "dirsoak-reb", rpc_timeout=config.rpc_timeout
+        "dirsoak-reb", ClientConfig(rpc_timeout=config.rpc_timeout)
     )
     migrated = rebalancer.migrate_all(pending)
     run_ops(config.ops_per_phase // 2)

@@ -273,7 +273,7 @@ def run_elastic_soak(config: ElasticSoakConfig) -> ElasticSoakReport:
             crash_plan.arm(point, hit=2)
         rebalancer = cluster.rebalancer(
             f"reb-w{wave_idx}",
-            rpc_timeout=config.rpc_timeout,
+            ClientConfig(rpc_timeout=config.rpc_timeout),
             crashpoints=crash_plan,
         )
         crashed_at: str | None = None
@@ -290,7 +290,8 @@ def run_elastic_soak(config: ElasticSoakConfig) -> ElasticSoakReport:
         if crashed_at is not None:
             report.crash_resumes += 1
             resume = cluster.rebalancer(
-                f"reb-w{wave_idx}-resume", rpc_timeout=config.rpc_timeout
+                f"reb-w{wave_idx}-resume",
+                ClientConfig(rpc_timeout=config.rpc_timeout),
             )
             for record in resume.migrate_all(
                 placement.pending_stripes(stripes)

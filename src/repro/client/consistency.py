@@ -18,12 +18,13 @@ set of blocks agree on exactly which tids they have absorbed, then each
 block equals its code equation applied to the same write history, so
 the erasure-code relation holds among them.
 
-The spec asks for a *maximal* such S.  Exhaustive search is exponential
-in n, so :func:`find_consistent` seeds candidate sets from signature
-classes of the redundant nodes and refines each to a consistent
-fixpoint, returning the largest (and verifying it).  For the small n
-used in tests, :func:`find_consistent_exhaustive` cross-checks
-maximality.
+The spec asks for a *maximal* such S.  Subset enumeration is
+exponential in n, so :func:`find_consistent` shrinks the NORM set
+instead: it drops the data members condition (3) rules out, and where
+the redundant members disagree it branches on each signature class,
+memoized on the member set.  The result is a maximum set, not just a
+fixpoint.  For the small n used in tests,
+:func:`find_consistent_exhaustive` cross-checks this.
 """
 
 from __future__ import annotations
@@ -84,70 +85,74 @@ def is_consistent_set(
 
 
 def _refine(
-    seed: set[int], data: Mapping[int, StateSnapshot], k: int
+    members: frozenset[int],
+    data: Mapping[int, StateSnapshot],
+    k: int,
+    memo: dict[frozenset[int], frozenset[int]],
 ) -> frozenset[int]:
-    """Shrink ``seed`` until conditions (2)-(3) hold (condition (1) is
-    guaranteed by construction).  Terminates: every round removes at
-    least one member or returns."""
-    members = set(seed)
-    while members:
-        garbage = _garbage(members, data)
+    """The largest subset of ``members`` reached by shrinking it until
+    conditions (2)-(3) hold (condition (1) is guaranteed by
+    construction), memoized on the member set.
+
+    Where redundant members disagree (2), no class is known in advance
+    to lead to the largest set, so each class is tried, largest first.
+    Exactness: a maximum consistent set S inside ``members`` has its
+    redundant members in one class and none of its data members fails
+    (3), because the superset's larger garbage set drops the same tids
+    from both sides of each comparison; so one branch keeps all of S."""
+    if members in memo:
+        return memo[members]
+    result = frozenset()
+    if members:
+        garbage = _garbage(set(members), data)
         pending = {j: _pending(data[j], garbage) for j in members}
-        redundant = [j for j in members if j >= k]
-        # (2): keep the largest signature class of redundant members.
+        redundant = {j for j in members if j >= k}
         classes: dict[frozenset[Tid], list[int]] = defaultdict(list)
-        for r in redundant:
+        for r in sorted(redundant):
             classes[pending[r]].append(r)
         if len(classes) > 1:
-            keep = max(classes.values(), key=lambda nodes: (len(nodes), -min(nodes)))
-            members -= set(redundant) - set(keep)
-            continue
-        # (3): drop data members whose pending writes the redundant
-        # class has not (fully) absorbed.
-        if redundant:
-            signature = next(iter(classes)) if classes else frozenset()
-            by_origin: dict[int, set[Tid]] = defaultdict(set)
-            for tid in signature:
-                by_origin[tid.index].add(tid)
-            bad = {
-                j
-                for j in members
-                if j < k and frozenset(by_origin.get(j, set())) != pending[j]
-            }
-            if bad:
-                members -= bad
-                continue
-        return frozenset(members)
-    return frozenset()
+            for keep in sorted(
+                classes.values(), key=lambda nodes: (-len(nodes), min(nodes))
+            ):
+                candidate = _refine(
+                    members - (redundant - set(keep)), data, k, memo
+                )
+                if len(candidate) > len(result):
+                    result = candidate
+        else:
+            # (3): drop data members whose pending writes the redundant
+            # class has not (fully) absorbed.
+            bad: set[int] = set()
+            if redundant:
+                by_origin: dict[int, set[Tid]] = defaultdict(set)
+                for tid in next(iter(classes)):
+                    by_origin[tid.index].add(tid)
+                bad = {
+                    j
+                    for j in members
+                    if j < k and frozenset(by_origin.get(j, set())) != pending[j]
+                }
+            result = _refine(members - bad, data, k, memo) if bad else members
+    memo[members] = result
+    return result
 
 
 def find_consistent(
     data: Mapping[int, StateSnapshot], k: int
 ) -> frozenset[int]:
-    """Greedy-maximal consistent set (see module docstring)."""
-    norm = {
+    """Maximum consistent set (see module docstring): the refinement of
+    every NORM position, or of the NORM data positions alone, whichever
+    is larger.  A maximum set with a redundant member is reached from
+    the first; one without is all NORM data positions, the second."""
+    norm = frozenset(
         j
         for j, snap in data.items()
         if snap.opmode is OpMode.NORM and snap.block is not None
-    }
-    data_members = {j for j in norm if j < k}
-    redundant = {j for j in norm if j >= k}
-
-    seeds: list[set[int]] = [set(norm)]
-    # One seed per redundant signature class (computed under the
-    # full-set garbage approximation) — the largest class is not always
-    # the one yielding the largest final set.
-    garbage = _garbage(norm, data)
-    classes: dict[frozenset[Tid], set[int]] = defaultdict(set)
-    for r in redundant:
-        classes[_pending(data[r], garbage)].add(r)
-    for cls in classes.values():
-        seeds.append(data_members | cls)
-    seeds.append(set(data_members))  # redundant-free fallback
-
+    )
+    memo: dict[frozenset[int], frozenset[int]] = {}
     best: frozenset[int] = frozenset()
-    for seed in seeds:
-        candidate = _refine(seed, data, k)
+    for seed in (norm, frozenset(j for j in norm if j < k)):
+        candidate = _refine(seed, data, k, memo)
         if len(candidate) > len(best):
             best = candidate
     if not is_consistent_set(best, data, k):  # defensive: never return junk

@@ -5,9 +5,10 @@ detected (§3.5).  The chaos layer injects the gray middle ground:
 nodes that are slow, lossy, or intermittently silent.  This module
 gives clients a shared, continuous view of that spectrum:
 
-* every RPC outcome (from the protocol client, monitor, GC, rebuilder
-  — anything routed through ``ProtocolClient.rpc``) feeds a per-node
-  **EWMA latency** and **health score**;
+* every RPC outcome (from the protocol client, monitor, scrubber, GC,
+  rebuilder and rebalancer — anything routed through
+  ``ProtocolClient.rpc`` — and each receiver's leg of an AJX-bcast
+  frame) feeds a per-node **EWMA latency** and **health score**;
 * a per-node **circuit breaker** (closed → open → half-open) replaces
   the raw consecutive-timeout suspicion counter as the remap trigger:
   the CLOSED→OPEN transition is exactly the old "suspicion threshold

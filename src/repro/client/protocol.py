@@ -213,10 +213,17 @@ class ProtocolClient:
             self._seq += 1
             return Tid(seq=self._seq, index=index, client=self.client_id)
 
-    def _resolve(self, stripe: int, index: int) -> tuple[int | None, int, str]:
+    def _resolve(
+        self, stripe: int, index: int, slot: int | None = None
+    ) -> tuple[int | None, int, str]:
         """(placement generation, slot, node) of one stripe position: one
         placement read and one directory lookup, never cached across
-        attempts, so the next attempt after a remap reaches the new node."""
+        attempts, so the next attempt after a remap reaches the new node.
+        An explicit ``slot`` skips the placement read and carries no
+        generation stamp: the rebalancer must reach old placements and
+        retired blocks, which a stamp would have the node reject."""
+        if slot is not None:
+            return None, slot, self.directory.node_id(slot)
         if self.placement is None:
             gen, slot = None, self.meta.layout.node_of_stripe_index(stripe, index)
         else:
@@ -266,17 +273,20 @@ class ProtocolClient:
         *args,
         leg: bool = False,
         trace_ctx: TraceContext | None = None,
+        slot: int | None = None,
         **kwargs,
     ):
         """Send ``op`` to the block at position ``index`` of ``stripe``:
         the one data-plane call of the client and of every agent (monitor,
-        scrub, GC, rebuild) that drives it.
+        scrub, GC, rebuild, rebalance) that drives it.
 
         ``kind`` names the logical operation the RPC serves (write, read,
         recovery_phase1, gc, ...).  It is stamped on the call's
         :class:`Envelope` and counts one round trip for the cost auditor,
         unless the call is one ``leg`` of a :meth:`fan_out` that already
         counted the round.  The block address is prepended to ``args``.
+        ``slot`` names the serving slot instead of the stripe's placement
+        (see :meth:`_resolve`).
 
         The outcomes in :attr:`_RETRIES` are absorbed here; a detected
         fail-stop remaps the slot and re-raises so the caller enters
@@ -287,7 +297,9 @@ class ProtocolClient:
         trace = None if trace_ctx is None else trace_ctx.wire()
         return self._retrying(
             stripe, op,
-            lambda: self._attempt(kind, stripe, index, op, args, kwargs, trace),
+            lambda: self._attempt(
+                kind, stripe, index, op, args, kwargs, trace, slot=slot
+            ),
         )
 
     def fan_out(self, kind: str, indices, body) -> dict:
@@ -402,24 +414,17 @@ class ProtocolClient:
                 if event is not None and self.tracer.enabled:
                     self.tracer.emit(self.client_id, event, stripe=stripe, op=op)
 
-    def _attempt(self, kind, stripe, index, op, args, kwargs, trace, target=None):
-        """One RPC attempt, feeding the shared health registry.  The
-        ``(gen, slot, node)`` target is resolved from the position unless
-        the caller resolved it already (a per-node frame).
-
-        The circuit breaker gates the attempt: while a node's circuit is
-        open the call fails fast with :class:`CircuitOpenError` (a
-        NodeUnavailableError, so callers take their usual degraded/
-        recovery paths) instead of burning a full ``rpc_timeout``.
-
-        A timeout is weaker evidence than a detected crash — the target
-        may be gray, not dead — so remap waits for the breaker to trip
-        at the suspicion threshold; the exception still propagates so
-        the caller retries or goes degraded either way."""
-        gen, slot, dst = target or self._resolve(stripe, index)
-        if not self.health.allow_request(dst):
-            self.stats.bump("breaker_fast_fails")
-            raise CircuitOpenError(dst)
+    def _attempt(
+        self, kind, stripe, index, op, args, kwargs, trace, target=None,
+        slot=None,
+    ):
+        """One RPC attempt: the breaker's :meth:`_gate`, one call, and
+        its outcome recorded by :meth:`_observe`.  The ``(gen, slot,
+        node)`` target is resolved from the position (or the given
+        ``slot``) unless the caller resolved it already (a per-node
+        frame)."""
+        gen, slot, dst = target or self._resolve(stripe, index, slot)
+        self._gate(dst)
         env = Envelope(
             kind=kind, trace=trace, gen=gen, timeout=self.config.rpc_timeout
         )
@@ -428,30 +433,58 @@ class ProtocolClient:
             result = self.transport.call(
                 self.client_id, dst, op, *args, env=env, **kwargs
             )
-        except NodeBusyError:
-            # Overload, not failure: counted, health state untouched.
-            self.stats.bump("busy_rejections")
+        except (NodeBusyError, NodeUnavailableError) as exc:
+            self._observe(stripe, index, slot, dst, exc)
             raise
-        except RpcTimeoutError as exc:
-            if exc.node_id == dst:
+        self._observe(stripe, index, slot, dst, None, time.perf_counter() - start)
+        return result
+
+    def _gate(self, dst: str) -> None:
+        """The circuit breaker's gate before any message to ``dst``:
+        while its circuit is open the send fails fast with
+        :class:`CircuitOpenError` (a NodeUnavailableError, so callers
+        take their usual degraded/recovery paths) instead of burning a
+        full ``rpc_timeout``."""
+        if not self.health.allow_request(dst):
+            self.stats.bump("breaker_fast_fails")
+            raise CircuitOpenError(dst)
+
+    def _observe(
+        self,
+        stripe: int,
+        index: int,
+        slot: int,
+        dst: str,
+        failure: Exception | None,
+        elapsed: float = 0.0,
+    ) -> None:
+        """Record the outcome of one message to ``dst``, serving
+        ``slot``: ``failure`` is what it raised, None for an answer that
+        took ``elapsed`` seconds.
+
+        A shed is overload, not failure: counted, health untouched.  A
+        timeout is weaker evidence than a detected crash — the target
+        may be gray, not dead — so remap waits for the breaker to trip
+        at the suspicion threshold.  A detected fail-stop remaps at
+        once.  An answer feeds the latency EWMA and earns the retry
+        budget a token.  The caller still sees the failure, and retries
+        or goes degraded either way."""
+        if failure is None:
+            self.health.observe_success(dst, elapsed)
+            if self.retry_budget is not None:
+                self.retry_budget.deposit()
+        elif isinstance(failure, NodeBusyError):
+            self.stats.bump("busy_rejections")
+        elif isinstance(failure, NodeUnavailableError) and failure.node_id == dst:
+            threshold = self.config.suspicion_threshold
+            if isinstance(failure, RpcTimeoutError):
                 self.stats.bump("rpc_timeouts")
-                if self.health.observe_failure(
-                    dst, "timeout", self.config.suspicion_threshold
-                ):
+                if self.health.observe_failure(dst, "timeout", threshold):
                     self.stats.bump("suspicion_remaps")
                     self._remap(stripe, index, slot, dst)
-            raise
-        except NodeUnavailableError as exc:
-            if exc.node_id == dst:
-                self.health.observe_failure(
-                    dst, "unavailable", self.config.suspicion_threshold
-                )
+            else:
+                self.health.observe_failure(dst, "unavailable", threshold)
                 self._remap(stripe, index, slot, dst)
-            raise
-        self.health.observe_success(dst, time.perf_counter() - start)
-        if self.retry_budget is not None:
-            self.retry_budget.deposit()
-        return result
 
     # Pre-retry actions of _RETRIES: each runs before the next attempt
     # and returns False to give up instead.
@@ -1002,15 +1035,27 @@ class ProtocolClient:
         targets: set[int],
         trace_parent: TraceContext | None = None,
     ) -> dict[int, AddResult | Exception]:
-        # Each receiver's route is resolved once, an unbound slot retried
-        # as in any rpc.
+        """AJX-bcast (§3.11): one frame carries the raw diff to every
+        receiver, each applying its own coefficient.  Each receiver's
+        route is resolved once, an unbound slot retried as in any rpc.
+        A receiver whose circuit is open stays off the frame and gets
+        :class:`CircuitOpenError`; every other leg's outcome is recorded
+        like a unicast's (:meth:`_observe`)."""
         by_node: dict[str, tuple[int, int]] = {}
+        results: dict[int, AddResult | Exception] = {}
         gen = None
         for j in sorted(targets):
             gen, slot, node_id = self._retrying(
                 stripe, "add", lambda: self._resolve(stripe, j)
             )
+            try:
+                self._gate(node_id)
+            except CircuitOpenError as exc:
+                results[j] = exc
+                continue
             by_node[node_id] = (j, slot)
+        if not by_node:
+            return results
         # One frame leaves the client, so one child span covers all
         # receivers; each node's event distinguishes itself by its
         # ``node`` detail.
@@ -1019,6 +1064,7 @@ class ProtocolClient:
             else self._trace_ids.child(trace_parent).wire()
         )
         self._account_round("write")
+        start = time.perf_counter()
         raw = self.transport.broadcast(
             self.client_id, list(by_node), "add",
             BlockAddr(self.volume, stripe, BROADCAST_INDEX),
@@ -1028,11 +1074,11 @@ class ProtocolClient:
                 timeout=self.config.rpc_timeout,
             ),
         )
-        results: dict[int, AddResult | Exception] = {}
+        elapsed = time.perf_counter() - start
         for node_id, res in raw.items():
             j, slot = by_node[node_id]
-            if isinstance(res, NodeUnavailableError):
-                self._remap(stripe, j, slot, node_id)
+            failure = res if isinstance(res, Exception) else None
+            self._observe(stripe, j, slot, node_id, failure, elapsed)
             results[j] = res
         return results
 

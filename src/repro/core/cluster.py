@@ -18,6 +18,7 @@ from repro.client.config import ClientConfig
 from repro.client.health import HealthRegistry
 from repro.client.protocol import ProtocolClient
 from repro.core.volume import VolumeClient
+from repro.crashpoints import NULL_CRASHPOINTS
 from repro.directory import (
     Directory,
     DirectoryCache,
@@ -65,7 +66,6 @@ class Cluster:
         rotate: bool = True,
         transport: Transport | None = None,
         delay: DelayModel | None = None,
-        construction: str = "vandermonde",
         seed: int = 0,
         store_factory=None,
         chaos_plan: FaultPlan | None = None,
@@ -75,7 +75,7 @@ class Cluster:
         pool: int | None = None,
         directory_replicas: int | None = None,
     ):
-        self.code = ReedSolomonCode(k, n, construction)
+        self.code = ReedSolomonCode(k, n)
         self.layout = StripeLayout(k, n, rotate=rotate)
         self.volume_name = "vol0"
         self.meta = VolumeMeta(
@@ -263,24 +263,21 @@ class Cluster:
             return self.placement.lookup(stripe)[1][index]
         return self.layout.node_of_stripe_index(stripe, index)
 
-    def rebalancer(self, name: str, **kwargs) -> Rebalancer:
-        """Build a rebalancer wired to this cluster (placement mode)."""
+    def rebalancer(
+        self,
+        name: str,
+        config: ClientConfig | None = None,
+        crashpoints=NULL_CRASHPOINTS,
+    ) -> Rebalancer:
+        """Build a rebalancer wired to this cluster (placement mode),
+        driving its own protocol client."""
         if self.placement is None:
             raise ValueError("rebalancer requires a placement-mode cluster")
-        kwargs.setdefault("retry_budget", self.retry_budget)
-        reb = Rebalancer(
-            client_id=name,
-            transport=self.transport,
-            directory=self._client_directory(),
-            placement=self.placement,
-            volume=self.volume_name,
-            meta=self.meta,
-            **kwargs,
+        return Rebalancer(
+            self.protocol_client(name, config),
+            self.placement,
+            crashpoints=crashpoints,
         )
-        if self.observability is not None:
-            reb.metrics = self.observability.registry
-            reb.tracer = self.observability.tracer
-        return reb
 
     def _client_directory(self):
         """A per-client directory view: a stale-invalidated cache over

@@ -28,41 +28,31 @@ the migration.  Dying after the commit leaves the new placement in
 RECONS/EXP, which ordinary recovery's pickup path finalizes in place;
 the rebalancer itself never needs to reconcile.
 
-All RPCs are issued sequentially and carry *no* placement-generation
-stamp: the rebalancer is the one party that must reach old placements
-(and retired blocks) by design.
+The rebalancer drives a :class:`~repro.client.protocol.ProtocolClient`
+and sends every RPC through its one call path, ``rpc(..., slot=)``: the
+same breaker gate, health scoring, shed backoff and retry budget as any
+other agent, with the slot looked up fresh on every attempt so a remap
+is followed.  The calls are issued sequentially and carry *no*
+placement-generation stamp: the rebalancer is the one party that must
+reach old placements (and retired blocks) by design.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.client.consistency import find_consistent
 from repro.crashpoints import NULL_CRASHPOINTS
-from repro.errors import (
-    NodeBusyError,
-    NodeUnavailableError,
-    ReproError,
-    RpcTimeoutError,
-)
-from repro.ids import BlockAddr
-from repro.net.backpressure import BackoffPolicy, RetryBudget
-from repro.net.message import Envelope
-from repro.obs.metrics import NULL_REGISTRY
+from repro.errors import ReproError
 from repro.placement.map import PlacementMap
-from repro.storage.node import VolumeMeta
 from repro.storage.state import LockMode, OpMode, StateSnapshot
-from repro.obs.trace import NULL_TRACER
 
-#: Attempts one migration RPC gets (busy, timeout, remap) before it fails.
-_MAX_ATTEMPTS = 40
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.client.protocol import ProtocolClient
+
 #: Whole lock-all passes before a contended migration yields.
 _LOCK_ATTEMPTS = 5
-#: Base of the seeded backoff between busy retries and lock passes,
-#: seconds (capped at 50x).
-_BACKOFF = 0.001
 
 
 @dataclass(frozen=True)
@@ -101,91 +91,38 @@ class Rebalancer:
 
     def __init__(
         self,
-        client_id: str,
-        transport,
-        directory,
+        client: ProtocolClient,
         placement: PlacementMap,
-        volume: str,
-        meta: VolumeMeta,
         *,
         crashpoints=NULL_CRASHPOINTS,
-        retry_budget: RetryBudget | None = None,
-        rpc_timeout: float | None = None,
     ):
-        self.client_id = client_id
-        self.transport = transport
-        self.directory = directory
+        self.client = client
         self.placement = placement
-        self.volume = volume
-        self.meta = meta
         self.crashpoints = crashpoints
-        self.retry_budget = retry_budget
-        self.rpc_timeout = rpc_timeout
-        self.metrics = NULL_REGISTRY
-        self.tracer = NULL_TRACER
-        self._backoff = BackoffPolicy(
-            _BACKOFF,
-            _BACKOFF * 50,
-            seed=int.from_bytes(
-                hashlib.blake2b(client_id.encode(), digest_size=8).digest(),
-                "big",
-            ),
-        )
-        transport.register(client_id)
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
 
     @property
+    def client_id(self) -> str:
+        return self.client.client_id
+
+    @property
     def n(self) -> int:
-        return self.meta.code.n
+        return self.client.n
 
     @property
     def k(self) -> int:
-        return self.meta.code.k
+        return self.client.k
 
-    def _addr(self, stripe: int, index: int) -> BlockAddr:
-        return BlockAddr(self.volume, stripe, index)
-
-    def _rpc(self, slot: int, op: str, *args):
-        """Sequential RPC with the same fault discipline as clients:
-        busy -> backoff and retry (admission control is respected, never
-        escalated); timeout -> retry (the op may have landed; every op
-        used here is idempotent or replay-safe); detected crash ->
-        directory remap, retry on the replacement.  Retries beyond the
-        first attempt spend the shared retry budget."""
-        env = Envelope(kind="rebalance", timeout=self.rpc_timeout)
-        last: Exception | None = None
-        for attempt in range(_MAX_ATTEMPTS):
-            if attempt and self.retry_budget is not None:
-                if not self.retry_budget.spend():
-                    break  # budget gone: stop adding migration load
-            node_id = self.directory.node_id(slot)
-            if self.metrics.enabled:
-                # Migration RPCs are serial: one round each.
-                self.metrics.counter("rpc_rounds_total", kind="rebalance").inc()
-            try:
-                result = self.transport.call(
-                    self.client_id, node_id, op, *args, env=env
-                )
-            except NodeBusyError as exc:
-                last = exc
-                time.sleep(self._backoff.next_delay(attempt))
-                continue
-            except RpcTimeoutError as exc:
-                last = exc
-                continue
-            except NodeUnavailableError as exc:
-                if exc.node_id == node_id:
-                    self.directory.remap(slot, node_id)
-                last = exc
-                continue
-            if self.retry_budget is not None:
-                self.retry_budget.deposit()
-            return result
-        raise last if last is not None else NodeUnavailableError(
-            f"slot {slot}", "no attempt succeeded"
+    def _rpc(self, stripe: int, j: int, slot: int, op: str, *args):
+        """One migration RPC to position ``j`` of ``stripe`` at ``slot``,
+        repeated through sheds, timeouts and remaps while the retry
+        budget lasts; every op used here is idempotent or replay-safe."""
+        return self.client._until_answered(
+            "rebalance", stripe, j, op, *args, leg=False, budget=True,
+            slot=slot,
         )
 
     # ------------------------------------------------------------------
@@ -207,13 +144,13 @@ class Rebalancer:
             # the *new* generation, then record it node-side.
             placement.commit_stripe(stripe, target_gen)
             for j, slot in enumerate(new_slots):
-                self._rpc(slot, "set_generation", self._addr(stripe, j),
-                          target_gen)
+                self._rpc(stripe, j, slot, "set_generation", target_gen)
             self._finish(stripe, committed, target_gen, "committed", 0, 0)
             return MigrationRecord(stripe, committed, target_gen, "committed")
-        if self.tracer.enabled:
-            self.tracer.emit(self.client_id, "rebalance.begin", stripe=stripe,
-                             gen_from=committed, gen_to=target_gen)
+        tracer = self.client.tracer
+        if tracer.enabled:
+            tracer.emit(self.client_id, "rebalance.begin", stripe=stripe,
+                        gen_from=committed, gen_to=target_gen)
         cp = self.crashpoints
         # -- phase 1: lock old union new placements ---------------------
         lock_targets = sorted(
@@ -242,23 +179,20 @@ class Rebalancer:
             cp.hit("rebalance.before_commit", stripe=stripe, gen=target_gen)
         placement.commit_stripe(stripe, target_gen)
         for j in range(self.n):
-            self._rpc(new_slots[j], "set_generation", self._addr(stripe, j),
-                      target_gen)
+            self._rpc(stripe, j, new_slots[j], "set_generation", target_gen)
         for j in range(self.n):
             if old_slots[j] != new_slots[j]:
-                self._rpc(old_slots[j], "retire", self._addr(stripe, j),
-                          target_gen)
+                self._rpc(stripe, j, old_slots[j], "retire", target_gen)
         if cp.enabled:
             cp.hit("rebalance.after_commit", stripe=stripe, gen=target_gen)
         # Epoch bump: from here every delta stamped with the old epoch
         # is rejected by the nodes' ordinary stale-epoch check.
         for j in range(self.n):
-            self._rpc(new_slots[j], "finalize", self._addr(stripe, j),
-                      new_epoch)
+            self._rpc(stripe, j, new_slots[j], "finalize", new_epoch)
         for j in range(self.n):
             if old_slots[j] != new_slots[j]:
-                self._rpc(old_slots[j], "setlock", self._addr(stripe, j),
-                          LockMode.UNL, self.client_id)
+                self._rpc(stripe, j, old_slots[j], "setlock", LockMode.UNL,
+                          self.client_id)
         self._finish(stripe, committed, target_gen, "migrated", copied,
                      bytes_moved)
         return MigrationRecord(
@@ -276,7 +210,7 @@ class Rebalancer:
             for slot, j in targets:
                 try:
                     res = self._rpc(
-                        slot, "trylock", self._addr(stripe, j), LockMode.L1,
+                        stripe, j, slot, "trylock", LockMode.L1,
                         self.client_id,
                     )
                 except ReproError:
@@ -292,15 +226,14 @@ class Rebalancer:
             if not conflict:
                 return acquired
             self._release(stripe, acquired)
-            time.sleep(self._backoff.next_delay(attempt))
+            self.client._sleep_backoff(attempt)
         return None
 
     def _release(
         self, stripe: int, acquired: list[tuple[int, int, LockMode]]
     ) -> None:
         for slot, j, old in acquired:
-            self._rpc(slot, "setlock", self._addr(stripe, j), old,
-                      self.client_id)
+            self._rpc(stripe, j, slot, "setlock", old, self.client_id)
 
     def _copy(
         self,
@@ -318,11 +251,8 @@ class Rebalancer:
         data: dict[int, StateSnapshot] = {}
         epochs: list[int] = []
         for j in range(self.n):
-            data[j] = self._rpc(old_slots[j], "get_state",
-                                self._addr(stripe, j))
-            epochs.append(
-                self._rpc(old_slots[j], "probe", self._addr(stripe, j))[3]
-            )
+            data[j] = self._rpc(stripe, j, old_slots[j], "get_state")
+            epochs.append(self._rpc(stripe, j, old_slots[j], "probe")[3])
         # Adopt a crashed migration/recovery's choice (RECONS pickup),
         # else run recovery's consistent-set oracle.  Our L1 locks stop
         # new swaps, so no wait loop is needed: the snapshots are final.
@@ -340,7 +270,7 @@ class Rebalancer:
                 f"old placement (k={self.k}); migration aborted"
             )
         available = {j: data[j].block for j in cset if data[j].block is not None}
-        blocks = self.meta.code.reconstruct_stripe(available)
+        blocks = self.client.code.reconstruct_stripe(available)
         # Copy targets: every moved pair, plus same-slot pairs whose
         # bytes were outside the consistent set (their content would
         # otherwise diverge from the decoded stripe).  Same-slot pairs
@@ -351,8 +281,7 @@ class Rebalancer:
             if old_slots[j] == new_slots[j] and j in cset:
                 continue
             epoch = self._rpc(
-                new_slots[j], "reconstruct", self._addr(stripe, j),
-                cset, blocks[j],
+                stripe, j, new_slots[j], "reconstruct", cset, blocks[j]
             )
             epochs.append(epoch)
             copied += 1
@@ -368,17 +297,17 @@ class Rebalancer:
         copied: int,
         bytes_moved: int,
     ) -> None:
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "rebalance_migrations_total", result=result
-            ).inc()
+        metrics = self.client.metrics
+        if metrics.enabled:
+            metrics.counter("rebalance_migrations_total", result=result).inc()
             if bytes_moved:
-                self.metrics.counter("rebalance_bytes_total").inc(bytes_moved)
-            self.metrics.gauge("placement_generation").set(
+                metrics.counter("rebalance_bytes_total").inc(bytes_moved)
+            metrics.gauge("placement_generation").set(
                 self.placement.latest_gen
             )
-        if self.tracer.enabled:
-            self.tracer.emit(
+        tracer = self.client.tracer
+        if tracer.enabled:
+            tracer.emit(
                 self.client_id, "rebalance.end", stripe=stripe,
                 gen_from=gen_from, gen_to=gen_to, result=result,
                 copied=copied, bytes=bytes_moved,

@@ -33,10 +33,6 @@ class ThroughputResult:
     max_client_nic_utilization: float
     max_storage_nic_utilization: float
 
-    @property
-    def total_mbps(self) -> float:
-        return self.write_mbps + self.read_mbps
-
 
 def run_throughput(
     num_clients: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,13 @@ from repro.client.consistency import (
 )
 from repro.ids import Tid
 from repro.storage.state import OpMode, StateSnapshot, TidEntry
+
+
+def entries(tids: set[Tid]) -> frozenset[TidEntry]:
+    return frozenset(
+        TidEntry(tid, seq_time=i, wall_time=0.0)
+        for i, tid in enumerate(sorted(tids, key=str))
+    )
 
 
 def build_history(seed: int) -> tuple[dict[int, StateSnapshot], int]:
@@ -46,19 +54,14 @@ def build_history(seed: int) -> tuple[dict[int, StateSnapshot], int]:
     # GC progress diverges per node: some moved a completed generation
     # to oldlist, some already discarded theirs.
     for j in range(n):
-        for tid in list(recent[j]):
+        # Sorted, so the history does not depend on the hash seed.
+        for tid in sorted(recent[j], key=str):
             roll = rng.random()
             if roll < 0.25:
                 recent[j].discard(tid)
                 old[j].add(tid)
             elif roll < 0.35:
                 recent[j].discard(tid)
-
-    def entries(tids: set[Tid]) -> frozenset[TidEntry]:
-        return frozenset(
-            TidEntry(tid, seq_time=i, wall_time=0.0)
-            for i, tid in enumerate(sorted(tids, key=str))
-        )
 
     data: dict[int, StateSnapshot] = {}
     for j in range(n):
@@ -78,8 +81,90 @@ def build_history(seed: int) -> tuple[dict[int, StateSnapshot], int]:
     return data, k
 
 
+#: Every history ``build_history`` makes.
+HISTORIES = range(10_001)
+
+
+def stripe(*positions) -> dict[int, StateSnapshot]:
+    """A k=2 stripe, one ``(opmode, recent tids, old tids)`` per position;
+    a tid is a ``(seq, index, client)`` triple."""
+    data: dict[int, StateSnapshot] = {}
+    for j, (mode, recent, old) in enumerate(positions):
+        opmode = OpMode[mode]
+        data[j] = StateSnapshot(
+            opmode=opmode,
+            recons_set=frozenset({0, 1}) if opmode is OpMode.RECONS else None,
+            oldlist=entries({Tid(*tid) for tid in old}),
+            recentlist=entries({Tid(*tid) for tid in recent}),
+            block=None if opmode is OpMode.INIT else object(),
+        )
+    return data
+
+
+#: Histories on which choosing one redundant signature class per step
+#: missed the maximum set, each with its maximum.
+MISSED_BY_ONE_CLASS_PER_STEP = {
+    "h2145": (stripe(
+        ("NORM", (), ()),
+        ("NORM", ((0, 1, "c1"), (1, 1, "c1"), (2, 1, "c1")), ()),
+        ("NORM", ((1, 1, "c1"), (2, 1, "c1")), ()),
+        ("NORM", ((0, 1, "c1"), (1, 1, "c1"), (2, 1, "c1")), ()),
+        ("INIT", ((0, 1, "c1"), (1, 1, "c1")), ()),
+        ("NORM", ((1, 1, "c1"),), ((0, 1, "c1"),)),
+    ), {0, 1, 3}),
+    "h3165": (stripe(
+        ("INIT", ((3, 0, "c1"),), ()),
+        ("NORM", ((0, 1, "c1"), (1, 1, "c0"), (2, 1, "c1")), ()),
+        ("RECONS", ((0, 1, "c1"), (1, 1, "c0")), ((2, 1, "c1"),)),
+        ("NORM", ((1, 1, "c0"), (3, 0, "c1")), ((2, 1, "c1"),)),
+        ("NORM", ((0, 1, "c1"), (1, 1, "c0"), (2, 1, "c1"), (3, 0, "c1")), ()),
+        ("NORM", ((2, 1, "c1"), (3, 0, "c1")), ((0, 1, "c1"),)),
+    ), {1, 4}),
+    "h7702": (stripe(
+        ("NORM", ((1, 0, "c1"), (2, 0, "c1")), ()),
+        ("NORM", ((0, 1, "c0"),), ()),
+        ("NORM", ((1, 0, "c1"),), ((0, 1, "c0"),)),
+        ("NORM", ((0, 1, "c0"),), ((2, 0, "c1"),)),
+        ("NORM", ((0, 1, "c0"), (1, 0, "c1"), (2, 0, "c1")), ()),
+    ), {0, 1, 4}),
+    "h8383": (stripe(
+        ("NORM", ((1, 0, "c1"), (2, 0, "c0")), ()),
+        ("NORM", ((0, 1, "c0"),), ()),
+        ("NORM", ((0, 1, "c0"), (1, 0, "c1")), ()),
+        ("NORM", ((0, 1, "c0"), (1, 0, "c1"), (2, 0, "c0")), ()),
+        ("NORM", ((1, 0, "c1"),), ((2, 0, "c0"),)),
+    ), {0, 1, 3}),
+    "h8669": (stripe(
+        ("NORM", ((4, 0, "c0"),), ((0, 0, "c1"),)),
+        ("NORM", ((1, 1, "c0"), (2, 1, "c1"), (3, 1, "c1")), ()),
+        ("NORM", ((1, 1, "c0"), (2, 1, "c1")), ((4, 0, "c0"),)),
+        ("NORM", ((1, 1, "c0"), (2, 1, "c1"), (3, 1, "c1"), (4, 0, "c0")), ()),
+        ("NORM", ((1, 1, "c0"), (4, 0, "c0")), ((3, 1, "c1"),)),
+    ), {0, 1, 3}),
+}
+
+
+class TestFindConsistentIsExact:
+    @pytest.mark.parametrize(
+        "name", sorted(MISSED_BY_ONE_CLASS_PER_STEP)
+    )
+    def test_pinned_history_reaches_its_maximum(self, name):
+        data, maximum = MISSED_BY_ONE_CLASS_PER_STEP[name]
+        assert find_consistent_exhaustive(data, 2) == maximum
+        assert find_consistent(data, 2) == maximum
+
+    def test_every_history_matches_exhaustive_search(self):
+        misses = []
+        for seed in HISTORIES:
+            data, k = build_history(seed)
+            greedy = find_consistent(data, k)
+            if len(greedy) != len(find_consistent_exhaustive(data, k)):
+                misses.append(seed)
+        assert misses == []
+
+
 class TestFindConsistentMatchesExhaustive:
-    @given(st.integers(min_value=0, max_value=10_000))
+    @given(st.integers(min_value=0, max_value=HISTORIES[-1]))
     @settings(max_examples=300, deadline=None)
     def test_greedy_is_maximal(self, seed):
         data, k = build_history(seed)
@@ -91,7 +176,7 @@ class TestFindConsistentMatchesExhaustive:
             f"exhaustive {sorted(exhaustive)}"
         )
 
-    @given(st.integers(min_value=0, max_value=10_000))
+    @given(st.integers(min_value=0, max_value=HISTORIES[-1]))
     @settings(max_examples=100, deadline=None)
     def test_non_norm_positions_never_selected(self, seed):
         data, k = build_history(seed)

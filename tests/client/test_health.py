@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.client.config import ClientConfig, WriteStrategy
 from repro.client.health import (
     ALPHA,
     HEDGE_DELAY_FLOOR,
@@ -12,6 +14,8 @@ from repro.client.health import (
     CircuitState,
     HealthRegistry,
 )
+from repro.core.cluster import Cluster
+from repro.net.chaos import FaultPlan, FaultRule
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -148,3 +152,61 @@ class TestExport:
         snap = health.snapshot()
         snap["s"].score = -1.0
         assert health.score("s") == pytest.approx(1.0)
+
+
+STRATEGIES = [WriteStrategy.PARALLEL, WriteStrategy.BROADCAST]
+
+
+def strategy_id(strategy: WriteStrategy) -> str:
+    return strategy.name.lower()
+
+
+class TestAddLegsShareTheGate:
+    """Every add leg, unicast or one receiver of an AJX-bcast frame,
+    passes the breaker gate and is scored like any other RPC."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=strategy_id)
+    def test_dropped_add_is_suspicion_not_remap(self, strategy):
+        plan = FaultPlan(
+            [FaultRule(dst="storage-3", op="add", drop=1.0, before_op=1)],
+            seed=1,
+        )
+        cluster = Cluster(2, 4, block_size=64, chaos_plan=plan)
+        slot = cluster.slot_of(0, 3)
+        assert cluster.directory.node_id(slot) == "storage-3"
+        client = cluster.protocol_client(
+            "w", ClientConfig(strategy=strategy, rpc_timeout=0.05)
+        )
+        value = np.full(64, 7, dtype=np.uint8)
+        client.write(0, 0, value)
+        assert cluster.directory.incarnation(slot) == 0
+        assert client.stats.remaps == 0
+        assert cluster.health.snapshot()["storage-3"].failures == 1
+        assert bytes(client.read(0, 0)) == bytes(value)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=strategy_id)
+    def test_open_circuit_keeps_adds_off_the_node(self, strategy):
+        cluster = Cluster(2, 4, block_size=64)
+        node = cluster.node_for_slot(cluster.slot_of(0, 3))
+        assert node.node_id == "storage-3"
+        client = cluster.protocol_client("w", ClientConfig(strategy=strategy))
+        for _ in range(client.config.suspicion_threshold):
+            cluster.health.observe_failure(
+                "storage-3", "timeout", client.config.suspicion_threshold
+            )
+        assert cluster.health.state("storage-3") is CircuitState.OPEN
+        # The circuit state each add finds on arrival at the node.
+        arrivals: list[CircuitState] = []
+        handle = node.handle
+
+        def spy(op, *args, **kwargs):
+            if op == "add":
+                arrivals.append(cluster.health.state("storage-3"))
+            return handle(op, *args, **kwargs)
+
+        node.handle = spy
+        value = np.full(64, 9, dtype=np.uint8)
+        client.write(0, 0, value)
+        assert CircuitState.OPEN not in arrivals
+        assert client.stats.breaker_fast_fails > 0
+        assert bytes(client.read(0, 0)) == bytes(value)

@@ -20,15 +20,6 @@ class TestAssembly:
             assert small_cluster.directory.node_id(slot) == f"storage-{slot}"
             assert small_cluster.directory.incarnation(slot) == 0
 
-    def test_cauchy_construction_works_end_to_end(self):
-        cluster = Cluster(k=3, n=5, block_size=64, construction="cauchy")
-        vol = cluster.client("c")
-        for b in range(6):
-            vol.write_block(b, bytes([b + 1]))
-        cluster.crash_storage(0)
-        assert vol.read_block(0)[:1] == b"\x01"
-        assert cluster.stripe_consistent(0)
-
     def test_rotation_flag_respected(self):
         flat = Cluster(k=2, n=4, rotate=False)
         assert flat.layout.stripe_nodes(0) == flat.layout.stripe_nodes(1)

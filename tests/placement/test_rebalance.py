@@ -11,7 +11,7 @@ from repro.client.config import ClientConfig
 from repro.client.monitor import Monitor
 from repro.core.cluster import Cluster
 from repro.crashpoints import CrashPlan
-from repro.errors import ClientCrash, NodeBusyError
+from repro.errors import ClientCrash, NodeBusyError, RpcTimeoutError
 from repro.ids import BlockAddr
 from repro.net.backpressure import RetryBudget
 from repro.storage.state import LockMode
@@ -154,6 +154,21 @@ class TestMigration:
                 assert state.lmode is LockMode.UNL
 
 
+    def test_migration_rpcs_feed_the_shared_health_registry(self):
+        cluster, _ = grown_cluster()
+        placement = cluster.placement
+        stripe = placement.moved_stripes(range(6))[0]
+        slots = set(placement.slots_for(stripe, placement.committed_gen(stripe)))
+        slots |= set(placement.slots_for(stripe, placement.latest_gen))
+        nodes = {cluster.directory.node_id(slot) for slot in slots}
+        before = cluster.health.snapshot()
+        assert cluster.rebalancer("reb").migrate(stripe).result == "migrated"
+        after = cluster.health.snapshot()
+        for node in nodes:
+            earlier = before[node].successes if node in before else 0
+            assert after[node].successes > earlier, node
+
+
 class TestCrashWindows:
     @pytest.mark.parametrize("point", [
         "rebalance.before_copy",
@@ -207,8 +222,8 @@ class TestCrashWindows:
 
 
 class TestRetryBudget:
-    def _flake_once_per_op(self, cluster, who="reb"):
-        """Every distinct (dst, op) from ``who`` fails once with busy."""
+    def _flake_once_per_op(self, cluster, error, who="reb"):
+        """Every distinct (dst, op) from ``who`` fails once with ``error``."""
         inner = cluster.transport
         original = inner.call
         seen: set[tuple[str, str]] = set()
@@ -216,19 +231,26 @@ class TestRetryBudget:
         def flaky(src, dst, op, *args, **kwargs):
             if src == who and (dst, op) not in seen:
                 seen.add((dst, op))
-                raise NodeBusyError(dst, op)
+                raise error(dst, op)
             return original(src, dst, op, *args, **kwargs)
 
         inner.call = flaky
 
-    def test_retries_spend_and_refill_the_shared_budget(self):
+    def _migrate_through_flakes(self, error) -> RetryBudget:
         cluster, _ = grown_cluster()
         budget = RetryBudget(50)
-        self._flake_once_per_op(cluster)
-        reb = cluster.rebalancer("reb", retry_budget=budget)
+        self._flake_once_per_op(cluster, error)
+        reb = cluster.rebalancer("reb")
+        reb.client.retry_budget = budget
         stripe = cluster.placement.moved_stripes(range(6))[0]
         assert reb.migrate(stripe).result == "migrated"
-        assert budget.spent > 0
+        return budget
+
+    def test_retries_spend_and_refill_the_shared_budget(self):
+        assert self._migrate_through_flakes(RpcTimeoutError).spent > 0
+        # A shed is backed off inside the call, as for every agent, and
+        # costs no token.
+        assert self._migrate_through_flakes(NodeBusyError).spent == 0
 
     def test_exhausted_budget_yields_instead_of_hammering(self):
         cluster, _ = grown_cluster()
@@ -242,7 +264,8 @@ class TestRetryBudget:
 
         inner.call = always_busy
         budget = RetryBudget(2, refill=0.0)
-        reb = cluster.rebalancer("reb", retry_budget=budget)
+        reb = cluster.rebalancer("reb")
+        reb.client.retry_budget = budget
         stripe = cluster.placement.moved_stripes(range(6))[0]
         report = reb.migrate_all([stripe])
         assert report.records[0].result in ("yielded", "failed")
