@@ -56,17 +56,15 @@ def _time_ops(node: StorageNode, op: str, traced: bool) -> float:
     if op == "swap":
         for i in range(OPS):
             node.handle(
-                "swap", BlockAddr("vol", i, 0), block, Tid(1, 0, "b"), env=env
+                "swap",
+                {BlockAddr("vol", i, 0): (None, (block, Tid(1, 0, "b")))},
+                env=env,
             )
     else:
         for i in range(OPS):
             node.handle(
                 "add",
-                BlockAddr("vol", i, 2),
-                block,
-                Tid(1, 2, "b"),
-                None,
-                0,
+                {BlockAddr("vol", i, 2): (None, (block, Tid(1, 2, "b"), None, 0))},
                 env=env,
             )
     return (time.perf_counter() - start) / OPS

@@ -62,11 +62,9 @@ class FabNode(RpcHandler):
         self._blocks: dict[tuple[int, int], _Versioned] = {}
         self._lock = threading.Lock()
 
-    def handle(
-        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
-    ) -> object:
+    def handle(self, op: str, *args: object, env: Envelope = NO_ENVELOPE) -> object:
         with self._lock:
-            return getattr(self, op)(*args, **kwargs)
+            return getattr(self, op)(*args)
 
     def _slot(self, stripe: int, index: int) -> _Versioned:
         return self._blocks.setdefault((stripe, index), _Versioned())

@@ -54,11 +54,9 @@ class GwgrNode(RpcHandler):
         self._stripes: dict[tuple[int, int], _VersionLog] = {}
         self._lock = threading.Lock()
 
-    def handle(
-        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
-    ) -> object:
+    def handle(self, op: str, *args: object, env: Envelope = NO_ENVELOPE) -> object:
         with self._lock:
-            return getattr(self, op)(*args, **kwargs)
+            return getattr(self, op)(*args)
 
     def _slot(self, stripe: int, index: int) -> _VersionLog:
         return self._stripes.setdefault((stripe, index), _VersionLog())

@@ -3,8 +3,8 @@
 Storage nodes accumulate the tids of past writes in ``recentlist``;
 left unchecked this is unbounded memory (and grows the §6.5 overhead).
 The GC runs at a client in two phases per round, in this order, each
-phase one fan-out that sends every node a single frame ``{addr: tids}``
-covering all of its stripes with work:
+phase one fan-out that sends every node a single frame
+``{addr: (gen, (tids,))}`` covering all of its stripes with work:
 
 1. ``gc_old``   — discard from each node's *oldlist* the tids this
    client confirmed complete *two* rounds ago;
@@ -59,12 +59,12 @@ class GcManager:
         with self._lock:
             old = self._old
             self._old = {}
-        # A refusal (locked, not NORM, stale placement) or a frame that
-        # was shed, timed out (the node's lists survive, so dropping the
-        # batch would strand tids forever) or found its node gone
-        # (recovery resets the lists anyway) leaves its batches missed;
-        # nothing is re-sent within the round.
-        old_frames, old_missed = client.fan_out_frames("gc", "gc_old", old)
+        # A batch is missed unless its node answered True: a refusal
+        # (locked, not NORM, stale placement) or a frame that was shed,
+        # timed out (the node's lists survive, so dropping the batch
+        # would strand tids forever) or found its node gone (recovery
+        # resets the lists anyway); nothing is re-sent within the round.
+        old_frames, old_missed = self._phase("gc_old", old)
         cp = client.crashpoints
         if cp.enabled and (old or recent):
             # A crash here is the two-phase claim's worst case: the
@@ -74,9 +74,7 @@ class GcManager:
                 "gc.between_phases",
                 stripes=sorted({stripe for stripe, _ in old.keys() | recent}),
             )
-        recent_frames, recent_missed = client.fan_out_frames(
-            "gc", "gc_recent", recent
-        )
+        recent_frames, recent_missed = self._phase("gc_recent", recent)
         # Batches that went through gc_recent become next round's gc_old
         # input; batches a phase missed are retried as-is next round.
         with client._gc_lock:
@@ -100,6 +98,16 @@ class GcManager:
         if processed and client.tracer.enabled:
             client.tracer.emit(self.source, "gc.round", batches=processed)
         return processed
+
+    def _phase(
+        self, op: str, batches: dict[tuple[int, int], set[Tid]]
+    ) -> tuple[int, set[tuple[int, int]]]:
+        """One GC phase: ``op`` as one frame per node.  Returns the
+        frames answered and the batches not applied."""
+        answered, results = self.client.fan_out_frames(
+            "gc", op, {key: (tids,) for key, tids in batches.items()}
+        )
+        return answered, {key for key, ok in results.items() if ok is not True}
 
     def pending_tids(self) -> int:
         """Total tids awaiting collection (for overhead experiments)."""

@@ -274,7 +274,6 @@ class ProtocolClient:
         leg: bool = False,
         trace_ctx: TraceContext | None = None,
         slot: int | None = None,
-        **kwargs,
     ):
         """Send ``op`` to the block at position ``index`` of ``stripe``:
         the one data-plane call of the client and of every agent (monitor,
@@ -284,22 +283,19 @@ class ProtocolClient:
         recovery_phase1, gc, ...).  It is stamped on the call's
         :class:`Envelope` and counts one round trip for the cost auditor,
         unless the call is one ``leg`` of a :meth:`fan_out` that already
-        counted the round.  The block address is prepended to ``args``.
-        ``slot`` names the serving slot instead of the stripe's placement
-        (see :meth:`_resolve`).
+        counted the round.  The node gets a frame of one address,
+        ``{addr: (gen, args)}``.  ``slot`` names the serving slot instead
+        of the stripe's placement (see :meth:`_resolve`).
 
         The outcomes in :attr:`_RETRIES` are absorbed here; a detected
         fail-stop remaps the slot and re-raises so the caller enters
         recovery (see :meth:`_attempt`)."""
         if not leg:
             self._account_round(kind)
-        args = (BlockAddr(self.volume, stripe, index), *args)
         trace = None if trace_ctx is None else trace_ctx.wire()
         return self._retrying(
             stripe, op,
-            lambda: self._attempt(
-                kind, stripe, index, op, args, kwargs, trace, slot=slot
-            ),
+            lambda: self._attempt(kind, stripe, index, op, args, trace, slot),
         )
 
     def fan_out(self, kind: str, indices, body) -> dict:
@@ -310,61 +306,54 @@ class ProtocolClient:
         return pfor(list(indices), body)
 
     def fan_out_frames(
-        self, kind: str, op: str, batches: dict[tuple[int, int], object]
-    ) -> tuple[int, set[tuple[int, int]]]:
+        self, kind: str, op: str, batches: dict[tuple[int, int], tuple]
+    ) -> tuple[int, dict[tuple[int, int], object]]:
         """One round of ``kind`` that sends ``op`` once to every node
-        serving a position in ``batches``: the node's frame maps the
-        :class:`BlockAddr` of each of its positions to that position's
-        batch.  In placement mode ``gens={addr: generation}`` rides
-        along for the node to check per address.  The node answers with
-        the addresses it refused.
+        serving a position in ``batches``: the node's frame carries each
+        of its positions with that position's arguments.
 
-        Each frame is one :meth:`_attempt`, so it is counted, breakered
-        and health-scored like any call, and it is never retried.
-        Returns the number of frames answered, and every position that
-        was not applied: refused, unresolvable, or carried by a frame
-        that was shed, timed out or found its node gone.  A refused
-        stripe's placement is invalidated, so a stale one is refetched
-        before it is used again."""
-        missed: set[tuple[int, int]] = set()
-        frames: dict[tuple[int, str], dict[BlockAddr, object]] = {}
-        gens: dict[BlockAddr, int] = {}
+        Each frame is one :meth:`_send`, so it is counted, breakered and
+        health-scored like any call, and it is never retried.  Returns
+        the number of frames answered, and each position's result: the
+        node's answer, or the exception that kept it from one (an
+        unresolvable position, or a frame that was shed, timed out or
+        found its node gone).  A stripe answered with a stale stamp has
+        its placement invalidated, so it is refetched before it is used
+        again."""
+        results: dict[tuple[int, int], object] = {}
+        frames: dict[tuple[int, str], dict[BlockAddr, tuple]] = {}
         for stripe, index in sorted(batches):
             try:
                 gen, slot, dst = self._locate(stripe, index)
-            except ReproError:
-                missed.add((stripe, index))
+            except ReproError as exc:
+                results[stripe, index] = exc
                 continue
             addr = BlockAddr(self.volume, stripe, index)
-            frames.setdefault((slot, dst), {})[addr] = batches[stripe, index]
-            if gen is not None:
-                gens[addr] = gen
+            frames.setdefault((slot, dst), {})[addr] = (
+                gen, batches[stripe, index],
+            )
         if not frames:
-            return 0, missed
+            return 0, results
 
         def send(target: tuple[int, str]):
             frame = frames[target]
-            kwargs = {}
-            if self.placement is not None:
-                kwargs["gens"] = {addr: gens[addr] for addr in frame}
             first = next(iter(frame))
-            return self._attempt(
-                kind, first.stripe, first.index, op, (frame,), kwargs, None,
-                target=(None, *target),
+            return self._send(
+                kind, first.stripe, first.index, *target, op, frame, None
             )
 
         answered = 0
-        for target, result in self.fan_out(kind, sorted(frames), send).items():
-            if isinstance(result, Exception):
-                refused = frames[target]
+        for target, answer in self.fan_out(kind, sorted(frames), send).items():
+            frame = frames[target]
+            if isinstance(answer, Exception):
+                answer = [answer] * len(frame)
             else:
                 answered += 1
-                refused = result
-                if self.placement is not None:
-                    for addr in refused:
-                        self.placement.invalidate(addr.stripe)
-            missed.update((addr.stripe, addr.index) for addr in refused)
-        return answered, missed
+            for addr, result in zip(frame, answer):
+                if isinstance(result, StalePlacementError):
+                    self.placement.invalidate(addr.stripe)
+                results[addr.stripe, addr.index] = result
+        return answered, results
 
     def _until_answered(
         self,
@@ -378,7 +367,7 @@ class ProtocolClient:
         retry_on: tuple[type[Exception], ...] = (
             NodeBusyError, NodeUnavailableError,
         ),
-        **kwargs,
+        slot: int | None = None,
     ):
         """:meth:`rpc`, repeated through ``retry_on`` outcomes (a node
         found unreachable is retried on its replacement) for up to
@@ -388,7 +377,9 @@ class ProtocolClient:
             if budget and attempt and not self._retry_permitted():
                 break
             try:
-                return self.rpc(kind, stripe, index, op, *args, leg=leg, **kwargs)
+                return self.rpc(
+                    kind, stripe, index, op, *args, leg=leg, slot=slot
+                )
             except retry_on:
                 continue
         raise NodeUnavailableError(f"slot for stripe {stripe} pos {index}")
@@ -414,30 +405,34 @@ class ProtocolClient:
                 if event is not None and self.tracer.enabled:
                     self.tracer.emit(self.client_id, event, stripe=stripe, op=op)
 
-    def _attempt(
-        self, kind, stripe, index, op, args, kwargs, trace, target=None,
-        slot=None,
-    ):
-        """One RPC attempt: the breaker's :meth:`_gate`, one call, and
-        its outcome recorded by :meth:`_observe`.  The ``(gen, slot,
-        node)`` target is resolved from the position (or the given
-        ``slot``) unless the caller resolved it already (a per-node
-        frame)."""
-        gen, slot, dst = target or self._resolve(stripe, index, slot)
+    def _attempt(self, kind, stripe, index, op, args, trace, slot=None):
+        """One RPC attempt: the position resolved (or the given ``slot``),
+        a frame of one address sent by :meth:`_send`, and its one result
+        unwrapped: a stale stamp's :class:`StalePlacementError` is raised
+        for :meth:`_retrying` to refetch."""
+        gen, slot, dst = self._resolve(stripe, index, slot)
+        frame = {BlockAddr(self.volume, stripe, index): (gen, args)}
+        (result,) = self._send(kind, stripe, index, slot, dst, op, frame, trace)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def _send(self, kind, stripe, index, slot, dst, op, frame, trace) -> list:
+        """One message to ``dst``, serving ``slot``: the breaker's
+        :meth:`_gate`, one call carrying ``frame``, and its outcome
+        recorded by :meth:`_observe` against the frame's first
+        position ``(stripe, index)``.  Returns the node's results, one
+        per address in frame order."""
         self._gate(dst)
-        env = Envelope(
-            kind=kind, trace=trace, gen=gen, timeout=self.config.rpc_timeout
-        )
+        env = Envelope(kind=kind, trace=trace, timeout=self.config.rpc_timeout)
         start = time.perf_counter()
         try:
-            result = self.transport.call(
-                self.client_id, dst, op, *args, env=env, **kwargs
-            )
+            results = self.transport.call(self.client_id, dst, op, frame, env=env)
         except (NodeBusyError, NodeUnavailableError) as exc:
             self._observe(stripe, index, slot, dst, exc)
             raise
         self._observe(stripe, index, slot, dst, None, time.perf_counter() - start)
-        return result
+        return results
 
     def _gate(self, dst: str) -> None:
         """The circuit breaker's gate before any message to ``dst``:
@@ -1067,11 +1062,12 @@ class ProtocolClient:
         start = time.perf_counter()
         raw = self.transport.broadcast(
             self.client_id, list(by_node), "add",
-            BlockAddr(self.volume, stripe, BROADCAST_INDEX),
-            diff, ntid, otid, epoch,
+            {
+                BlockAddr(self.volume, stripe, BROADCAST_INDEX):
+                    (gen, (diff, ntid, otid, epoch)),
+            },
             env=Envelope(
-                kind="write", trace=trace, gen=gen,
-                timeout=self.config.rpc_timeout,
+                kind="write", trace=trace, timeout=self.config.rpc_timeout
             ),
         )
         elapsed = time.perf_counter() - start
@@ -1079,7 +1075,7 @@ class ProtocolClient:
             j, slot = by_node[node_id]
             failure = res if isinstance(res, Exception) else None
             self._observe(stripe, j, slot, node_id, failure, elapsed)
-            results[j] = res
+            results[j] = res[0] if failure is None else res
         return results
 
     def _check_ordering(
@@ -1219,7 +1215,7 @@ class ProtocolClient:
             try:
                 result = self._until_answered(
                     "recovery_phase1", stripe, j, "trylock", LockMode.L1,
-                    caller=self.client_id, leg=False, budget=True,
+                    self.client_id, leg=False, budget=True,
                 )
             except NodeUnavailableError:
                 result = None
@@ -1243,7 +1239,7 @@ class ProtocolClient:
             return  # seeded regression: drop releases (see ClientConfig)
         try:
             self._until_answered(
-                kind, stripe, pos, "setlock", lm, caller=self.client_id,
+                kind, stripe, pos, "setlock", lm, self.client_id,
                 retry_on=(NodeBusyError, RpcTimeoutError),
             )
         except NodeUnavailableError:
@@ -1341,7 +1337,7 @@ class ProtocolClient:
                 try:
                     recent[j] = self.rpc(
                         "recovery_phase2", stripe, j, "getrecent", LockMode.L1,
-                        caller=self.client_id,
+                        self.client_id,
                     )
                 except (NodeUnavailableError, NodeBusyError):
                     recent[j] = None

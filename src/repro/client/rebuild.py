@@ -61,16 +61,18 @@ class Rebuilder:
 
     def _stripe_damaged(self, stripe: int) -> bool:
         """One cheap probe per slot; damaged = INIT block, expired lock,
-        or an unreachable (crashed, not yet remapped) node.  A restarted
-        node that silently missed writes looks NORM to probes; the
-        monitor's deep sweep is what finds it."""
+        or an unreachable (crashed, not yet remapped) node.  A shed probe
+        says nothing either way, so the stripe counts as undamaged only
+        when no answered position shows damage.  A restarted node that
+        silently missed writes looks NORM to probes; the monitor's deep
+        sweep is what finds it."""
         for j in range(self.client.n):
             try:
                 opmode, lmode, _age, _epoch = self.client.rpc(
                     "rebuild", stripe, j, "probe"
                 )
             except NodeBusyError:
-                return False  # overloaded, not damaged; skip this pass
+                continue  # overloaded, not damaged; probe the rest
             except NodeUnavailableError:
                 return True  # rpc remapped the slot; recovery needed
             if opmode is not OpMode.NORM or lmode is LockMode.EXP:

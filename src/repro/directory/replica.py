@@ -73,13 +73,11 @@ class DirectoryReplica(RpcHandler):
 
     # -- RPC surface ---------------------------------------------------
 
-    def handle(
-        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
-    ) -> object:
+    def handle(self, op: str, *args: object, env: Envelope = NO_ENVELOPE) -> object:
         method = getattr(self, f"op_{op}", None)
         if method is None:
             raise UnknownOperationError(f"directory replica op {op!r}")
-        return method(*args, **kwargs)
+        return method(*args)
 
     def op_dir_prepare(self, key: tuple, tag: Tag) -> dict:
         """Phase 1: promise ``tag``, expose prior accepted/committed."""

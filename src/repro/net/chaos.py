@@ -60,19 +60,23 @@ def _unit(*parts: object) -> float:
 
 
 def _corrupt_response(result: object, key: tuple) -> object | None:
-    """A copy of ``result`` with one deterministically chosen bit of
-    its block payload flipped, or None when there is nothing to flip
-    (the response carries no block).  The flip happens on a copy: the
-    serving node's state is untouched — only the wire lies."""
-    if not isinstance(result, ReadResult) or result.block is None:
+    """A copy of a one-address ``[ReadResult]`` answer with one
+    deterministically chosen bit of its block flipped, or None when
+    there is nothing to flip (the answer carries no block).  The flip
+    happens on a copy: the serving node's state is untouched — only the
+    wire lies."""
+    if not isinstance(result, list) or len(result) != 1:
         return None
-    block = np.array(result.block, dtype=np.uint8, copy=True)
+    (read,) = result
+    if not isinstance(read, ReadResult) or read.block is None:
+        return None
+    block = np.array(read.block, dtype=np.uint8, copy=True)
     if block.size == 0:
         return None
     bit = int(_unit(*key, "bit") * block.size * 8)
     bit = min(bit, block.size * 8 - 1)
     block[bit // 8] ^= np.uint8(1 << (bit % 8))
-    return replace(result, block=block)
+    return [replace(read, block=block)]
 
 
 @dataclass(frozen=True)
@@ -412,12 +416,11 @@ class ChaosTransport(Transport):
         op: str,
         *args: object,
         env: Envelope = NO_ENVELOPE,
-        **kwargs: object,
     ) -> object:
         # Satisfies the Transport ABC; unused, because call() below is
         # overridden wholesale (faults must wrap the inner transport,
         # whose own call() already carries the metrics instrumentation).
-        return self.inner.call(src, dst, op, *args, env=env, **kwargs)
+        return self.inner.call(src, dst, op, *args, env=env)
 
     def call(
         self,
@@ -426,20 +429,19 @@ class ChaosTransport(Transport):
         op: str,
         *args: object,
         env: Envelope = NO_ENVELOPE,
-        **kwargs: object,
     ) -> object:
         if not self._enabled:
-            return self.inner.call(src, dst, op, *args, env=env, **kwargs)
+            return self.inner.call(src, dst, op, *args, env=env)
         count, decision = self._decide(src, dst, op)
         if not decision.faulty:
-            return self.inner.call(src, dst, op, *args, env=env, **kwargs)
-        return self._faulty_call(src, dst, op, args, env, kwargs, count, decision)
+            return self.inner.call(src, dst, op, *args, env=env)
+        return self._faulty_call(src, dst, op, args, env, count, decision)
 
     def _faulty_call(self, src: str, dst: str, op: str, args: tuple, env: Envelope,
-                     kwargs: dict, count: int, decision: FaultDecision) -> object:
+                     count: int, decision: FaultDecision) -> object:
         """Deliver one message the plan has a fault for."""
         budget = env.timeout
-        size = estimate_size(args) + estimate_size(kwargs)
+        size = estimate_size(args)
         if decision.drop:
             # The request vanishes: the caller learns nothing until its
             # deadline (or the plan's blackhole interval) elapses.
@@ -474,8 +476,7 @@ class ChaosTransport(Transport):
                 time.sleep(budget)
                 try:
                     self.inner.call(
-                        src, dst, op, *args, env=replace(env, timeout=None),
-                        **kwargs,
+                        src, dst, op, *args, env=replace(env, timeout=None)
                     )
                 except (NodeUnavailableError, NodeBusyError):
                     pass
@@ -488,7 +489,7 @@ class ChaosTransport(Transport):
                 budget -= decision.delay
 
         env = replace(env, timeout=budget)
-        result = self.inner.call(src, dst, op, *args, env=env, **kwargs)
+        result = self.inner.call(src, dst, op, *args, env=env)
         if decision.corrupt:
             corrupted = _corrupt_response(
                 result, (self.plan.seed, src, dst, op, count)
@@ -506,7 +507,7 @@ class ChaosTransport(Transport):
             self._record("duplicate", src, dst, op, count, size)
             self._account_duplicate(op, size, env.kind)
             try:
-                self.inner.call(src, dst, op, *args, env=env, **kwargs)
+                self.inner.call(src, dst, op, *args, env=env)
             except (NodeUnavailableError, NodeBusyError):
                 pass
         return result
@@ -518,7 +519,6 @@ class ChaosTransport(Transport):
         op: str,
         *args: object,
         env: Envelope = NO_ENVELOPE,
-        **kwargs: object,
     ) -> dict[str, object]:
         """Per-destination faults; a dropped leg becomes an
         :class:`RpcTimeoutError` entry rather than aborting the batch.
@@ -528,11 +528,11 @@ class ChaosTransport(Transport):
         frame through the inner transport, so a fault-free plan keeps
         the wire accounting of an unwrapped broadcast."""
         if not self._enabled:
-            return self.inner.broadcast(src, dsts, op, *args, env=env, **kwargs)
+            return self.inner.broadcast(src, dsts, op, *args, env=env)
         decided = {dst: self._decide(src, dst, op) for dst in dsts}
         clean = [dst for dst in dsts if not decided[dst][1].faulty]
         results = (
-            self.inner.broadcast(src, clean, op, *args, env=env, **kwargs)
+            self.inner.broadcast(src, clean, op, *args, env=env)
             if clean else {}
         )
         for dst, (count, decision) in decided.items():
@@ -540,7 +540,7 @@ class ChaosTransport(Transport):
                 continue
             try:
                 results[dst] = self._faulty_call(
-                    src, dst, op, args, env, kwargs, count, decision
+                    src, dst, op, args, env, count, decision
                 )
             except Exception as exc:  # delivered per-destination
                 results[dst] = exc

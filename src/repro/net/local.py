@@ -82,7 +82,7 @@ class LocalTransport(Transport):
         return None if budget is None else budget - delay
 
     def _serve(self, dst: str, handler: RpcHandler, op: str, args: tuple,
-               env: Envelope, kwargs: dict) -> object:
+               env: Envelope) -> object:
         admission = self.admission
         if admission is not None:
             # Counted from arrival (queued behind the node's service
@@ -90,7 +90,7 @@ class LocalTransport(Transport):
             admission.acquire(dst, op=op)
         try:
             with self._target_locks[dst]:
-                return handler.handle(op, *args, env=env, **kwargs)
+                return handler.handle(op, *args, env=env)
         finally:
             if admission is not None:
                 admission.release(dst)
@@ -102,20 +102,18 @@ class LocalTransport(Transport):
         op: str,
         *args: object,
         env: Envelope = NO_ENVELOPE,
-        **kwargs: object,
     ) -> object:
         self._check_reachable(src, dst)
         handler = self._handler_for(dst)
-        payload = (args, kwargs)
-        request_size = self._priced_size(payload)
-        self._record_request(op, payload, env.kind, request_size)
+        request_size = self._priced_size(args)
+        self._record_request(op, args, env.kind, request_size)
         # Deadline enforcement covers the modeled network (the sleeps);
         # handler execution is local CPU and not interruptible here.
         budget = self._transit(request_size, env.timeout, dst, op, env)
         # The destination may have crashed while the request was in
         # flight; re-check so a message is never served by a dead node.
         self._check_reachable(src, dst)
-        result = self._serve(dst, handler, op, args, env, kwargs)
+        result = self._serve(dst, handler, op, args, env)
         response_size = self._priced_size(result)
         self._record_response(op, result, env.kind, response_size)
         self._transit(response_size, budget, dst, op, env)
@@ -129,7 +127,6 @@ class LocalTransport(Transport):
         op: str,
         *args: object,
         env: Envelope = NO_ENVELOPE,
-        **kwargs: object,
     ) -> dict[str, object]:
         """True broadcast: the request payload leaves the client once.
 
@@ -140,11 +137,10 @@ class LocalTransport(Transport):
         deadline bounds the modeled network like a unicast's: a leg
         whose frame or reply lands after it is an :class:`RpcTimeoutError`.
         """
-        payload = (args, kwargs)
-        request_size = self._priced_size(payload)
+        request_size = self._priced_size(args)
         # One multicast frame on the wire, counted once (Fig. 1 counts
         # an AJX-bcast write as p+3 messages: 2 swap + 1 bcast + p acks).
-        self._record_request(op, payload, env.kind, request_size)
+        self._record_request(op, args, env.kind, request_size)
         metrics = self.metrics
         if metrics.enabled:
             metrics.counter("rpc_broadcasts_total", op=op).inc()
@@ -155,7 +151,7 @@ class LocalTransport(Transport):
                 try:
                     self._check_reachable(src, dst)
                     handler = self._handler_for(dst)
-                    results[dst] = self._serve(dst, handler, op, args, env, kwargs)
+                    results[dst] = self._serve(dst, handler, op, args, env)
                 except Exception as exc:  # delivered per-destination
                     results[dst] = exc
                     continue

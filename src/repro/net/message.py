@@ -27,23 +27,23 @@ class Envelope:
     Built once by the caller and handed unchanged (or narrowed with
     :func:`dataclasses.replace`) through every layer as the keyword-only
     ``env=`` argument of ``Transport.call`` / ``broadcast`` and
-    ``RpcHandler.handle``.  Layers read it; none strips it, and it is
-    never part of the sized payload, so byte accounting, wire frames and
-    seeded digests are the same whatever the header holds.
+    ``RpcHandler.handle``, the only keyword argument on the wire.  Layers
+    read it; none strips it, and it is never part of the sized payload,
+    so byte accounting, wire frames and seeded digests are the same
+    whatever the header holds.  A storage node's placement stamp is not
+    here: one frame can span stripes, so it rides per address in the
+    frame (:meth:`~repro.storage.node.StorageNode.handle`).
 
     * ``kind`` — the logical operation the RPC serves (write, read,
       recovery_phase1, gc, ...), the wire-accounting label;
     * ``trace`` — ``(trace_id, span_id, parent_span)`` of the caller's
       span, echoed by traced nodes;
-    * ``gen`` — the caller's placement generation for the stripe,
-      checked by storage nodes on elastic clusters;
     * ``timeout`` — the round trip's deadline in seconds (None waits
       indefinitely, the original fail-stop model).
     """
 
     kind: str | None = None
     trace: tuple | None = None
-    gen: int | None = None
     timeout: float | None = None
 
 

@@ -4,7 +4,7 @@ The paper's prototype was "implemented in C using RPC in user mode
 running over TCP" (§5.1).  This transport is the Python analogue: every
 storage node listens on a loopback TCP socket served by a thread pool,
 clients keep one connection per (caller, target) pair, and RPCs are
-length-prefixed pickled ``(op, args, kwargs, envelope)`` frames.  The
+length-prefixed pickled ``(op, args, envelope)`` frames.  The
 protocol stack above is completely unchanged —
 ``Cluster(transport=TcpTransport())`` runs the same state
 machines over real kernel sockets, which the integration tests use to
@@ -99,7 +99,7 @@ class _NodeServer:
     def _serve(self, conn: socket.socket) -> None:
         try:
             while True:
-                op, args, kwargs, env = pickle.loads(_recv_frame(conn))
+                op, args, env = pickle.loads(_recv_frame(conn))
                 try:
                     controller = self.admission()
                     if controller is not None:
@@ -108,9 +108,7 @@ class _NodeServer:
                         # travels back as an ordinary ("err", exc).
                         controller.acquire(self.node_id, op=op)
                     try:
-                        result = (
-                            "ok", self.handler.handle(op, *args, env=env, **kwargs)
-                        )
+                        result = ("ok", self.handler.handle(op, *args, env=env))
                     finally:
                         if controller is not None:
                             controller.release(self.node_id)
@@ -209,11 +207,10 @@ class TcpTransport(Transport):
         op: str,
         *args: object,
         env: Envelope = NO_ENVELOPE,
-        **kwargs: object,
     ) -> object:
         self._check_reachable(src, dst)
-        request = pickle.dumps((op, args, kwargs, env))
-        self._record_request(op, (args, kwargs), env.kind)
+        request = pickle.dumps((op, args, env))
+        self._record_request(op, args, env.kind)
         conn, lock = self._connection(src, dst)
         try:
             with lock:

@@ -57,13 +57,12 @@ class RpcHandler(ABC):
     """Something that serves RPCs (a storage-node server)."""
 
     @abstractmethod
-    def handle(
-        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
-    ) -> object:
-        """Execute operation ``op`` and return its result.
+    def handle(self, op: str, *args: object, env: Envelope = NO_ENVELOPE) -> object:
+        """Execute operation ``op`` on ``args`` and return its result.
 
         ``env`` is the call's header; a handler reads what it needs from
-        it and never sees header fields among ``kwargs``."""
+        it.  Arguments are positional only: nothing else rides as a
+        keyword."""
 
 
 class Transport(ABC):
@@ -216,7 +215,6 @@ class Transport(ABC):
         op: str,
         *args: object,
         env: Envelope = NO_ENVELOPE,
-        **kwargs: object,
     ) -> object:
         """Synchronous RPC from ``src`` to ``dst``.
 
@@ -233,11 +231,11 @@ class Transport(ABC):
         """
         metrics = self.metrics
         if not metrics.enabled:
-            return self._call_impl(src, dst, op, *args, env=env, **kwargs)
+            return self._call_impl(src, dst, op, *args, env=env)
         start = time.perf_counter()
         result = "ok"
         try:
-            return self._call_impl(src, dst, op, *args, env=env, **kwargs)
+            return self._call_impl(src, dst, op, *args, env=env)
         except Exception as exc:
             result = classify_outcome(exc)
             raise
@@ -255,7 +253,6 @@ class Transport(ABC):
         op: str,
         *args: object,
         env: Envelope = NO_ENVELOPE,
-        **kwargs: object,
     ) -> object:
         """Transport-specific body of :meth:`call` (uninstrumented)."""
 
@@ -266,7 +263,6 @@ class Transport(ABC):
         op: str,
         *args: object,
         env: Envelope = NO_ENVELOPE,
-        **kwargs: object,
     ) -> dict[str, object]:
         """One logical send delivered to many nodes (Section 3.11).
 
@@ -281,7 +277,7 @@ class Transport(ABC):
         results: dict[str, object] = {}
         for dst in dsts:
             try:
-                results[dst] = self.call(src, dst, op, *args, env=env, **kwargs)
+                results[dst] = self.call(src, dst, op, *args, env=env)
             except Exception as exc:  # delivered per-destination
                 results[dst] = exc
         return results

@@ -157,27 +157,43 @@ class StorageNode(RpcHandler):
     # ------------------------------------------------------------------
 
     def handle(
-        self, op: str, *args: object, env: Envelope = NO_ENVELOPE, **kwargs: object
-    ) -> object:
-        # The envelope keeps operation signatures header-free.  Its
-        # placement generation is checked only when present (placement-
-        # mode clients stamp it; the rebalancer and legacy clusters do
-        # not); its trace context is echoed only by a traced node.
+        self,
+        op: str,
+        frame: dict[BlockAddr, tuple[int | None, tuple]],
+        env: Envelope = NO_ENVELOPE,
+    ) -> list[object]:
+        """Run ``op`` on every address of ``frame``, which maps each
+        :class:`BlockAddr` to ``(gen, args)``, and answer one result per
+        address, in frame order.
+
+        ``gen`` is the sender's placement generation for the address's
+        stripe, checked only when present (placement-mode clients stamp
+        it; the rebalancer and legacy clusters do not).  A stale stamp is
+        that address's answer, a :class:`StalePlacementError`; any other
+        exception fails the whole call.  The envelope's trace context is
+        echoed only by a traced node."""
         if op not in self.OPERATIONS:
             raise UnknownOperationError(f"{self.node_id}: no operation {op!r}")
         if self.metrics.enabled:
             self.metrics.counter("node_ops_total", node=self.node_id, op=op).inc()
+        method = getattr(self, op)
+        results: list[object] = []
         with self._lock:
-            if env.gen is not None and args and isinstance(args[0], BlockAddr):
-                self._check_generation(args[0], env.gen)
-            result = getattr(self, op)(*args, **kwargs)
+            for addr, (gen, args) in frame.items():
+                if gen is not None:
+                    try:
+                        self._check_generation(addr, gen)
+                    except StalePlacementError as exc:
+                        results.append(exc)
+                        continue
+                results.append(method(addr, *args))
         # Emit after releasing the node lock: the tracer has its own
         # lock and the request is already served.
         if env.trace is not None and self.tracer.enabled:
-            self._emit_trace(op, env.trace, result)
-        return result
+            self._emit_trace(op, env.trace, results)
+        return results
 
-    def _emit_trace(self, op: str, trace: tuple, result: object) -> None:
+    def _emit_trace(self, op: str, trace: tuple, results: list[object]) -> None:
         """One ``node.<op>`` event carrying the span identity the caller
         allocated, so span trees show the server-side half of each RPC."""
         trace_id, span_id, parent = trace
@@ -187,6 +203,7 @@ class StorageNode(RpcHandler):
             "parent": parent,
             "node": self.node_id,
         }
+        result = results[0] if len(results) == 1 else None
         if isinstance(result, AddResult):
             detail["status"] = result.status.name
         elif isinstance(result, SwapResult):
@@ -529,57 +546,32 @@ class StorageNode(RpcHandler):
     # Fig. 7 — garbage collection
     # ------------------------------------------------------------------
 
-    def gc_old(
-        self,
-        frame: dict[BlockAddr, Iterable[Tid]],
-        gens: dict[BlockAddr, int] | None = None,
-    ) -> list[BlockAddr]:
-        """Phase 1 for every address of ``frame``: discard its tids from
-        the oldlist.  Returns the addresses refused (see :meth:`_gc`)."""
-        return self._gc(frame, gens, recent=False)
+    def gc_old(self, addr: BlockAddr, tid_list: Iterable[Tid]) -> bool:
+        """Phase 1: discard ``tid_list`` from the oldlist.  True when
+        applied, False when refused (see :meth:`_gc`)."""
+        return self._gc(addr, tid_list, recent=False)
 
-    def gc_recent(
-        self,
-        frame: dict[BlockAddr, Iterable[Tid]],
-        gens: dict[BlockAddr, int] | None = None,
-    ) -> list[BlockAddr]:
-        """Phase 2 for every address of ``frame``: move its tids from
-        the recentlist to the oldlist.  Returns the addresses refused."""
-        return self._gc(frame, gens, recent=True)
+    def gc_recent(self, addr: BlockAddr, tid_list: Iterable[Tid]) -> bool:
+        """Phase 2: move ``tid_list`` from the recentlist to the oldlist.
+        True when applied, False when refused."""
+        return self._gc(addr, tid_list, recent=True)
 
-    def _gc(
-        self,
-        frame: dict[BlockAddr, Iterable[Tid]],
-        gens: dict[BlockAddr, int] | None,
-        recent: bool,
-    ) -> list[BlockAddr]:
-        """One GC frame: every stripe this node holds a batch for, in one
-        request.  Each address is applied on its own terms, only when it
-        is NORM and UNL, and refused otherwise; in placement mode
-        ``gens`` stamps each address with the sender's generation and a
-        stale one is refused too.  One metadata record per applied
-        address."""
-        refused = []
-        for addr, tid_list in frame.items():
-            if gens is not None:
-                try:
-                    self._check_generation(addr, gens[addr])
-                except StalePlacementError:
-                    refused.append(addr)
-                    continue
-            state = self._state(addr)
-            if state.opmode is not OpMode.NORM or state.lmode is not LockMode.UNL:
-                refused.append(addr)
-                continue
-            batch = set(tid_list)
-            if recent:
-                moving = {e for e in state.recentlist if e.tid in batch}
-                state.recentlist -= moving
-                state.oldlist |= moving
-            else:
-                state.oldlist = {e for e in state.oldlist if e.tid not in batch}
-            self._persist_meta(addr, state)
-        return refused
+    def _gc(self, addr: BlockAddr, tid_list: Iterable[Tid], recent: bool) -> bool:
+        """Apply one GC batch only when the block is NORM and UNL — GC
+        must never interfere with recovery — and refuse it otherwise.
+        One metadata record per applied batch."""
+        state = self._state(addr)
+        if state.opmode is not OpMode.NORM or state.lmode is not LockMode.UNL:
+            return False
+        batch = set(tid_list)
+        if recent:
+            moving = {e for e in state.recentlist if e.tid in batch}
+            state.recentlist -= moving
+            state.oldlist |= moving
+        else:
+            state.oldlist = {e for e in state.oldlist if e.tid not in batch}
+        self._persist_meta(addr, state)
+        return True
 
     # ------------------------------------------------------------------
     # Section 3.10 — monitoring probe

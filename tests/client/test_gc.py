@@ -73,7 +73,7 @@ class TestGcSafety:
         locker = small_cluster.protocol_client("locker")
         for j in range(4):
             locker.rpc("recovery_phase1", 0, j, "trylock", LockMode.L1,
-                       caller="locker")
+                       "locker")
         transport = small_cluster.transport
         original = transport.call
         sent = []
@@ -95,7 +95,7 @@ class TestGcSafety:
         # Unlock and retry: the batch was carried over.
         for j in range(4):
             locker.rpc("recovery_abort", 0, j, "setlock", LockMode.UNL,
-                       caller="locker")
+                       "locker")
         vol.collect_garbage()
         state = data_node_state(small_cluster, 0, 0)
         assert not state.recentlist and len(state.oldlist) == 1

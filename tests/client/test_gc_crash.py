@@ -87,7 +87,7 @@ class TestGcCrashBetweenPhases:
         locker = cluster.protocol_client("locker")
         for j in range(4):
             locker.rpc("recovery_phase1", 1, j, "trylock", LockMode.L1,
-                       caller="locker")
+                       "locker")
         plan = CrashPlan()
         plan.arm("gc.between_phases")
         victim.crashpoints = plan
@@ -96,7 +96,7 @@ class TestGcCrashBetweenPhases:
         assert info.value.detail == {"stripes": list(stripes)}
         for j in range(4):
             locker.rpc("recovery_abort", 1, j, "setlock", LockMode.UNL,
-                       caller="locker")
+                       "locker")
 
         states = {stripe: stripe_states(cluster, stripe) for stripe in stripes}
         for stripe in (0, 2):

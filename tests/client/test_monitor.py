@@ -55,7 +55,7 @@ class TestMonitorDetection:
         vol.collect_garbage()
         holder = small_cluster.protocol_client("holder")
         holder.rpc("recovery_phase1", 0, 2, "trylock", LockMode.L1,
-                   caller="holder")
+                   "holder")
         small_cluster.crash_client("holder")
         report = vol.monitor_sweep([0])
         assert report.expired_locks >= 1

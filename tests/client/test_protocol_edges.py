@@ -20,7 +20,7 @@ def lock_stripe(cluster, stripe, holder="wedge"):
     client = cluster.protocol_client(holder)
     for j in range(cluster.code.n):
         client.rpc("recovery_phase1", stripe, j, "trylock", LockMode.L1,
-                   caller=holder)
+                   holder)
     return client
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.client.rebuild import RebuildReport, Rebuilder
 from repro.core.cluster import Cluster
+from repro.errors import NodeBusyError
 
 
 @pytest.fixture
@@ -49,6 +50,29 @@ class TestRebuild:
         report = Rebuilder(cluster.protocol_client("r")).rebuild(range(1))
         assert report.healthy == 1
         assert report.recovered == [] and report.failed == []
+
+    def test_shed_probe_does_not_hide_damage(self):
+        """A probe shed at one position says nothing about the stripe,
+        so the sweep keeps probing and still finds the crashed one."""
+        cluster = Cluster(k=2, n=4, block_size=64)
+        vol = cluster.client("c")
+        vol.write_block(0, b"x")
+        cluster.crash_storage(cluster.slot_of(0, 3))
+        busy = cluster.node_for_slot(cluster.slot_of(0, 0))
+        handle = busy.handle
+
+        def shed_probes(op, *args, **kwargs):
+            if op == "probe":
+                raise NodeBusyError(busy.node_id)
+            return handle(op, *args, **kwargs)
+
+        busy.handle = shed_probes
+        rebuilder = Rebuilder(cluster.protocol_client("r"))
+        assert rebuilder._stripe_damaged(0)
+        report = rebuilder.rebuild([0])
+        assert report.healthy == 0
+        assert report.recovered == [0]
+        assert cluster.stripe_consistent(0)
 
     def test_progress_callback_invoked(self, damaged_cluster):
         cluster, _ = damaged_cluster

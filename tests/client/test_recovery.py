@@ -173,7 +173,7 @@ class TestClientCrashMidWrite:
         holder = small_cluster.protocol_client("holder")
         for j in range(4):
             holder.rpc("recovery_phase1", 0, j, "trylock", LockMode.L1,
-                       caller="holder")
+                       "holder")
         small_cluster.crash_client("holder")
         node = small_cluster.node_for_slot(small_cluster.layout.node_of_stripe_index(0, 0))
         assert node.peek(BlockAddr("vol0", 0, 0)).lmode is LockMode.EXP
@@ -192,7 +192,7 @@ class TestRecoveryPickup:
         # Manually run phases 1-2 plus a partial phase 3 write-back.
         for j in range(4):
             crasher.rpc("recovery_phase1", 0, j, "trylock", LockMode.L1,
-                        caller="crasher")
+                        "crasher")
         states = {j: crasher.rpc("recovery_phase2", 0, j, "get_state")
                   for j in range(4)}
         cset = frozenset(range(4))

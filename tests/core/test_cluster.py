@@ -111,7 +111,7 @@ class TestFailureFanout:
         holder = small_cluster.protocol_client("holder")
         for j in range(4):
             holder.rpc("recovery_phase1", 0, j, "trylock", LockMode.L1,
-                       caller="holder")
+                       "holder")
         small_cluster.crash_client("holder")
         for j in range(4):
             slot = small_cluster.layout.node_of_stripe_index(0, j)

@@ -11,7 +11,7 @@ from repro.net.transport import RpcHandler
 
 
 class Echo(RpcHandler):
-    def handle(self, op, *args, **kwargs):
+    def handle(self, op, *args, env=None):
         return (op, args)
 
 

@@ -27,8 +27,8 @@ class Echo(RpcHandler):
     def __init__(self):
         self.calls = []
 
-    def handle(self, op, *args, env=None, **kwargs):
-        self.calls.append((op, args, kwargs))
+    def handle(self, op, *args, env=None):
+        self.calls.append((op, args))
         return (op, args)
 
 
@@ -133,14 +133,38 @@ class TestChaosTransport:
         chaos, servers = chaos_net([FaultRule(delay=0.2)])
         with pytest.raises(RpcTimeoutError):
             chaos.call("client", "a", "ping", env=Envelope(timeout=0.02))
-        assert servers["a"].calls == [("ping", (), {})]
+        assert servers["a"].calls == [("ping", ())]
         assert chaos.ledger_counts() == {"late_delivery": 1}
 
     def test_duplicate_delivers_twice_returns_once(self):
         chaos, servers = chaos_net([FaultRule(dup=1.0)])
         assert chaos.call("client", "a", "ping", 5) == ("ping", (5,))
-        assert servers["a"].calls == [("ping", (5,), {}), ("ping", (5,), {})]
+        assert servers["a"].calls == [("ping", (5,)), ("ping", (5,))]
         assert chaos.ledger_counts() == {"duplicate": 1}
+
+    def test_duplicate_follows_a_stale_stamp_answer(self):
+        """A stale placement stamp is an answer, not a raised error, so
+        the replay the plan scheduled for the message is still delivered
+        and ledgered."""
+        from repro.erasure.rs import ReedSolomonCode
+        from repro.erasure.striping import StripeLayout
+        from repro.errors import StalePlacementError
+        from repro.ids import BlockAddr
+        from repro.storage.node import StorageNode, VolumeMeta
+
+        meta = VolumeMeta(ReedSolomonCode(2, 4), StripeLayout(2, 4), 16)
+        node = StorageNode("storage-0", 0, {"vol": meta})
+        node.metrics = MetricsRegistry()
+        addr = BlockAddr("vol", 0, 0)
+        node.set_generation(addr, 2)
+        inner = LocalTransport()
+        inner.register("storage-0", node)
+        chaos = ChaosTransport(inner, FaultPlan([FaultRule(op="read", dup=1.0)]))
+        chaos.register("client")
+        (answer,) = chaos.call("client", "storage-0", "read", {addr: (1, ())})
+        assert isinstance(answer, StalePlacementError)
+        assert chaos.ledger_counts() == {"duplicate": 1}
+        assert node.metrics.sum_counter("node_ops_total", op="read") == 2
 
     def test_disable_stops_injection(self):
         chaos, servers = chaos_net([FaultRule(drop=1.0)])
@@ -304,7 +328,8 @@ class TestClusterUnderChaos:
 
 
 class BlockServer(RpcHandler):
-    """Returns a ReadResult payload so corrupt faults have bytes to flip."""
+    """Answers a read like a storage node, a one-address ``[ReadResult]``,
+    so corrupt faults have bytes to flip."""
 
     def __init__(self, size=32):
         import numpy as np
@@ -316,11 +341,11 @@ class BlockServer(RpcHandler):
         )
         self.empty = ReadResult(block=None, lmode=LockMode.UNL)
 
-    def handle(self, op, *args, **kwargs):
+    def handle(self, op, *args, env=None):
         if op == "read":
-            return self.result
+            return [self.result]
         if op == "read-bottom":
-            return self.empty
+            return [self.empty]
         return (op, args)
 
 
@@ -337,7 +362,7 @@ class TestCorruptFault:
         import numpy as np
 
         chaos = corrupt_net([FaultRule(op="read", corrupt=1.0)])
-        result = chaos.call("client", "a", "read")
+        (result,) = chaos.call("client", "a", "read")
         flipped = np.unpackbits(result.block).sum()
         assert flipped == 1  # one bit, nothing else
         assert chaos.ledger_counts() == {"corrupt": 1}
@@ -361,7 +386,7 @@ class TestCorruptFault:
 
     def test_bottom_read_passes_clean(self):
         chaos = corrupt_net([FaultRule(op="read", corrupt=1.0)])
-        assert chaos.call("client", "a", "read-bottom").block is None
+        assert chaos.call("client", "a", "read-bottom")[0].block is None
         assert chaos.ledger == []
 
     def test_deterministic_across_runs(self):
@@ -373,7 +398,7 @@ class TestCorruptFault:
                 [FaultRule(op="read", corrupt=0.5)], seed=17
             )
             blocks = [
-                chaos.call("client", "a", "read").block.copy()
+                chaos.call("client", "a", "read")[0].block.copy()
                 for _ in range(40)
             ]
             runs.append((blocks, chaos.ledger_key()))

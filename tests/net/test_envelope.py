@@ -24,8 +24,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.storage.node import StorageNode, VolumeMeta
 
 DEADLINE = 0.05
-ENV = Envelope(kind="write", trace=("t:w1", "t:s1", "t:w1"), gen=3,
-               timeout=DEADLINE)
+ENV = Envelope(kind="write", trace=("t:w1", "t:s1", "t:w1"), timeout=DEADLINE)
 
 
 class Recorder(RpcHandler):
@@ -34,8 +33,8 @@ class Recorder(RpcHandler):
     def __init__(self):
         self.seen = []
 
-    def handle(self, op, *args, env=None, **kwargs):
-        self.seen.append((op, args, kwargs, env))
+    def handle(self, op, *args, env=None):
+        self.seen.append((op, args, env))
         if op == "stall":
             time.sleep(args[0])
         return op
@@ -85,21 +84,21 @@ class TestHeaderIsNotPayload:
             transport, inner = chaos([FaultRule(dst="a", dup=1.0)])
         try:
             servers = wire(transport, inner)
-            transport.call("client", "a", "ping", 1, env=ENV, extra=2)
+            transport.call("client", "a", "ping", 1, 2, env=ENV)
             transport.broadcast("client", ["b"], "ping", 1, env=ENV)
         finally:
             if tcp is not None:
                 tcp.close()
         for server in servers.values():
             assert server.seen
-            for op, args, kwargs, env in server.seen:
-                assert kwargs in ({}, {"extra": 2})
+            for op, args, env in server.seen:
+                assert args in ((1,), (1, 2))
                 assert env == ENV
 
     def test_handler_called_directly_without_envelope(self):
         meta = VolumeMeta(ReedSolomonCode(2, 4), StripeLayout(2, 4), 16)
         node = StorageNode("s0", 0, {"vol": meta})
-        result = node.handle("read", BlockAddr("vol", 0, 0))
+        (result,) = node.handle("read", {BlockAddr("vol", 0, 0): (None, ())})
         assert not result.block.any()
 
 

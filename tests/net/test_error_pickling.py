@@ -123,7 +123,7 @@ def test_sample_registry_is_complete():
 class Raiser(RpcHandler):
     """Raises whichever registered sample the op names."""
 
-    def handle(self, op, *args, **kwargs):
+    def handle(self, op, *args, env=None):
         for cls, exc in SAMPLES.items():
             if cls.__name__ == op:
                 raise exc

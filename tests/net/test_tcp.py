@@ -17,12 +17,12 @@ from repro.obs.metrics import MetricsRegistry
 
 
 class Echo(RpcHandler):
-    def handle(self, op, *args, env=None, **kwargs):
+    def handle(self, op, *args, env=None):
         if op == "boom":
             raise ValueError("server-side failure")
         if op == "stall":
             time.sleep(args[0])
-        return (op, args, kwargs)
+        return (op, args)
 
 
 @pytest.fixture
@@ -36,17 +36,13 @@ class TestTcpRpc:
     def test_roundtrip(self, tcp):
         tcp.register("server", Echo())
         tcp.register("client")
-        assert tcp.call("client", "server", "ping", 1, two=2) == (
-            "ping",
-            (1,),
-            {"two": 2},
-        )
+        assert tcp.call("client", "server", "ping", 1, 2) == ("ping", (1, 2))
 
     def test_numpy_payload(self, tcp):
         tcp.register("server", Echo())
         tcp.register("client")
         block = np.arange(1024, dtype=np.uint8)
-        _, args, _ = tcp.call("client", "server", "store", block)
+        _, args = tcp.call("client", "server", "store", block)
         assert np.array_equal(args[0], block)
 
     def test_server_exception_reraised(self, tcp):
@@ -118,7 +114,7 @@ class TestTcpRpc:
             tcp.call("client", "server", "stall", 5.0, env=Envelope(timeout=0.1))
         assert time.perf_counter() - start < 2.0
         # The connection was torn down; a fresh call still works.
-        assert tcp.call("client", "server", "ping") == ("ping", (), {})
+        assert tcp.call("client", "server", "ping") == ("ping", ())
 
     def test_call_within_deadline_succeeds(self, tcp):
         tcp.register("server", Echo())
@@ -126,7 +122,7 @@ class TestTcpRpc:
         result = tcp.call(
             "client", "server", "stall", 0.01, env=Envelope(timeout=5.0)
         )
-        assert result == ("stall", (0.01,), {})
+        assert result == ("stall", (0.01,))
 
     def test_broadcast_falls_back_to_unicast_loop(self, tcp):
         """TCP has no multicast; the base-class loop must still deliver
@@ -138,7 +134,7 @@ class TestTcpRpc:
         tcp.register("client")
         tcp.crash("b")
         results = tcp.broadcast("client", ["a", "b"], "ping", 1)
-        assert results["a"] == ("ping", (1,), {})
+        assert results["a"] == ("ping", (1,))
         assert isinstance(results["b"], NodeUnavailableError)
 
 
@@ -200,7 +196,7 @@ class TestClusterOverTcp:
 class Liar(RpcHandler):
     """Raises CorruptionDetected so transports must carry it intact."""
 
-    def handle(self, op, *args, **kwargs):
+    def handle(self, op, *args, env=None):
         from repro.errors import CorruptionDetected
 
         raise CorruptionDetected("server", 4, 1, "media", detail="audit")

@@ -27,8 +27,8 @@ class Echo(RpcHandler):
     def __init__(self):
         self.calls = []
 
-    def handle(self, op, *args, env=None, **kwargs):
-        self.calls.append((op, args, kwargs))
+    def handle(self, op, *args, env=None):
+        self.calls.append((op, args))
         if op == "boom":
             raise RuntimeError("server error")
         return (op, args)
@@ -124,7 +124,7 @@ class TestBroadcast:
         results = t.broadcast("client", ["a", "b", "c"], "ping", 7)
         assert set(results) == {"a", "b", "c"}
         for server in servers.values():
-            assert server.calls == [("ping", (7,), {})]
+            assert server.calls == [("ping", (7,))]
 
     def test_broadcast_counts_payload_once(self):
         t = LocalTransport()
@@ -154,7 +154,7 @@ class TestBroadcast:
         comes back as that exception; it never aborts the other legs."""
 
         class Stale(RpcHandler):
-            def handle(self, op, *args, env=None, **kwargs):
+            def handle(self, op, *args, env=None):
                 raise StalePlacementError("b", 0, 0, 1)
 
         inner = TcpTransport() if kind == "tcp" else LocalTransport()
@@ -226,7 +226,7 @@ class TestSizingOnlyWhenCounted:
                 t.broadcast("client", ["a", "b", "c"], "add", b"x" * 100)
                 op = "add"
             else:
-                t.call("client", "a", "ping", b"x" * 64, tag=7)
+                t.call("client", "a", "ping", b"x" * 64, 7)
                 op = "ping"
         finally:
             if isinstance(t, TcpTransport):
@@ -244,11 +244,11 @@ class TestSizingOnlyWhenCounted:
     @pytest.mark.parametrize(
         "kind, sent, received",
         [
-            # b"x" * 64 plus kwarg "tag" (3) + int (8); reply ("ping", args)
-            ("local-call", 75, 68),
+            # b"x" * 64 plus an int (8); reply ("ping", args) of 4 + 72
+            ("local-call", 72, 76),
             # one multicast frame; three ("add", args) replies of 103
             ("local-broadcast", 100, 309),
-            ("tcp-call", 75, 68),
+            ("tcp-call", 72, 76),
         ],
     )
     def test_observed_rpc_counts_bytes_per_op(self, sized, kind, sent, received):

@@ -14,10 +14,9 @@ from repro.client.gc import GcManager
 from repro.core.cluster import Cluster
 from repro.errors import StalePlacementError
 from repro.ids import BlockAddr, Tid
-from repro.net.message import Envelope
 from repro.net.tcp import TcpTransport
 from repro.obs import Observability
-from repro.storage.state import AddStatus
+from repro.storage.state import AddStatus, LockMode
 
 
 def counter_total(obs: Observability, name: str) -> float:
@@ -91,15 +90,15 @@ class TestEpochRejectAcrossRemap:
         vacated = cluster.directory.node_id(old_slots[moved])
         cluster.transport.register("laggard-2")
         before = counter_total(obs, "node_stale_placement_rejects_total")
-        with pytest.raises(StalePlacementError) as info:
-            cluster.transport.call(
-                "laggard-2", vacated, "get_state",
-                BlockAddr("vol0", stripe, moved),
-                env=Envelope(gen=0),
-            )
-        # The error crossed the transport intact (pickled over TCP).
-        assert info.value.stripe == stripe
-        assert info.value.seen_gen == 0
+        (answer,) = cluster.transport.call(
+            "laggard-2", vacated, "get_state",
+            {BlockAddr("vol0", stripe, moved): (0, ())},
+        )
+        # The stale stamp is the address's answer, and it crossed the
+        # transport intact (pickled over TCP).
+        assert isinstance(answer, StalePlacementError)
+        assert answer.stripe == stripe
+        assert answer.seen_gen == 0
         assert counter_total(
             obs, "node_stale_placement_rejects_total"
         ) == before + 1
@@ -151,3 +150,20 @@ class TestEpochRejectAcrossRemap:
         assert gc.pending_tids() > 0  # awaiting gc_old
         gc.run_once()
         assert gc.pending_tids() == 0
+
+    def test_gc_lock_refusal_keeps_cached_placement(self, rig):
+        cluster, _obs, stripe, _old, _new, _epoch = rig
+        # Only a stale stamp says the cached placement is wrong: a block
+        # locked by a recovery refuses its GC batch without doubting it.
+        client = cluster.protocol_client("gc-locked")
+        client.write(stripe, 0, np.full(32, 55, dtype=np.uint8))
+        locker = cluster.protocol_client("locker")
+        for j in range(4):
+            locker.rpc("recovery_phase1", stripe, j, "trylock", LockMode.L1,
+                       "locker")
+        fetches = client.placement.fetches
+        gc = GcManager(client)
+        for _ in range(2):
+            gc.run_once()
+            assert set(client.gc_pending) == {stripe}
+        assert client.placement.fetches == fetches

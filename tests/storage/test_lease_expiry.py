@@ -80,7 +80,7 @@ class TestLeaseDrivenRecoveryTakeover:
         stuck = cluster.protocol_client("stuck")
         for j in range(4):
             stuck.rpc("recovery_phase1", 0, j, "trylock", LockMode.L1,
-                      caller="stuck")
+                      "stuck")
         # NOTE: no crash_client("stuck") — the detector never fires.
         time.sleep(0.03)
         assert vol.read_block(0)[:3] == b"val"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import StalePlacementError
 from repro.ids import BlockAddr, Tid
 from repro.storage.state import LockMode, OpMode
 
@@ -147,12 +148,15 @@ class TestReconstructFinalize:
 
 
 class TestGcOps:
+    """Each GC op works on one address: True when applied, False when
+    refused."""
+
     def test_gc_recent_moves_to_oldlist(self):
         node = make_node()
         t1, t2 = tid(1), tid(2)
         node.add(addr(2), block(1), t1, None, 0)
         node.add(addr(2), block(1), t2, t1, 0)
-        assert node.gc_recent({addr(2): [t1]}) == []
+        assert node.gc_recent(addr(2), [t1]) is True
         state = node.peek(addr(2))
         assert state.recent_tids() == {t2}
         assert state.old_tids() == {t1}
@@ -161,21 +165,21 @@ class TestGcOps:
         node = make_node()
         t1 = tid(1)
         node.add(addr(2), block(1), t1, None, 0)
-        node.gc_recent({addr(2): [t1]})
-        assert node.gc_old({addr(2): [t1]}) == []
+        node.gc_recent(addr(2), [t1])
+        assert node.gc_old(addr(2), [t1]) is True
         assert not node.peek(addr(2)).old_tids()
 
     def test_gc_rejected_while_locked(self):
         node = make_node()
         node.trylock(addr(2), LockMode.L1, caller="p")
-        assert node.gc_recent({addr(2): []}) == [addr(2)]
-        assert node.gc_old({addr(2): []}) == [addr(2)]
+        assert node.gc_recent(addr(2), []) is False
+        assert node.gc_old(addr(2), []) is False
 
     def test_gc_unknown_tids_is_noop_ok(self):
         node = make_node()
         node.read(addr(2))
-        assert node.gc_recent({addr(2): [tid(42)]}) == []
-        assert node.gc_old({addr(2): [tid(42)]}) == []
+        assert node.gc_recent(addr(2), [tid(42)]) is True
+        assert node.gc_old(addr(2), [tid(42)]) is True
 
     def test_gc_shrinks_metadata(self):
         node = make_node()
@@ -185,16 +189,16 @@ class TestGcOps:
             node.add(addr(2), block(1), t, prev, 0)
             prev = t
         before = node.metadata_bytes()
-        node.gc_recent({addr(2): tids})
-        node.gc_old({addr(2): tids})
+        node.gc_recent(addr(2), tids)
+        node.gc_old(addr(2), tids)
         assert node.metadata_bytes() < before
 
 
 class TestGcFrames:
     """One GC frame covers every stripe a node holds a batch for; each
-    address is applied or refused on its own terms."""
+    address is answered on its own terms, in frame order."""
 
-    def mixed_frame(self, stale=False):
+    def mixed_frame(self, gen=None, moved_gen=None):
         # A fresh node: every block starts INIT until reconstructed.
         node = make_node(fresh=True)
         live, locked, init, moved = (addr(2, stripe=s) for s in range(4))
@@ -204,43 +208,46 @@ class TestGcFrames:
             node.finalize(a, 1)
             node.add(a, block(1), t1, None, 1)
         node.trylock(locked, LockMode.L1, caller="p")
-        frame = {a: [t1] for a in (live, locked, init, moved)}
-        gens = None
-        if stale:
-            node.set_generation(moved, 5)
-            gens = {a: 5 for a in frame}
-            gens[moved] = 4
-        return node, frame, gens, (live, locked, init, moved)
+        frame = {a: (gen, ([t1],)) for a in (live, locked, init, moved)}
+        if moved_gen is not None:
+            frame[moved] = (moved_gen, ([t1],))
+        return node, frame, (live, locked, init, moved)
 
     def test_only_norm_unlocked_addresses_apply(self):
-        node, frame, _, (live, locked, init, moved) = self.mixed_frame()
-        assert node.gc_recent(frame) == [locked, init]
+        node, frame, (live, locked, init, moved) = self.mixed_frame()
+        assert node.handle("gc_recent", frame) == [True, False, False, True]
         assert node.peek(live).old_tids() == {tid(1)}
         assert node.peek(moved).old_tids() == {tid(1)}
         assert node.peek(locked).recent_tids() == {tid(1)}
         assert node.peek(init).opmode is OpMode.INIT
-        assert node.gc_old(frame) == [locked, init]
+        assert node.handle("gc_old", frame) == [True, False, False, True]
         assert not node.peek(live).old_tids()
 
     def test_stale_generation_address_is_refused(self):
-        node, frame, gens, (live, locked, init, moved) = self.mixed_frame(
-            stale=True
+        node, frame, (live, locked, init, moved) = self.mixed_frame(
+            gen=5, moved_gen=4
         )
-        refused = node.handle("gc_recent", frame, gens=gens)
-        assert refused == [locked, init, moved]
+        node.set_generation(moved, 5)
+        results = node.handle("gc_recent", frame)
+        assert results[:3] == [True, False, False]
+        assert isinstance(results[3], StalePlacementError)
         assert node.peek(live).old_tids() == {tid(1)}
         assert node.peek(moved).recent_tids() == {tid(1)}
         assert not node.peek(moved).old_tids()
-        assert node.gc_old(frame, gens) == [locked, init, moved]
+        results = node.handle("gc_old", frame)
+        assert results[:3] == [True, False, False]
+        assert isinstance(results[3], StalePlacementError)
         assert not node.peek(live).old_tids()
 
     def test_retired_address_is_refused_under_any_stamp(self):
-        node, frame, _, (live, _, _, moved) = self.mixed_frame()
+        node, frame, (live, _, _, moved) = self.mixed_frame(gen=3)
         node.retire(moved, 3)
-        refused = node.gc_recent(
-            {live: frame[live], moved: frame[moved]}, {live: 3, moved: 3}
+        results = node.handle(
+            "gc_recent", {live: frame[live], moved: frame[moved]}
         )
-        assert refused == [moved]
+        assert results[0] is True
+        assert isinstance(results[1], StalePlacementError)
+        assert results[1].retired
         assert node.peek(moved).recent_tids() == {tid(1)}
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.erasure.rs import ReedSolomonCode
 from repro.erasure.striping import StripeLayout
-from repro.errors import UnknownOperationError
+from repro.errors import StalePlacementError, UnknownOperationError
 from repro.ids import BlockAddr, Tid
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.node import BROADCAST_INDEX, StorageNode, VolumeMeta
@@ -42,28 +42,102 @@ def block(fill):
     return np.full(BS, fill, dtype=np.uint8)
 
 
+def frame(*addrs, gen=None, args=()):
+    """A frame carrying the same stamp and arguments for every address."""
+    return {a: (gen, args) for a in addrs}
+
+
 class TestDispatch:
     def test_handle_routes_operations(self):
         node = make_node()
-        result = node.handle("read", addr(0))
+        (result,) = node.handle("read", frame(addr(0)))
         assert result.lmode is LockMode.UNL
 
     def test_unknown_operation_rejected(self):
         node = make_node()
         with pytest.raises(UnknownOperationError):
-            node.handle("format_disk")
+            node.handle("format_disk", frame(addr(0)))
 
     def test_unknown_volume_rejected(self):
         node = make_node()
         with pytest.raises(UnknownOperationError):
-            node.handle("read", BlockAddr("nope", 0, 0))
+            node.handle("read", frame(BlockAddr("nope", 0, 0)))
 
     def test_op_counts_tracked(self):
         node = make_node()
         node.metrics = MetricsRegistry()
-        node.handle("read", addr(0))
-        node.handle("read", addr(0))
+        node.handle("read", frame(addr(0)))
+        node.handle("read", frame(addr(0), addr(1)))
+        # One count per frame, however many addresses it carries.
         assert node.metrics.sum_counter("node_ops_total", op="read") == 2
+
+
+class TestFrames:
+    """``handle(op, {addr: (gen, args)})`` answers one result per
+    address, in frame order; a stale stamp is that address's answer."""
+
+    @pytest.mark.parametrize(
+        "op, args",
+        [
+            ("read", ()),
+            ("probe", ()),
+            ("get_state", ()),
+            ("fingerprint", ()),
+            ("checktid", (tid(1), None)),
+        ],
+    )
+    def test_two_address_frame_answers_in_frame_order(self, op, args):
+        node = make_node()
+        # Two stripes in different states, listed out of address order:
+        # stripe 5 holds a write, stripe 1 is untouched.
+        written, blank = addr(0, stripe=5), addr(0, stripe=1)
+        node.swap(written, block(7), tid(1))
+        results = node.handle(op, frame(written, blank, args=args))
+        method = getattr(node, op)
+        assert len(results) == 2
+        for a, result in zip((written, blank), results):
+            expected = method(a, *args)
+            if op == "probe":
+                # The recentlist age keeps growing; compare the rest.
+                assert (result[0], result[1], result[3]) == (
+                    expected[0], expected[1], expected[3]
+                )
+                assert (result[2] is None) == (a == blank)
+            elif op == "read":
+                assert np.array_equal(result.block, expected.block)
+            elif op == "get_state":
+                assert np.array_equal(result.block, expected.block)
+                assert result.recentlist == expected.recentlist
+            else:
+                assert result == expected
+
+    def test_stale_stamp_is_that_address_answer(self):
+        node = make_node()
+        node.metrics = MetricsRegistry()
+        current, stale = addr(0, stripe=0), addr(0, stripe=1)
+        node.swap(current, block(3), tid(1))
+        node.set_generation(current, 2)
+        node.set_generation(stale, 4)
+        results = node.handle("get_state", {current: (2, ()), stale: (3, ())})
+        assert results[0].block[0] == 3
+        assert isinstance(results[1], StalePlacementError)
+        assert results[1].stripe == 1
+        assert results[1].seen_gen == 3
+        assert node.metrics.sum_counter(
+            "node_stale_placement_rejects_total"
+        ) == 1
+
+    def test_unstamped_entry_for_retired_address_is_served(self):
+        """The rebalancer's path: it stamps nothing, so it still reads
+        a block this node migrated away."""
+        node = make_node()
+        node.swap(addr(0), block(9), tid(1))
+        node.retire(addr(0), 3)
+        (unstamped,) = node.handle("read", frame(addr(0)))
+        assert unstamped.block[0] == 9
+        (stamped,) = node.handle("read", frame(addr(0), gen=3))
+        assert isinstance(stamped, StalePlacementError)
+        assert stamped.retired
 
 
 class TestInitialState:
@@ -191,7 +265,7 @@ class TestAdd:
         node = make_node()
         t1 = tid(1)
         node.add(addr(2), block(1), t1, None, 0)
-        node.gc_recent({addr(2): [t1]})
+        node.gc_recent(addr(2), [t1])
         assert t1 not in node.peek(addr(2)).recent_tids()
         assert node.add(addr(2), block(2), tid(2), t1, 0).status is AddStatus.OK
 
