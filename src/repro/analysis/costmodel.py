@@ -7,7 +7,9 @@ loop:
 
 * :class:`CostModel` extends the analytic ``cost_table`` rows of
   :mod:`repro.baselines.costs` from per-op figures to whole-run
-  expectations — writes decompose as 1 swap + p adds, recovery as its
+  expectations — writes decompose as 1 swap + p adds, a stripe write
+  as one swap round and the strategy's add rounds of node frames,
+  recovery as its
   three per-phase fan-outs (2n / 2n / 4n messages on a fault-free
   stripe), GC as two-phase batches, and the sweep agents (monitor,
   scrub, rebuild, rebalance, audit) as strictly request/response-paired
@@ -154,6 +156,9 @@ class OpCounts:
 
     writes: int = 0
     write_attempts: int = 0
+    stripe_writes: int = 0  # write_stripes calls that sent frames
+    stripe_blocks: int = 0  # blocks they carried (counted in writes too)
+    stripe_frames: int = 0  # swap + add node frames they had answered
     reads: int = 0
     degraded_invocations: int = 0
     recoveries_completed: int = 0
@@ -178,6 +183,9 @@ def op_counts(snapshot: dict, wire: dict[str, MeasuredKind]) -> OpCounts:
     return OpCounts(
         writes=client("writes"),
         write_attempts=client("write_attempts"),
+        stripe_writes=client("stripe_writes"),
+        stripe_blocks=client("stripe_blocks"),
+        stripe_frames=client("stripe_frames"),
         reads=client("reads"),
         # One degraded read = one fan-out round, so the round counter
         # *is* the invocation count (covers hedges that lost the race
@@ -248,6 +256,27 @@ class CostModel:
 
     def write_bytes_floor(self, writes: int) -> int:
         return int(writes * self.write_row.write_bandwidth_bytes(self.block_size))
+
+    def stripe_write_messages(self, frames: int) -> int:
+        """A stripe write's swap and add frames: one request and one
+        response per answered node frame."""
+        return frames * 2
+
+    def stripe_write_rounds(self, calls: int) -> int | None:
+        """Expected ``rpc_rounds_total{kind=write_stripe}``: the swap
+        round plus the adds in the strategy's order, one round under
+        PARALLEL and p under SERIAL (None for hybrid, whose group size
+        is config).  BROADCAST writes block by block, so it has none."""
+        if self.strategy == "hybrid":
+            return None
+        adds = self.p if self.strategy == "serial" else 1
+        return calls * (1 + adds)
+
+    def stripe_write_bytes_floor(self, blocks: int, calls: int) -> int:
+        """Every block goes out in a swap and its old content comes
+        back; every call's stripes add p summed deltas, at least one
+        stripe's worth."""
+        return (2 * blocks + self.p * calls) * self.block_size
 
     def read_messages(self, reads: int) -> int:
         return reads * self.write_row.read_messages  # 2 for every AJX row
@@ -536,14 +565,39 @@ class CostAuditor:
             )
 
         slack = model.byte_slack
-        w_msgs = model.write_messages(counts.writes)
+        # Blocks a stripe write carried are its own row's traffic.
+        writes = counts.writes - counts.stripe_blocks
+        w_msgs = model.write_messages(writes)
         check(
             "write",
             w_msgs,
-            model.write_rounds(counts.writes),
-            bytes_floor=model.write_bytes_floor(counts.writes),
-            bytes_ceiling=model.write_bytes_floor(counts.writes) + slack * w_msgs,
-            note=f"{counts.writes} writes x {model.write_row.scheme}",
+            model.write_rounds(writes),
+            bytes_floor=model.write_bytes_floor(writes),
+            bytes_ceiling=model.write_bytes_floor(writes) + slack * w_msgs,
+            note=f"{writes} writes x {model.write_row.scheme}",
+        )
+        s_msgs = model.stripe_write_messages(counts.stripe_frames)
+        s_floor = model.stripe_write_bytes_floor(
+            counts.stripe_blocks, counts.stripe_writes
+        )
+        # Each round sends a node at most one frame.
+        stripe_frames_ceiling = model.n * measured("write_stripe").rounds
+        check(
+            "write_stripe",
+            s_msgs,
+            model.stripe_write_rounds(counts.stripe_writes),
+            bytes_floor=s_floor,
+            # p summed deltas per stripe, at most one stripe per block.
+            bytes_ceiling=s_floor
+            + model.p * (counts.stripe_blocks - counts.stripe_writes)
+            * model.block_size + slack * s_msgs,
+            note=f"{counts.stripe_blocks} blocks in {counts.stripe_frames} "
+                 f"frames",
+            violation=(
+                f"{counts.stripe_frames} frames above {stripe_frames_ceiling} "
+                f"(n per round)"
+                if counts.stripe_frames > stripe_frames_ceiling else ""
+            ),
         )
         r_msgs = model.read_messages(counts.reads)
         check(

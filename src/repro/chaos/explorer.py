@@ -4,10 +4,11 @@ The chaos soaks randomize *when* faults land; this harness instead
 explores *where a client dies in the protocol*, by construction.  A
 schedule is a short sequence of :class:`CrashStep`\\ s, each of which:
 
-1. runs one protocol operation (write / recovery / GC round / monitor
-   sweep) on a fresh victim client whose :class:`~repro.crashpoints.
-   CrashPlan` is armed to raise :class:`~repro.errors.ClientCrash` at
-   one named point (see ``CRASH_POINT_CATALOGUE``);
+1. runs one protocol operation (write / stripe write / recovery / GC
+   round / monitor sweep) on a fresh victim client whose
+   :class:`~repro.crashpoints.CrashPlan` is armed to raise
+   :class:`~repro.errors.ClientCrash` at one named point (see
+   ``CRASH_POINT_CATALOGUE``);
 2. reports the death to the cluster (locks expire, Fig. 6 "upon
    failure"), and
 3. optionally lands one *companion fault*: a storage-node crash, a
@@ -41,6 +42,7 @@ import hashlib
 import json
 import os
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,6 +83,7 @@ POINT_OPS = {
     "write.after_swap": "write",
     "write.after_add": "write",
     "write.before_note_completed": "write",
+    "write_stripe.after_swaps": "write_stripe",
     "recovery.phase1.after_lock": "recover",
     "recovery.after_phase1": "recover",
     "recovery.phase2.after_weaken": "recover",
@@ -290,6 +293,8 @@ class _Run:
         self.history = HistoryRecorder()
         self.outcome = ScheduleOutcome(schedule=schedule, result="clean")
         self._tag = 0
+        # The blocks a stripe-write step writes (every data block at k=2).
+        self._stripe_indices = range(min(2, config.k))
         # Every client id this run may ever create, so a targeted
         # partition can block pairs for victims registered later.
         self._client_names = ["loader", "driver"]
@@ -323,11 +328,30 @@ class _Run:
         ):
             client.write(stripe, index, value)
 
-    def _crash(self, client, step_op: str | None = None) -> None:
-        """Report a victim's death: locks expire, id never reused."""
+    def _write_stripe(self, client) -> None:
+        """One recorded two-block stripe write: each block is its own
+        write in the history, recorded as forever-in-flight on error
+        like :meth:`_write`'s."""
+        stripe = self.config.stripe
+        values = {
+            index: _value(self.config, self._next_tag())
+            for index in self._stripe_indices
+        }
+        with ExitStack() as stack:
+            for index, value in values.items():
+                stack.enter_context(self.history.operation(
+                    "write",
+                    key=(stripe, index),
+                    value=value.tobytes(),
+                    incomplete_on_error=True,
+                ))
+            client.write_stripes({stripe: values})
+
+    def _crash(self, client, partial_writes: int = 0) -> None:
+        """Report a victim's death, which left ``partial_writes`` writes
+        unfinished: locks expire, id never reused."""
         self.cluster.crash_client(client.client_id)
-        if step_op == "write":
-            self.outcome.partial_writes += 1
+        self.outcome.partial_writes += partial_writes
 
     def _partial_write(self, name: str, index: int, point: str, hit: int) -> None:
         """A helper client that dies mid-write, to damage the stripe.
@@ -341,7 +365,7 @@ class _Run:
         try:
             self._write(straggler, index)
         except ClientCrash:
-            self._crash(straggler, "write")
+            self._crash(straggler, 1)
         except RecoveryFailedError as exc:
             self._note_data_loss(str(exc))
         except WriteAbortedError:
@@ -374,6 +398,8 @@ class _Run:
         def action() -> None:
             if step.op == "write":
                 self._write(victim, step.index)
+            elif step.op == "write_stripe":
+                self._write_stripe(victim)
             elif step.op == "recover":
                 victim.recover(stripe)
             elif step.op == "gc":
@@ -395,7 +421,8 @@ class _Run:
         try:
             action()
         except ClientCrash:
-            self._crash(victim, step.op)
+            partial = {"write": 1, "write_stripe": len(self._stripe_indices)}
+            self._crash(victim, partial.get(step.op, 0))
             return True
         except RecoveryFailedError as exc:
             # The op tripped over pre-existing (or companion) damage

@@ -570,7 +570,9 @@ def _cost_report_workload(
     """A seeded, strictly fault-free workload that lights up every op
     kind the cost model predicts: writes (swap + adds), reads, one
     recovery on a healthy stripe (all three phases), a GC round, a
-    monitor sweep, and a parity scrub.  No crash, no chaos — the
+    monitor sweep, a parity scrub, and, last so that no other row's
+    traffic depends on them, two stripe writes (one full stripe, then
+    two stripes in one call).  No crash, no chaos — the
     measured wire traffic must equal the paper's failure-free columns.
     With ``directory_replicas`` > 0 all slot bindings ride the
     replicated quorum directory, so the ``"directory"`` kind is also
@@ -601,6 +603,15 @@ def _cost_report_workload(
     GcManager(client).run_once()
     Monitor(client).sweep(range(stripes))
     Scrubber(client, repair=False).scrub(range(stripes))
+    for extent in ((0,), (1, 2)):
+        client.write_stripes({
+            stripe: {
+                i: ((np.arange(block_size) + 7 * stripe + i + seed) % 256)
+                .astype(np.uint8)
+                for i in range(k)
+            }
+            for stripe in extent
+        })
     return obs
 
 

@@ -9,7 +9,9 @@ Common-case behaviour matches the paper exactly: a READ is one round
 trip to one storage node; a WRITE is one ``swap`` on the data node plus
 one ``add`` per redundant node (issued serially, in parallel, in hybrid
 groups, or via broadcast per :class:`~repro.client.config.WriteStrategy`)
-— no locks, no two-phase commit, no old-version log.
+— no locks, no two-phase commit, no old-version log.  A stripe write
+(§3.11) carries many blocks in two rounds: one ``swap`` frame per data
+node, then one summed ``add`` per redundant position.
 
 Failure handling: an unreachable node is remapped through the directory
 (§3.5) and the client runs recovery; expired or foreign locks and
@@ -94,6 +96,9 @@ class ClientStats:
     corruptions_detected: int = 0  # fingerprint mismatches (any source)
     budget_denials: int = 0  # retries/hedges refused by the retry budget
     stale_refetches: int = 0  # placement-cache invalidations on stale answers
+    stripe_writes: int = 0  # write_stripes calls that sent frames
+    stripe_blocks: int = 0  # blocks those calls carried (also in writes)
+    stripe_frames: int = 0  # swap and add frames they had answered
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _mirror: object = field(default=None, repr=False)
     _mirror_client: str = field(default="", repr=False)
@@ -792,6 +797,19 @@ class ProtocolClient:
 
     def write(self, stripe: int, index: int, value: np.ndarray) -> None:
         """Write ``value`` into data block ``index`` (< k) of ``stripe``."""
+        value = self._block_value(index, value)
+        self.stats.bump("writes")
+        root: TraceContext | None = None
+        if self.tracer.enabled:
+            # Deterministic root span; every RPC of this write carries a
+            # child of it, so the whole operation reassembles as one tree.
+            root = self._trace_ids.new_trace("w")
+            self.tracer.emit(self.client_id, "write.begin", stripe=stripe,
+                             index=index, **root.to_detail())
+        self._write_attempts(stripe, index, value, root)
+
+    def _block_value(self, index: int, value: np.ndarray) -> np.ndarray:
+        """``value`` as the content of data block ``index``, or raise."""
         if not 0 <= index < self.k:
             raise IndexError(f"data index {index} out of range for k={self.k}")
         value = np.asarray(value, dtype=np.uint8)
@@ -800,17 +818,26 @@ class ProtocolClient:
                 f"value must be exactly {self.meta.block_size} bytes, "
                 f"got shape {value.shape}"
             )
-        self.stats.bump("writes")
+        return value
+
+    def _write_attempts(
+        self,
+        stripe: int,
+        index: int,
+        value: np.ndarray,
+        root: TraceContext | None = None,
+        ntid: Tid | None = None,
+        swap: SwapResult | None = None,
+        applied: frozenset[int] = frozenset(),
+    ) -> None:
+        """Fig. 5's attempt loop for one block: a swap, the adds, and a
+        fresh tid for every retry.  :meth:`write_stripes` resumes it for
+        a block its two rounds left unfinished, with that attempt's
+        ``ntid``, its ``swap`` (None when the swap did not come back OK)
+        and the redundant positions that ``applied`` the summed delta."""
         tracer = self.tracer
-        root: TraceContext | None = None
-        if tracer.enabled:
-            # Deterministic root span; every RPC of this write carries a
-            # child of it, so the whole operation reassembles as one tree.
-            root = self._trace_ids.new_trace("w")
-            tracer.emit(self.client_id, "write.begin", stripe=stripe,
-                        index=index, **root.to_detail())
-        redundant = tuple(range(self.k, self.n))
-        full = frozenset((index,) + redundant)
+        redundant = frozenset(range(self.k, self.n))
+        full = redundant | {index}
         cp = self.crashpoints
         for attempt in range(self.config.max_write_attempts):
             if attempt and not self._retry_permitted():
@@ -821,20 +848,23 @@ class ProtocolClient:
                     f"write to stripe {stripe} block {index} stopped after "
                     f"{attempt} attempts: retry budget exhausted"
                 )
-            self.stats.bump("write_attempts")
-            ntid = self._next_tid(index)
+            if ntid is None:
+                self.stats.bump("write_attempts")
+                ntid = self._next_tid(index)
             swap_ctx = self._trace_ids.child(root) if root is not None else None
-            swap = self._swap_until_valid(
-                stripe, index, value, ntid, trace_ctx=swap_ctx
-            )
             if swap is None:
-                continue  # recovery intervened; retry with a fresh tid
-            if cp.enabled:
-                cp.hit("write.after_swap", stripe=stripe, tid=str(ntid))
+                swap = self._swap_until_valid(
+                    stripe, index, value, ntid, trace_ctx=swap_ctx
+                )
+                if swap is None:
+                    ntid = None
+                    continue  # recovery intervened; retry with a fresh tid
+                if cp.enabled:
+                    cp.hit("write.after_swap", stripe=stripe, tid=str(ntid))
             diff = gf.sub_block(value, swap.block)  # v - w, to be scaled
             done = self._run_adds(
-                stripe, index, ntid, swap, diff, redundant,
-                trace_parent=swap_ctx,
+                stripe, ntid, swap, diff, redundant - applied,
+                applied | {index}, trace_parent=swap_ctx,
             )
             if done == full:
                 if cp.enabled:
@@ -845,6 +875,7 @@ class ProtocolClient:
                     tracer.emit(self.client_id, "write.end", stripe=stripe,
                                 index=index, **root.to_detail())
                 return
+            ntid, swap, applied = None, None, frozenset()
         if root is not None:
             tracer.emit(self.client_id, "write.abort", stripe=stripe,
                         index=index, **root.to_detail())
@@ -852,6 +883,123 @@ class ProtocolClient:
             f"write to stripe {stripe} block {index} exhausted "
             f"{self.config.max_write_attempts} attempts"
         )
+
+    def write_stripes(self, blocks: dict[int, dict[int, np.ndarray]]) -> None:
+        """Write many data blocks, ``{stripe: {index: value}}``, in two
+        rounds (§3.11).  Round 1 is one ``swap`` frame per data node,
+        carrying every block it holds.  Round 2 sends each redundant
+        position one ``add``: its stripe's summed delta, with every
+        swapped block's ``(ntid, otid)``.
+
+        A block whose swap or add did not come back OK finishes on
+        :meth:`write`'s per-block path (:meth:`_write_attempts`), aimed
+        only at the redundant positions that did not apply the sum.
+        Under BROADCAST every block takes that path: a broadcast frame
+        carries one raw delta.  Every block is attempted; the first
+        error is raised once all have been."""
+        values = {
+            (stripe, index): self._block_value(index, value)
+            for stripe, row in blocks.items()
+            for index, value in row.items()
+        }
+        if self.config.strategy is WriteStrategy.BROADCAST:
+            for (stripe, index), value in sorted(values.items()):
+                self.write(stripe, index, value)
+            return
+        if not values:
+            return
+        stats = self.stats
+        stats.bump("writes", len(values))
+        stats.bump("write_attempts", len(values))
+        stats.bump("stripe_writes")
+        stats.bump("stripe_blocks", len(values))
+        ntids = {key: self._next_tid(key[1]) for key in sorted(values)}
+        swapped_frames, answers = self.fan_out_frames(
+            "write_stripe", "swap",
+            {key: (values[key], ntids[key]) for key in values},
+        )
+        swaps = {
+            key: swap for key, swap in answers.items()
+            if isinstance(swap, SwapResult) and swap.block is not None
+        }
+        cp = self.crashpoints
+        if cp.enabled:
+            cp.hit("write_stripe.after_swaps", stripes=sorted(blocks))
+        diffs = {key: gf.sub_block(values[key], swaps[key].block) for key in swaps}
+        added_frames, adds = self._stripe_adds(swaps, ntids, diffs)
+        stats.bump("stripe_frames", swapped_frames + added_frames)
+        applied = {
+            (stripe, j)
+            for (stripe, j), res in adds.items()
+            if isinstance(res, AddResult) and res.status is AddStatus.OK
+        }
+        redundant = frozenset(range(self.k, self.n))
+        unfinished = []
+        for key in sorted(values):
+            stripe, index = key
+            swap = swaps.get(key)
+            done = frozenset(
+                j for j in redundant
+                if swap is not None and (stripe, j) in applied
+            )
+            if done == redundant:
+                self._note_completed(stripe, ntids[key], done | {index})
+            else:
+                unfinished.append((key, swap, done))
+        error: ReproError | None = None
+        for (stripe, index), swap, done in unfinished:
+            try:
+                self._write_attempts(
+                    stripe, index, values[stripe, index],
+                    ntid=ntids[stripe, index], swap=swap, applied=done,
+                )
+            except ReproError as exc:
+                error = error or exc
+        if error is not None:
+            raise error
+
+    def _stripe_adds(
+        self,
+        swaps: dict[tuple[int, int], SwapResult],
+        ntids: dict[tuple[int, int], Tid],
+        diffs: dict[tuple[int, int], np.ndarray],
+    ) -> tuple[int, dict[tuple[int, int], object]]:
+        """Round 2 of :meth:`write_stripes`: each stripe's parity deltas
+        in one pass over its swapped blocks, sent as one ``add`` per
+        redundant position in :meth:`_issue_adds`' order (one round for
+        PARALLEL, one per position for SERIAL, one per group for
+        HYBRID).  Carries the smallest epoch the stripe's swaps saw.
+        Returns the frames answered and each position's result."""
+        by_stripe: dict[int, list[int]] = {}
+        for stripe, index in sorted(swaps):
+            by_stripe.setdefault(stripe, []).append(index)
+        batches: dict[tuple[int, int], tuple] = {}
+        for stripe, indices in by_stripe.items():
+            keys = [(stripe, i) for i in indices]
+            parity = self.code.redundant_delta(indices, [diffs[key] for key in keys])
+            pairs = [(ntids[key], swaps[key].otid) for key in keys]
+            epoch = min(swaps[key].epoch for key in keys)
+            for j, payload in enumerate(parity, start=self.k):
+                batches[stripe, j] = (payload, *pairs[0], epoch, tuple(pairs[1:]))
+        positions = list(range(self.k, self.n))
+        strategy = self.config.strategy
+        if strategy is WriteStrategy.SERIAL:
+            size = 1
+        elif strategy is WriteStrategy.HYBRID:
+            size = max(1, self.config.hybrid_group_size)
+        else:
+            size = len(positions)
+        frames = 0
+        results: dict[tuple[int, int], object] = {}
+        for start in range(0, len(positions), size):
+            group = positions[start : start + size]
+            answered, out = self.fan_out_frames(
+                "write_stripe", "add",
+                {key: args for key, args in batches.items() if key[1] in group},
+            )
+            frames += answered
+            results.update(out)
+        return frames, results
 
     def _swap_until_valid(
         self,
@@ -886,19 +1034,20 @@ class ProtocolClient:
     def _run_adds(
         self,
         stripe: int,
-        index: int,
         ntid: Tid,
         swap: SwapResult,
         diff: np.ndarray,
-        redundant: tuple[int, ...],
+        todo: frozenset[int],
+        done: frozenset[int],
         trace_parent: TraceContext | None = None,
     ) -> frozenset[int]:
-        """Fig. 5 lines 7-20: drive adds until done, retrying ORDER and
-        handling failures.  Returns the set D of updated positions."""
+        """Fig. 5 lines 7-20: drive adds to the ``todo`` positions until
+        done, retrying ORDER and handling failures.  ``done`` is the set
+        D of positions already holding the write; returns it updated."""
         otid = swap.otid
         epoch = swap.epoch
-        todo: set[int] = set(redundant)
-        done: set[int] = {index}
+        todo = set(todo)
+        done = set(done)
         order_spins = 0
         for spin in range(self.config.max_op_attempts):
             if not todo or not done:

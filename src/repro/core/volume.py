@@ -62,12 +62,17 @@ class VolumeClient:
     def write_blocks(self, start: int, blocks: Sequence[bytes]) -> None:
         """Write consecutive logical blocks starting at ``start``.
 
-        Thanks to stripe rotation consecutive blocks land on different
-        storage nodes, so sequential writes pipeline across the cluster
-        (§3.11); the client still issues them in order.
+        Stripe rotation puts consecutive blocks on different storage
+        nodes, so the whole extent is written in two rounds however many
+        stripes it spans (§3.11's pipelined sequential I/O): one swap
+        frame per data node, then one add per redundant block carrying
+        its stripe's summed delta (:meth:`ProtocolClient.write_stripes`).
         """
+        stripes: dict[int, dict[int, np.ndarray]] = {}
         for offset, data in enumerate(blocks):
-            self.write_block(start + offset, data)
+            loc = self.layout.locate(start + offset)
+            stripes.setdefault(loc.stripe, {})[loc.data_index] = self._pad(data)
+        self.protocol.write_stripes(stripes)
 
     def read_blocks(self, start: int, count: int) -> list[bytes]:
         """Read ``count`` consecutive logical blocks from ``start``."""

@@ -54,6 +54,13 @@ CRASH_POINT_CATALOGUE: dict[str, tuple[str, str]] = {
         "GC by this client; stays in recentlists until another client's "
         "recovery or GC collects it",
     ),
+    "write_stripe.after_swaps": (
+        "STRIPE WRITE (§3.11), every data node's swap frame answered, "
+        "before any summed add",
+        "each data node holds its new tid/value, no redundant node "
+        "holds any; recovery rolls every block of the stripe forward "
+        "(the data blocks alone are consistent) or back",
+    ),
     "recovery.phase1.after_lock": (
         "RECOVERY Fig. 6 phase 1, after the i-th trylock succeeded "
         "(hit number selects how many locks were taken)",

@@ -93,6 +93,15 @@ class ReedSolomonCode:
         data block ``i`` from ``old`` to ``new`` (Fig. 5 line 10)."""
         return field.delta_block(self.coefficient(j, i), new, old)
 
+    def redundant_delta(
+        self, indices: list[int], diffs: list[np.ndarray]
+    ) -> list[np.ndarray]:
+        """The change of each of the n-k redundant blocks when data
+        blocks ``indices`` change by ``diffs`` (each new - old): the
+        generator's parity rows, restricted to those columns, applied
+        to the differences.  One block's case is :meth:`delta`."""
+        return matrix.matvec_blocks(self.generator[self.k :, indices], diffs)
+
     # -- decoding ---------------------------------------------------------
 
     def _decode_matrix(self, indices: tuple[int, ...]) -> np.ndarray:

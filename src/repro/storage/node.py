@@ -241,6 +241,19 @@ class StorageNode(RpcHandler):
             self._blocks[addr] = state
         return state
 
+    def _payload(self, addr: BlockAddr, v: np.ndarray) -> np.ndarray:
+        """``v`` as a block of ``addr``'s volume, refused when its length
+        is not the block size: a short payload would be stored as a
+        short block, or broadcast across the whole block by an add."""
+        v = np.asarray(v, dtype=np.uint8)
+        size = self._meta(addr).block_size
+        if v.shape != (size,):
+            raise ValueError(
+                f"{self.node_id}: payload for {addr} is {v.size} bytes, "
+                f"block size is {size}"
+            )
+        return v
+
     def _tick(self) -> tuple[int, float]:
         self._clock += 1
         return self._clock, _time.monotonic()
@@ -350,6 +363,7 @@ class StorageNode(RpcHandler):
     # ------------------------------------------------------------------
 
     def swap(self, addr: BlockAddr, v: np.ndarray, ntid: Tid) -> SwapResult:
+        v = self._payload(addr, v)
         state = self._state(addr)
         self._maybe_expire(state)
         if state.opmode is not OpMode.NORM or state.lmode is not LockMode.UNL:
@@ -369,8 +383,13 @@ class StorageNode(RpcHandler):
             return SwapResult(
                 block=None, epoch=state.epoch, otid=None, lmode=state.lmode
             )
-        retblk = state.block
-        state.block = np.array(v, dtype=np.uint8, copy=True)
+        # The stored buffer is kept and overwritten, so concurrent swaps
+        # do not scatter long-lived blocks over per-thread allocator
+        # arenas.  A memoryview copy holds the interpreter lock, where a
+        # numpy assignment would release it and, on small blocks, wait
+        # to get it back from another thread.
+        retblk = state.block.copy()
+        memoryview(state.block)[:] = memoryview(v)
         state.fingerprint = content_fingerprint(state.block)
         latest = state.latest_recent()
         otid = latest.tid if latest is not None else None
@@ -386,8 +405,14 @@ class StorageNode(RpcHandler):
         ntid: Tid,
         otid: Tid | None,
         e: int,
+        more: tuple[tuple[Tid, Tid | None], ...] = (),
     ) -> AddResult:
+        """Fig. 5's add.  ``more`` lists further ``(ntid, otid)`` pairs
+        whose deltas ``v`` already sums (a stripe write's one add per
+        redundant block): every pair is checked before the block is
+        touched, and the sum is applied whole or not at all."""
         addr, coeff = self._resolve(addr, ntid)
+        v = self._payload(addr, v)
         state = self._state(addr)
         self._maybe_expire(state)
         if state.opmode is not OpMode.NORM or state.lmode not in (
@@ -407,8 +432,9 @@ class StorageNode(RpcHandler):
             return AddResult(
                 status=AddStatus.ERROR, opmode=state.opmode, lmode=state.lmode
             )
+        pairs = ((ntid, otid), *more)
         seen = tids(state.recentlist | state.oldlist)
-        if otid is not None and otid not in seen:
+        if any(o is not None and o not in seen for _, o in pairs):
             if self.metrics.enabled:
                 self.metrics.counter(
                     "node_order_rejects_total", node=self.node_id
@@ -416,24 +442,28 @@ class StorageNode(RpcHandler):
             return AddResult(
                 status=AddStatus.ORDER, opmode=state.opmode, lmode=state.lmode
             )
-        if ntid in seen:
+        replayed = sum(n in seen for n, _ in pairs)
+        if replayed:
             # Duplicated delivery: this add was already applied.  GF
             # addition is not idempotent (applying the diff twice
             # corrupts the block), so acknowledge OK without touching
             # the state — idempotent from the network's point of view.
+            # A sum of which only some pairs were applied (a late
+            # duplicate after the writer fell back to per-block adds)
+            # cannot be split, so it is refused, unapplied.
             if self.metrics.enabled:
                 self.metrics.counter(
                     "node_replay_rejects_total", node=self.node_id, op="add"
                 ).inc()
-            return AddResult(
-                status=AddStatus.OK, opmode=state.opmode, lmode=state.lmode
-            )
+            status = AddStatus.OK if replayed == len(pairs) else AddStatus.ERROR
+            return AddResult(status=status, opmode=state.opmode, lmode=state.lmode)
         if coeff is None:
-            field.iadd_block(state.block, np.asarray(v, dtype=np.uint8))
+            field.iadd_block(state.block, v)
         else:
-            field.addmul_block(state.block, coeff, np.asarray(v, dtype=np.uint8))
+            field.addmul_block(state.block, coeff, v)
         state.fingerprint = content_fingerprint(state.block)
-        state.recentlist.add(self._entry(ntid))
+        for n, _ in pairs:
+            state.recentlist.add(self._entry(n))
         self._persist(addr, state)
         self._observe(addr)
         return AddResult(status=AddStatus.OK, opmode=state.opmode, lmode=state.lmode)
@@ -516,10 +546,11 @@ class StorageNode(RpcHandler):
         return frozenset(state.recentlist)
 
     def reconstruct(self, addr: BlockAddr, cset: frozenset[int], blk: np.ndarray) -> int:
+        blk = self._payload(addr, blk)
         state = self._state(addr)
         state.opmode = OpMode.RECONS
         state.recons_set = frozenset(cset)
-        state.block = np.array(blk, dtype=np.uint8, copy=True)
+        state.block = blk.copy()
         state.fingerprint = content_fingerprint(state.block)
         # A migration copying a block *back* onto a previously retired
         # position revives it: the fresh image supersedes the marker.

@@ -126,7 +126,7 @@ class FingerprintResult:
 
 def content_fingerprint(block: np.ndarray) -> str:
     """Digest of a block's content (cheap, deterministic, 16 bytes)."""
-    data = np.ascontiguousarray(block, dtype=np.uint8).tobytes()
+    data = np.ascontiguousarray(block, dtype=np.uint8)
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 

@@ -83,6 +83,17 @@ class TestCostModel:
         assert model.gc_messages(3) == 6
         assert model.gc_frames_ceiling(1) == 2 * N
 
+    def test_stripe_write_row(self):
+        model = CostModel(n=N, k=K, block_size=BS)
+        # A full stripe: k swap frames and p add frames, in two rounds.
+        assert model.stripe_write_messages(K + P) == 2 * N
+        assert model.stripe_write_rounds(1) == 2
+        assert model.stripe_write_bytes_floor(K, 1) == (2 * K + P) * BS
+        serial = CostModel(n=N, k=K, block_size=BS, strategy="serial")
+        assert serial.stripe_write_rounds(1) == 1 + P
+        hybrid = CostModel(n=N, k=K, block_size=BS, strategy="hybrid")
+        assert hybrid.stripe_write_rounds(1) is None
+
     def test_unknown_strategy_and_phase_rejected(self):
         with pytest.raises(ValueError):
             CostModel(n=N, k=K, block_size=BS, strategy="quantum")
@@ -138,6 +149,60 @@ class TestExactMode:
         for phase in ("recovery_phase1", "recovery_phase2", "recovery_phase3"):
             assert by_kind[phase].ok
             assert by_kind[phase].excess_messages == 0
+
+    @pytest.mark.parametrize("strategy", list(WriteStrategy))
+    def test_stripe_writes_audit_exactly(self, strategy):
+        """One full stripe, then two stripes in one call: the stripe
+        write row is exact, and the per-block write row counts only the
+        single writes (every block, under BROADCAST)."""
+        obs = Observability.create()
+        cluster = Cluster(k=K, n=N, block_size=BS, seed=3, observability=obs)
+        client = cluster.protocol_client("cm", ClientConfig(strategy=strategy))
+        client.write(0, 0, np.full(BS, 1, dtype=np.uint8))
+        for extent in ((0,), (1, 2)):
+            client.write_stripes({
+                stripe: {i: np.full(BS, 2 + i, dtype=np.uint8) for i in range(K)}
+                for stripe in extent
+            })
+        model = CostModel(n=N, k=K, block_size=BS, strategy=strategy.value)
+        report = CostAuditor(model, fault_free=True).audit(
+            obs.registry.snapshot()
+        )
+        assert report.passed, report.summary()
+        by_kind = {v.kind: v for v in report.verdicts}
+        stripe_row, write_row = by_kind["write_stripe"], by_kind["write"]
+        if strategy is WriteStrategy.BROADCAST:
+            assert stripe_row.measured_messages == 0
+            assert write_row.measured_rounds == 2 * (1 + 3 * K)
+        else:
+            assert stripe_row.measured_messages > 0
+            assert write_row.measured_messages == 2 * (1 + P)
+
+    def test_stripe_frames_beyond_n_per_round_fail(self):
+        """A stripe write that sends a node more than one frame per
+        round breaks its ceiling even when every message is paired."""
+        obs = Observability.create()
+        cluster = Cluster(k=K, n=N, block_size=BS, seed=3, observability=obs)
+        client = cluster.protocol_client("cm")
+        client.write_stripes({0: {i: np.full(BS, i, np.uint8) for i in range(K)}})
+        snapshot = obs.registry.snapshot()
+        extra = N + 1  # frames, each a request and a response
+        for row in snapshot["counters"]:
+            if row["name"] == "client_stripe_frames_total":
+                row["value"] += extra
+        for row in snapshot["counters"]:
+            if row["name"] == "rpc_messages_total" and (
+                row["labels"].get("kind") == "write_stripe"
+            ):
+                row["value"] += 2 * extra
+                break
+        report = CostAuditor(
+            CostModel(n=N, k=K, block_size=BS), fault_free=True
+        ).audit(snapshot)
+        bad = next(v for v in report.verdicts if v.kind == "write_stripe")
+        assert bad.excess_messages == 0
+        assert not bad.ok
+        assert "n per round" in bad.note
 
     def test_single_write_decomposes_as_swap_plus_adds(self):
         """The acceptance shape: 1 swap + (m-1)=p adds, request+response

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 
 from repro.core.cluster import Cluster
@@ -38,6 +41,24 @@ def tid(seq, index=0, client="c"):
 
 def block(fill):
     return np.full(BS, fill, dtype=np.uint8)
+
+
+class TestContentFingerprint:
+    def test_digest_is_blake2b_of_the_bytes(self):
+        data = np.arange(256, dtype=np.uint8)
+        for view in (data, data[::2]):  # contiguous, then strided
+            expected = hashlib.blake2b(view.tobytes(), digest_size=16)
+            assert content_fingerprint(view) == expected.hexdigest()
+
+    def test_contiguous_block_is_hashed_without_a_copy(self):
+        data = np.ones(1 << 20, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            content_fingerprint(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestNodeMaintainsFingerprints:

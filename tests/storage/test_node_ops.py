@@ -339,3 +339,104 @@ class TestMetadata:
             node.read(addr(0, stripe=s))
         per_block = node.metadata_bytes() / node.block_count()
         assert per_block <= 10
+
+
+class TestPayloadLength:
+    """A payload must be exactly one block: a short one was stored as a
+    short block by ``swap`` and broadcast over the whole block by
+    ``add``."""
+
+    def test_short_swap_rejected(self):
+        node = make_node()
+        with pytest.raises(ValueError, match=r"3 bytes, block size is 32"):
+            node.swap(addr(0), np.ones(3, dtype=np.uint8), tid(1))
+        state = node.peek(addr(0))
+        assert state.block.shape == (BS,) and not state.recentlist
+
+    def test_short_add_rejected_and_block_untouched(self):
+        node = make_node()
+        with pytest.raises(ValueError, match=r"1 bytes, block size is 32"):
+            node.add(addr(2), np.ones(1, dtype=np.uint8), tid(1), None, 0)
+        assert not node.peek(addr(2)).block.any()
+
+    def test_long_reconstruct_rejected(self):
+        node = make_node()
+        with pytest.raises(ValueError, match=r"64 bytes, block size is 32"):
+            node.reconstruct(addr(0), frozenset({0, 1}), np.ones(64, np.uint8))
+        assert node.peek(addr(0)).opmode is OpMode.NORM
+
+    def test_error_names_the_address(self):
+        node = make_node()
+        with pytest.raises(ValueError, match="vol/s0/b0"):
+            node.handle("swap", {addr(0): (None, (block(1)[:5], tid(1)))})
+
+
+class TestSwapBuffer:
+    def test_swap_overwrites_the_stored_buffer(self):
+        node = make_node()
+        node.swap(addr(0), block(1), tid(1))
+        stored = node.peek(addr(0)).block
+        old = node.swap(addr(0), block(2), tid(2)).block
+        assert node.peek(addr(0)).block is stored
+        assert stored[0] == 2
+        # The answer is a copy, not a view of the live block.
+        assert old[0] == 1 and not np.shares_memory(old, stored)
+
+
+class TestSummedAdd:
+    """``add(..., more)``: one delta summing several writes' deltas,
+    applied whole after every pair is checked, or not at all."""
+
+    def pairs(self):
+        return (tid(1, index=0), None), (tid(2, index=1), None)
+
+    def test_applies_once_and_records_every_tid(self):
+        node = make_node()
+        (t1, o1), (t2, o2) = self.pairs()
+        result = node.add(addr(2), block(0b0110), t1, o1, 0, ((t2, o2),))
+        assert result.status is AddStatus.OK
+        state = node.peek(addr(2))
+        assert state.block[0] == 0b0110
+        assert state.recent_tids() == {t1, t2}
+
+    def test_order_when_any_otid_unseen(self):
+        node = make_node()
+        (t1, _), (t2, _) = self.pairs()
+        result = node.add(addr(2), block(1), t1, None, 0, ((t2, tid(9)),))
+        assert result.status is AddStatus.ORDER
+        assert not node.peek(addr(2)).block.any()
+        assert not node.peek(addr(2)).recentlist
+
+    def test_stale_epoch_and_lock_checked_first(self):
+        node = make_node()
+        (t1, o1), more = self.pairs()
+        node.finalize(addr(2), 3)
+        assert node.add(addr(2), block(1), t1, o1, 2, (more,)).status is (
+            AddStatus.ERROR
+        )
+        node.trylock(addr(2), LockMode.L1, caller="r")
+        assert node.add(addr(2), block(1), t1, o1, 3, (more,)).status is (
+            AddStatus.ERROR
+        )
+        assert not node.peek(addr(2)).block.any()
+
+    def test_full_replay_is_ok_and_does_nothing(self):
+        node = make_node()
+        (t1, o1), more = self.pairs()
+        node.add(addr(2), block(5), t1, o1, 0, (more,))
+        again = node.add(addr(2), block(5), t1, o1, 0, (more,))
+        assert again.status is AddStatus.OK
+        assert node.peek(addr(2)).block[0] == 5
+        assert len(node.peek(addr(2)).recentlist) == 2
+
+    def test_late_duplicate_after_fallback_add_refused(self):
+        """The writer fell back to a per-block add for the first write;
+        the sum arriving late must not apply that delta a second time."""
+        node = make_node()
+        (t1, o1), (t2, o2) = self.pairs()
+        node.add(addr(2), block(0b0100), t1, o1, 0)
+        late = node.add(addr(2), block(0b0110), t1, o1, 0, ((t2, o2),))
+        assert late.status is AddStatus.ERROR
+        state = node.peek(addr(2))
+        assert state.block[0] == 0b0100
+        assert state.recent_tids() == {t1}
