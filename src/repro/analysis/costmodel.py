@@ -7,13 +7,12 @@ loop:
 
 * :class:`CostModel` extends the analytic ``cost_table`` rows of
   :mod:`repro.baselines.costs` from per-op figures to whole-run
-  expectations — writes decompose as 1 swap + p adds, a stripe write
-  as one swap round and the strategy's add rounds of node frames,
-  recovery as its
-  three per-phase fan-outs (2n / 2n / 4n messages on a fault-free
-  stripe), GC as two-phase batches, and the sweep agents (monitor,
-  scrub, rebuild, rebalance, audit) as strictly request/response-paired
-  serial traffic.
+  expectations — a write call is one swap round and the strategy's
+  add rounds of node frames (one block's call is 1 swap + p adds),
+  recovery as its three per-phase fan-outs (2n / 2n / 4n messages on
+  a fault-free stripe), GC as two-phase batches, and the sweep agents
+  (monitor, scrub, rebuild, rebalance, audit) as strictly
+  request/response-paired serial traffic.
 * :class:`CostAuditor` reconciles a metrics snapshot against those
   expectations.  In **fault-free** mode message and round counts must
   match *exactly* (the paper's failure-free columns).  In **bounded**
@@ -156,8 +155,7 @@ class OpCounts:
 
     writes: int = 0
     write_attempts: int = 0
-    stripe_writes: int = 0  # write_stripes calls that sent frames
-    stripe_blocks: int = 0  # blocks they carried (counted in writes too)
+    stripe_writes: int = 0  # write calls (one block or many)
     stripe_frames: int = 0  # swap + add node frames they had answered
     reads: int = 0
     degraded_invocations: int = 0
@@ -184,7 +182,6 @@ def op_counts(snapshot: dict, wire: dict[str, MeasuredKind]) -> OpCounts:
         writes=client("writes"),
         write_attempts=client("write_attempts"),
         stripe_writes=client("stripe_writes"),
-        stripe_blocks=client("stripe_blocks"),
         stripe_frames=client("stripe_frames"),
         reads=client("reads"),
         # One degraded read = one fan-out round, so the round counter
@@ -244,39 +241,38 @@ class CostModel:
             return ajx_ser(self.n, self.k)
         return ajx_par(self.n, self.k)  # hybrid shares par's message count
 
-    def write_messages(self, writes: int) -> int:
-        return writes * self.write_row.write_messages
+    def write_messages(self, writes: int, frames: int | None = None) -> int:
+        """Messages of ``writes`` blocks whose calls had ``frames`` swap
+        and add frames answered: a request and a response per frame,
+        and p responses to each block's AJX-bcast frame.  Without
+        ``frames`` every block is its own call, Fig. 1's row."""
+        if frames is None:
+            return writes * self.write_row.write_messages
+        bcast = self.p - 1 if self.strategy == "broadcast" else 0
+        return frames * 2 + bcast * writes
 
-    def write_rounds(self, writes: int) -> int | None:
-        """Expected ``rpc_rounds_total{kind=write}``; None when the
-        strategy's round count depends on config (hybrid group size)."""
+    def write_rounds(self, writes: int, calls: int | None = None) -> int | None:
+        """Expected ``rpc_rounds_total{kind=write}`` of ``writes`` blocks
+        in ``calls`` calls (default: one each): a swap round per call,
+        then its adds in the strategy's order — one round under
+        PARALLEL, p under SERIAL, one per block under BROADCAST (None
+        for hybrid, whose group size is config)."""
+        calls = writes if calls is None else calls
         if self.strategy == "hybrid":
             return None
-        return writes * self.write_row.write_latency_rt
+        if self.strategy == "broadcast":
+            return calls + writes
+        return calls * self.write_row.write_latency_rt
 
-    def write_bytes_floor(self, writes: int) -> int:
-        return int(writes * self.write_row.write_bandwidth_bytes(self.block_size))
-
-    def stripe_write_messages(self, frames: int) -> int:
-        """A stripe write's swap and add frames: one request and one
-        response per answered node frame."""
-        return frames * 2
-
-    def stripe_write_rounds(self, calls: int) -> int | None:
-        """Expected ``rpc_rounds_total{kind=write_stripe}``: the swap
-        round plus the adds in the strategy's order, one round under
-        PARALLEL and p under SERIAL (None for hybrid, whose group size
-        is config).  BROADCAST writes block by block, so it has none."""
-        if self.strategy == "hybrid":
-            return None
-        adds = self.p if self.strategy == "serial" else 1
-        return calls * (1 + adds)
-
-    def stripe_write_bytes_floor(self, blocks: int, calls: int) -> int:
-        """Every block goes out in a swap and its old content comes
-        back; every call's stripes add p summed deltas, at least one
-        stripe's worth."""
-        return (2 * blocks + self.p * calls) * self.block_size
+    def write_bytes_floor(self, writes: int, calls: int | None = None) -> int:
+        """Fig. 1's write bandwidth per call, plus every further block's
+        swap out and back (and its own raw delta under BROADCAST)."""
+        calls = writes if calls is None else calls
+        further = 3 if self.strategy == "broadcast" else 2
+        return int(
+            calls * self.write_row.write_bandwidth_bytes(self.block_size)
+            + further * (writes - calls) * self.block_size
+        )
 
     def read_messages(self, reads: int) -> int:
         return reads * self.write_row.read_messages  # 2 for every AJX row
@@ -565,38 +561,27 @@ class CostAuditor:
             )
 
         slack = model.byte_slack
-        # Blocks a stripe write carried are its own row's traffic.
-        writes = counts.writes - counts.stripe_blocks
-        w_msgs = model.write_messages(writes)
+        calls, frames = counts.stripe_writes, counts.stripe_frames
+        w_msgs = model.write_messages(counts.writes, frames)
+        w_floor = model.write_bytes_floor(counts.writes, calls)
+        # Unicast calls add p summed deltas per further stripe, at most
+        # one stripe per further block.
+        w_spread = 0 if model.strategy == "broadcast" else (
+            model.p * (counts.writes - calls) * model.block_size
+        )
+        # Each round sends a node at most one frame.
+        frames_ceiling = model.n * measured("write").rounds
         check(
             "write",
             w_msgs,
-            model.write_rounds(writes),
-            bytes_floor=model.write_bytes_floor(writes),
-            bytes_ceiling=model.write_bytes_floor(writes) + slack * w_msgs,
-            note=f"{writes} writes x {model.write_row.scheme}",
-        )
-        s_msgs = model.stripe_write_messages(counts.stripe_frames)
-        s_floor = model.stripe_write_bytes_floor(
-            counts.stripe_blocks, counts.stripe_writes
-        )
-        # Each round sends a node at most one frame.
-        stripe_frames_ceiling = model.n * measured("write_stripe").rounds
-        check(
-            "write_stripe",
-            s_msgs,
-            model.stripe_write_rounds(counts.stripe_writes),
-            bytes_floor=s_floor,
-            # p summed deltas per stripe, at most one stripe per block.
-            bytes_ceiling=s_floor
-            + model.p * (counts.stripe_blocks - counts.stripe_writes)
-            * model.block_size + slack * s_msgs,
-            note=f"{counts.stripe_blocks} blocks in {counts.stripe_frames} "
-                 f"frames",
+            model.write_rounds(counts.writes, calls),
+            bytes_floor=w_floor,
+            bytes_ceiling=w_floor + w_spread + slack * w_msgs,
+            note=f"{counts.writes} blocks in {calls} calls, {frames} frames "
+                 f"x {model.write_row.scheme}",
             violation=(
-                f"{counts.stripe_frames} frames above {stripe_frames_ceiling} "
-                f"(n per round)"
-                if counts.stripe_frames > stripe_frames_ceiling else ""
+                f"{frames} frames above {frames_ceiling} (n per round)"
+                if frames > frames_ceiling else ""
             ),
         )
         r_msgs = model.read_messages(counts.reads)

@@ -4,8 +4,8 @@ The chaos soaks randomize *when* faults land; this harness instead
 explores *where a client dies in the protocol*, by construction.  A
 schedule is a short sequence of :class:`CrashStep`\\ s, each of which:
 
-1. runs one protocol operation (write / stripe write / recovery / GC
-   round / monitor sweep) on a fresh victim client whose
+1. runs one protocol operation (write / recovery / GC round / monitor
+   sweep) on a fresh victim client whose
    :class:`~repro.crashpoints.CrashPlan` is armed to raise
    :class:`~repro.errors.ClientCrash` at one named point (see
    ``CRASH_POINT_CATALOGUE``);
@@ -42,7 +42,6 @@ import hashlib
 import json
 import os
 import random
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,7 +82,6 @@ POINT_OPS = {
     "write.after_swap": "write",
     "write.after_add": "write",
     "write.before_note_completed": "write",
-    "write_stripe.after_swaps": "write_stripe",
     "recovery.phase1.after_lock": "recover",
     "recovery.after_phase1": "recover",
     "recovery.phase2.after_weaken": "recover",
@@ -293,8 +291,6 @@ class _Run:
         self.history = HistoryRecorder()
         self.outcome = ScheduleOutcome(schedule=schedule, result="clean")
         self._tag = 0
-        # The blocks a stripe-write step writes (every data block at k=2).
-        self._stripe_indices = range(min(2, config.k))
         # Every client id this run may ever create, so a targeted
         # partition can block pairs for victims registered later.
         self._client_names = ["loader", "driver"]
@@ -327,25 +323,6 @@ class _Run:
             incomplete_on_error=True,
         ):
             client.write(stripe, index, value)
-
-    def _write_stripe(self, client) -> None:
-        """One recorded two-block stripe write: each block is its own
-        write in the history, recorded as forever-in-flight on error
-        like :meth:`_write`'s."""
-        stripe = self.config.stripe
-        values = {
-            index: _value(self.config, self._next_tag())
-            for index in self._stripe_indices
-        }
-        with ExitStack() as stack:
-            for index, value in values.items():
-                stack.enter_context(self.history.operation(
-                    "write",
-                    key=(stripe, index),
-                    value=value.tobytes(),
-                    incomplete_on_error=True,
-                ))
-            client.write_stripes({stripe: values})
 
     def _crash(self, client, partial_writes: int = 0) -> None:
         """Report a victim's death, which left ``partial_writes`` writes
@@ -398,8 +375,6 @@ class _Run:
         def action() -> None:
             if step.op == "write":
                 self._write(victim, step.index)
-            elif step.op == "write_stripe":
-                self._write_stripe(victim)
             elif step.op == "recover":
                 victim.recover(stripe)
             elif step.op == "gc":
@@ -421,8 +396,7 @@ class _Run:
         try:
             action()
         except ClientCrash:
-            partial = {"write": 1, "write_stripe": len(self._stripe_indices)}
-            self._crash(victim, partial.get(step.op, 0))
+            self._crash(victim, 1 if step.op == "write" else 0)
             return True
         except RecoveryFailedError as exc:
             # The op tripped over pre-existing (or companion) damage

@@ -568,11 +568,12 @@ def _cost_report_workload(
     directory_replicas: int = 3,
 ) -> Observability:
     """A seeded, strictly fault-free workload that lights up every op
-    kind the cost model predicts: writes (swap + adds), reads, one
-    recovery on a healthy stripe (all three phases), a GC round, a
-    monitor sweep, a parity scrub, and, last so that no other row's
-    traffic depends on them, two stripe writes (one full stripe, then
-    two stripes in one call).  No crash, no chaos — the
+    kind the cost model predicts: one-block writes (Fig. 1's swap +
+    adds), reads, one recovery on a healthy stripe (all three phases),
+    a GC round, a monitor sweep, a parity scrub, and, last so that no
+    other row's traffic depends on them, two multi-block write calls
+    (one full stripe, then two stripes in one call), which the same
+    ``write`` row covers.  No crash, no chaos — the
     measured wire traffic must equal the paper's failure-free columns.
     With ``directory_replicas`` > 0 all slot bindings ride the
     replicated quorum directory, so the ``"directory"`` kind is also

@@ -9,9 +9,9 @@ Common-case behaviour matches the paper exactly: a READ is one round
 trip to one storage node; a WRITE is one ``swap`` on the data node plus
 one ``add`` per redundant node (issued serially, in parallel, in hybrid
 groups, or via broadcast per :class:`~repro.client.config.WriteStrategy`)
-— no locks, no two-phase commit, no old-version log.  A stripe write
-(§3.11) carries many blocks in two rounds: one ``swap`` frame per data
-node, then one summed ``add`` per redundant position.
+— no locks, no two-phase commit, no old-version log.  Every write call,
+one block or many (§3.11), takes those two rounds: one ``swap`` frame
+per data node, then one summed ``add`` per redundant position.
 
 Failure handling: an unreachable node is remapped through the directory
 (§3.5) and the client runs recovery; expired or foreign locks and
@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 
@@ -96,8 +97,7 @@ class ClientStats:
     corruptions_detected: int = 0  # fingerprint mismatches (any source)
     budget_denials: int = 0  # retries/hedges refused by the retry budget
     stale_refetches: int = 0  # placement-cache invalidations on stale answers
-    stripe_writes: int = 0  # write_stripes calls that sent frames
-    stripe_blocks: int = 0  # blocks those calls carried (also in writes)
+    stripe_writes: int = 0  # write calls (one block or many)
     stripe_frames: int = 0  # swap and add frames they had answered
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _mirror: object = field(default=None, repr=False)
@@ -311,11 +311,17 @@ class ProtocolClient:
         return pfor(list(indices), body)
 
     def fan_out_frames(
-        self, kind: str, op: str, batches: dict[tuple[int, int], tuple]
+        self,
+        kind: str,
+        op: str,
+        batches: dict[tuple[int, int], tuple],
+        spans: dict[tuple[int, int], TraceContext] | None = None,
+        build: Callable[..., tuple] | None = None,
     ) -> tuple[int, dict[tuple[int, int], object]]:
         """One round of ``kind`` that sends ``op`` once to every node
         serving a position in ``batches``: the node's frame carries each
-        of its positions with that position's arguments.
+        of its positions with that position's arguments, or, with
+        ``build``, with ``build(*args)``, called in the frame's leg.
 
         Each frame is one :meth:`_send`, so it is counted, breakered and
         health-scored like any call, and it is never retried.  Returns
@@ -323,41 +329,63 @@ class ProtocolClient:
         node's answer, or the exception that kept it from one (an
         unresolvable position, or a frame that was shed, timed out or
         found its node gone).  A stripe answered with a stale stamp has
-        its placement invalidated, so it is refetched before it is used
-        again."""
+        its placement invalidated, counted once in ``stale_refetches``,
+        so it is refetched before it is used again.  With ``spans``,
+        each frame goes out under a child of the span its first position
+        holds there, and every position it carried then holds the
+        frame's span."""
         results: dict[tuple[int, int], object] = {}
-        frames: dict[tuple[int, str], dict[BlockAddr, tuple]] = {}
-        for stripe, index in sorted(batches):
+        frames: dict[tuple[int, str], list[tuple]] = {}
+        for key in sorted(batches):
             try:
-                gen, slot, dst = self._locate(stripe, index)
+                gen, slot, dst = self._locate(*key)
             except ReproError as exc:
-                results[stripe, index] = exc
+                results[key] = exc
                 continue
-            addr = BlockAddr(self.volume, stripe, index)
-            frames.setdefault((slot, dst), {})[addr] = (
-                gen, batches[stripe, index],
-            )
+            frames.setdefault((slot, dst), []).append((key, gen, batches[key]))
         if not frames:
             return 0, results
+        traces = None
+        if spans is not None:
+            traces = {
+                target: self._trace_ids.child(spans[frame[0][0]])
+                for target, frame in frames.items()
+            }
+        volume = self.volume
 
         def send(target: tuple[int, str]):
             frame = frames[target]
-            first = next(iter(frame))
             return self._send(
-                kind, first.stripe, first.index, *target, op, frame, None
+                kind, *frame[0][0], *target, op,
+                {
+                    BlockAddr(volume, *key): (
+                        gen, args if build is None else build(*args)
+                    )
+                    for key, gen, args in frame
+                },
+                None if traces is None else traces[target].wire(),
             )
 
         answered = 0
+        stale: set[int] = set()
         for target, answer in self.fan_out(kind, sorted(frames), send).items():
             frame = frames[target]
             if isinstance(answer, Exception):
                 answer = [answer] * len(frame)
             else:
                 answered += 1
-            for addr, result in zip(frame, answer):
+            for (key, _, _), result in zip(frame, answer):
+                results[key] = result
                 if isinstance(result, StalePlacementError):
-                    self.placement.invalidate(addr.stripe)
-                results[addr.stripe, addr.index] = result
+                    stale.add(key[0])
+                if traces is not None:
+                    spans[key] = traces[target]
+        for stripe in sorted(stale):
+            self.placement.invalidate(stripe)
+            self.stats.bump("stale_refetches")
+            if self.tracer.enabled:
+                self.tracer.emit(self.client_id, "placement.refetch",
+                                 stripe=stripe, op=op)
         return answered, results
 
     def _until_answered(
@@ -796,17 +824,9 @@ class ProtocolClient:
     # ------------------------------------------------------------------
 
     def write(self, stripe: int, index: int, value: np.ndarray) -> None:
-        """Write ``value`` into data block ``index`` (< k) of ``stripe``."""
-        value = self._block_value(index, value)
-        self.stats.bump("writes")
-        root: TraceContext | None = None
-        if self.tracer.enabled:
-            # Deterministic root span; every RPC of this write carries a
-            # child of it, so the whole operation reassembles as one tree.
-            root = self._trace_ids.new_trace("w")
-            self.tracer.emit(self.client_id, "write.begin", stripe=stripe,
-                             index=index, **root.to_detail())
-        self._write_attempts(stripe, index, value, root)
+        """Write ``value`` into data block ``index`` (< k) of ``stripe``:
+        the one-block case of :meth:`write_stripes`."""
+        self.write_stripes({stripe: {index: value}})
 
     def _block_value(self, index: int, value: np.ndarray) -> np.ndarray:
         """``value`` as the content of data block ``index``, or raise."""
@@ -820,186 +840,248 @@ class ProtocolClient:
             )
         return value
 
-    def _write_attempts(
-        self,
-        stripe: int,
-        index: int,
-        value: np.ndarray,
-        root: TraceContext | None = None,
-        ntid: Tid | None = None,
-        swap: SwapResult | None = None,
-        applied: frozenset[int] = frozenset(),
-    ) -> None:
-        """Fig. 5's attempt loop for one block: a swap, the adds, and a
-        fresh tid for every retry.  :meth:`write_stripes` resumes it for
-        a block its two rounds left unfinished, with that attempt's
-        ``ntid``, its ``swap`` (None when the swap did not come back OK)
-        and the redundant positions that ``applied`` the summed delta."""
-        tracer = self.tracer
-        redundant = frozenset(range(self.k, self.n))
-        full = redundant | {index}
-        cp = self.crashpoints
-        for attempt in range(self.config.max_write_attempts):
-            if attempt and not self._retry_permitted():
-                if root is not None:
-                    tracer.emit(self.client_id, "write.abort", stripe=stripe,
-                                index=index, **root.to_detail())
-                raise WriteAbortedError(
-                    f"write to stripe {stripe} block {index} stopped after "
-                    f"{attempt} attempts: retry budget exhausted"
-                )
-            if ntid is None:
-                self.stats.bump("write_attempts")
-                ntid = self._next_tid(index)
-            swap_ctx = self._trace_ids.child(root) if root is not None else None
-            if swap is None:
-                swap = self._swap_until_valid(
-                    stripe, index, value, ntid, trace_ctx=swap_ctx
-                )
-                if swap is None:
-                    ntid = None
-                    continue  # recovery intervened; retry with a fresh tid
-                if cp.enabled:
-                    cp.hit("write.after_swap", stripe=stripe, tid=str(ntid))
-            diff = gf.sub_block(value, swap.block)  # v - w, to be scaled
-            done = self._run_adds(
-                stripe, ntid, swap, diff, redundant - applied,
-                applied | {index}, trace_parent=swap_ctx,
-            )
-            if done == full:
-                if cp.enabled:
-                    cp.hit("write.before_note_completed", stripe=stripe,
-                           tid=str(ntid))
-                self._note_completed(stripe, ntid, done)
-                if root is not None:
-                    tracer.emit(self.client_id, "write.end", stripe=stripe,
-                                index=index, **root.to_detail())
-                return
-            ntid, swap, applied = None, None, frozenset()
-        if root is not None:
-            tracer.emit(self.client_id, "write.abort", stripe=stripe,
-                        index=index, **root.to_detail())
-        raise WriteAbortedError(
-            f"write to stripe {stripe} block {index} exhausted "
-            f"{self.config.max_write_attempts} attempts"
-        )
-
     def write_stripes(self, blocks: dict[int, dict[int, np.ndarray]]) -> None:
-        """Write many data blocks, ``{stripe: {index: value}}``, in two
-        rounds (§3.11).  Round 1 is one ``swap`` frame per data node,
-        carrying every block it holds.  Round 2 sends each redundant
-        position one ``add``: its stripe's summed delta, with every
-        swapped block's ``(ntid, otid)``.
+        """Write data blocks, ``{stripe: {index: value}}``, in two rounds
+        (Fig. 5, batched as in §3.11).  Round 1 is one ``swap`` frame per
+        data node, carrying every block it holds.  Round 2 is the adds
+        (:meth:`_send_adds`): each redundant position of a stripe gets
+        one, the sum of the stripe's swapped deltas.
 
-        A block whose swap or add did not come back OK finishes on
-        :meth:`write`'s per-block path (:meth:`_write_attempts`), aimed
-        only at the redundant positions that did not apply the sum.
-        Under BROADCAST every block takes that path: a broadcast frame
-        carries one raw delta.  Every block is attempted; the first
-        error is raised once all have been."""
+        A block the rounds leave unfinished continues Fig. 5's loop
+        (:meth:`_write_attempts`) from the answers they got: its swap
+        answer is its first swap attempt, and its stripe's add answers
+        are the first spin of adds for the stripe's first unfinished
+        block only, so one failed round leads to at most one recovery
+        per stripe.  The stripe's other unfinished blocks then re-send
+        their own adds.  Every block is attempted; the first error is
+        raised once all have been."""
         values = {
             (stripe, index): self._block_value(index, value)
             for stripe, row in blocks.items()
             for index, value in row.items()
         }
-        if self.config.strategy is WriteStrategy.BROADCAST:
-            for (stripe, index), value in sorted(values.items()):
-                self.write(stripe, index, value)
-            return
         if not values:
             return
         stats = self.stats
         stats.bump("writes", len(values))
         stats.bump("write_attempts", len(values))
         stats.bump("stripe_writes")
-        stats.bump("stripe_blocks", len(values))
-        ntids = {key: self._next_tid(key[1]) for key in sorted(values)}
-        swapped_frames, answers = self.fan_out_frames(
-            "write_stripe", "swap",
-            {key: (values[key], ntids[key]) for key in values},
-        )
-        swaps = {
-            key: swap for key, swap in answers.items()
-            if isinstance(swap, SwapResult) and swap.block is not None
-        }
-        cp = self.crashpoints
-        if cp.enabled:
-            cp.hit("write_stripe.after_swaps", stripes=sorted(blocks))
-        diffs = {key: gf.sub_block(values[key], swaps[key].block) for key in swaps}
-        added_frames, adds = self._stripe_adds(swaps, ntids, diffs)
-        stats.bump("stripe_frames", swapped_frames + added_frames)
-        applied = {
-            (stripe, j)
-            for (stripe, j), res in adds.items()
-            if isinstance(res, AddResult) and res.status is AddStatus.OK
-        }
-        redundant = frozenset(range(self.k, self.n))
-        unfinished = []
+        tracer = self.tracer
+        root = spans = None
+        if tracer.enabled:
+            # Deterministic root span; every frame of this call carries a
+            # child of it, so the whole operation reassembles as one tree.
+            root = self._trace_ids.new_trace("w")
+            tracer.emit(self.client_id, "write.begin", stripes=sorted(blocks),
+                        blocks=len(values), **root.to_detail())
+            spans = dict.fromkeys(values, root)
+        ntids: dict[tuple[int, int], Tid] = {}
+        batches = {}
         for key in sorted(values):
-            stripe, index = key
-            swap = swaps.get(key)
-            done = frozenset(
-                j for j in redundant
-                if swap is not None and (stripe, j) in applied
-            )
-            if done == redundant:
-                self._note_completed(stripe, ntids[key], done | {index})
-            else:
-                unfinished.append((key, swap, done))
+            ntids[key] = ntid = self._next_tid(key[1])
+            batches[key] = (values[key], ntid)
+        frames, swaps = self.fan_out_frames("write", "swap", batches, spans)
+        # stripe -> [indices, deltas, (ntid, otid) pairs, least epoch] of
+        # its blocks whose swap landed: what its adds carry.
+        writes: dict[int, list] = {}
+        for key, ntid in ntids.items():
+            swap = swaps[key]
+            if isinstance(swap, SwapResult) and swap.block is not None:
+                diff = gf.sub_block(values[key], swap.block)
+                pair = (ntid, swap.otid)
+                write = writes.get(key[0])
+                if write is None:
+                    writes[key[0]] = [[key[1]], [diff], [pair], swap.epoch]
+                else:
+                    write[0].append(key[1])
+                    write[1].append(diff)
+                    write[2].append(pair)
+                    write[3] = min(write[3], swap.epoch)
+        cp = self.crashpoints
+        if writes and cp.enabled:
+            cp.hit("write.after_swap", stripes=sorted(writes))
+        parents = None
+        if spans is not None:
+            parents = {s: spans[s, w[0][0]] for s, w in writes.items()}
+        k, n = self.k, self.n
+        added, adds = self._send_adds(writes, range(k, n), parents)
+        stats.bump("stripe_frames", frames + added)
+        unfinished = []
+        for key, ntid in ntids.items():
+            answers = adds.get(key)
+            applied = set() if answers is None else {
+                j for j, res in answers.items()
+                if isinstance(res, AddResult) and res.status is AddStatus.OK
+            }
+            if len(applied) < n - k:
+                unfinished.append((key, answers, applied))
+                continue
+            if cp.enabled:
+                cp.hit("write.before_note_completed", stripe=key[0],
+                       tid=str(ntid))
+            applied.add(key[1])
+            self._note_completed(key[0], ntid, applied)
         error: ReproError | None = None
-        for (stripe, index), swap, done in unfinished:
+        resumed: set[int] = set()
+        for (stripe, index), answers, applied in unfinished:
+            if answers is not None:
+                if stripe in resumed:
+                    answers = None  # re-sends its adds, past `applied`
+                resumed.add(stripe)
             try:
                 self._write_attempts(
-                    stripe, index, values[stripe, index],
-                    ntid=ntids[stripe, index], swap=swap, applied=done,
+                    stripe, index, values[stripe, index], ntids[stripe, index],
+                    swaps[stripe, index], answers, applied, root,
+                    None if spans is None else spans[stripe, index],
                 )
             except ReproError as exc:
                 error = error or exc
+        if root is not None:
+            tracer.emit(self.client_id,
+                        "write.end" if error is None else "write.abort",
+                        stripes=sorted(blocks), **root.to_detail())
         if error is not None:
             raise error
 
-    def _stripe_adds(
+    def _write_attempts(
         self,
-        swaps: dict[tuple[int, int], SwapResult],
-        ntids: dict[tuple[int, int], Tid],
-        diffs: dict[tuple[int, int], np.ndarray],
-    ) -> tuple[int, dict[tuple[int, int], object]]:
-        """Round 2 of :meth:`write_stripes`: each stripe's parity deltas
-        in one pass over its swapped blocks, sent as one ``add`` per
-        redundant position in :meth:`_issue_adds`' order (one round for
-        PARALLEL, one per position for SERIAL, one per group for
-        HYBRID).  Carries the smallest epoch the stripe's swaps saw.
-        Returns the frames answered and each position's result."""
-        by_stripe: dict[int, list[int]] = {}
-        for stripe, index in sorted(swaps):
-            by_stripe.setdefault(stripe, []).append(index)
-        batches: dict[tuple[int, int], tuple] = {}
-        for stripe, indices in by_stripe.items():
-            keys = [(stripe, i) for i in indices]
-            parity = self.code.redundant_delta(indices, [diffs[key] for key in keys])
-            pairs = [(ntids[key], swaps[key].otid) for key in keys]
-            epoch = min(swaps[key].epoch for key in keys)
-            for j, payload in enumerate(parity, start=self.k):
-                batches[stripe, j] = (payload, *pairs[0], epoch, tuple(pairs[1:]))
-        positions = list(range(self.k, self.n))
+        stripe: int,
+        index: int,
+        value: np.ndarray,
+        ntid: Tid,
+        swap: SwapResult | Exception | None,
+        adds: dict[int, object] | None,
+        applied: set[int],
+        root: TraceContext | None,
+        span: TraceContext | None,
+    ) -> None:
+        """Fig. 5's attempt loop for one block that the rounds of
+        :meth:`write_stripes` left unfinished, resumed from their
+        outcome.  The first attempt keeps ``ntid``: ``swap`` is its swap
+        answer, and ``adds`` its add answers by position (None to re-send
+        them to the positions outside ``applied``); ``span`` is the
+        trace span of its swap frame.  Every retry takes a fresh tid."""
+        redundant = frozenset(range(self.k, self.n))
+        full = redundant | {index}
+        cp = self.crashpoints
+        for attempt in range(self.config.max_write_attempts):
+            if attempt:
+                if not self._retry_permitted():
+                    raise WriteAbortedError(
+                        f"write to stripe {stripe} block {index} stopped after "
+                        f"{attempt} attempts: retry budget exhausted"
+                    )
+                self.stats.bump("write_attempts")
+                ntid = self._next_tid(index)
+                swap, adds, applied = None, None, set()
+                span = self._trace_ids.child(root) if root is not None else None
+            if not isinstance(swap, SwapResult) or swap.block is None:
+                swap = self._swap_until_valid(
+                    stripe, index, value, ntid, span, answer=swap
+                )
+                if swap is None:
+                    continue  # recovery intervened; retry with a fresh tid
+                if cp.enabled:
+                    cp.hit("write.after_swap", stripe=stripe, tid=str(ntid))
+            diff = gf.sub_block(value, swap.block)  # v - w, to be scaled
+            done = self._run_adds(
+                stripe, ntid, swap, diff, redundant - applied,
+                applied | {index}, span, answers=adds,
+            )
+            if done == full:
+                if cp.enabled:
+                    cp.hit("write.before_note_completed", stripe=stripe,
+                           tid=str(ntid))
+                self._note_completed(stripe, ntid, done)
+                return
+        raise WriteAbortedError(
+            f"write to stripe {stripe} block {index} exhausted "
+            f"{self.config.max_write_attempts} attempts"
+        )
+
+    def _send_adds(
+        self,
+        writes: dict[int, list],
+        positions,
+        parents: dict[int, TraceContext] | None = None,
+    ) -> tuple[int, dict[tuple[int, int], dict[int, object]]]:
+        """Send the adds of ``writes`` to the redundant ``positions``
+        (ascending) in the strategy's order: one round under PARALLEL,
+        one per position under SERIAL, one per group under HYBRID, and
+        under BROADCAST one AJX-bcast frame (§3.11) per block.
+
+        ``writes[stripe]`` is ``[indices, diffs, pairs, epoch]``: the
+        stripe's swapped data blocks, their deltas (new - old), their
+        ``(ntid, otid)`` pairs and the smallest epoch their swaps saw.
+        A unicast add carries the deltas summed for its position, built
+        in its frame's leg, and every pair.  ``parents`` holds each
+        stripe's trace parent.  Returns the frames answered and each
+        block's answers by position."""
+        if not writes:
+            return 0, {}
+        out: dict[tuple[int, int], dict[int, object]] = {}
         strategy = self.config.strategy
+        if strategy is WriteStrategy.BROADCAST:
+            frames = 0
+            for stripe, (indices, diffs, pairs, epoch) in writes.items():
+                parent = None if parents is None else parents[stripe]
+                for i, diff, (ntid, otid) in zip(indices, diffs, pairs):
+                    answers = self._broadcast_adds(
+                        stripe, ntid, otid, epoch, diff, positions, parent
+                    )
+                    frames += any(
+                        not isinstance(a, Exception) for a in answers.values()
+                    )
+                    out[stripe, i] = answers
+            return frames, out
         if strategy is WriteStrategy.SERIAL:
             size = 1
         elif strategy is WriteStrategy.HYBRID:
             size = max(1, self.config.hybrid_group_size)
         else:
             size = len(positions)
+        cp = self.crashpoints
         frames = 0
         results: dict[tuple[int, int], object] = {}
         for start in range(0, len(positions), size):
             group = positions[start : start + size]
-            answered, out = self.fan_out_frames(
-                "write_stripe", "add",
-                {key: args for key, args in batches.items() if key[1] in group},
+            batches = {}
+            for stripe, (indices, diffs, pairs, epoch) in writes.items():
+                tail = (epoch, tuple(pairs[1:])) if len(pairs) > 1 else (epoch,)
+                for j in group:
+                    batches[stripe, j] = (j, indices, diffs, pairs[0], tail)
+            answered, got = self.fan_out_frames(
+                "write", "add", batches,
+                None if parents is None
+                else {key: parents[key[0]] for key in batches},
+                self._add_args,
             )
             frames += answered
-            results.update(out)
-        return frames, results
+            results.update(got)
+            # Which add-subset completed exists only for SERIAL; the
+            # other strategies land between write.after_swap and
+            # write.before_note_completed.
+            if strategy is WriteStrategy.SERIAL and cp.enabled:
+                cp.hit("write.after_add", stripes=sorted(writes),
+                       position=group[0])
+        for stripe, (indices, *_) in writes.items():
+            answers = {j: results[stripe, j] for j in positions}
+            for i in indices:
+                out[stripe, i] = answers
+        return frames, out
+
+    def _add_args(
+        self,
+        j: int,
+        indices: list[int],
+        diffs: list[np.ndarray],
+        pair: tuple[Tid, Tid | None],
+        tail: tuple,
+    ) -> tuple:
+        """The arguments of one stripe's add at redundant position ``j``:
+        its summed delta, the first ``(ntid, otid)`` pair, the epoch and
+        the further pairs, if any."""
+        return (self.code.parity_delta(j, indices, diffs), *pair, *tail)
 
     def _swap_until_valid(
         self,
@@ -1008,15 +1090,29 @@ class ProtocolClient:
         value: np.ndarray,
         ntid: Tid,
         trace_ctx: TraceContext | None = None,
+        answer: SwapResult | Exception | None = None,
     ) -> SwapResult | None:
         """Fig. 5 lines 3-6: swap, running recovery when the node is out
-        of service.  Returns None if attempts ran out this round."""
+        of service.  ``answer`` is the first attempt's outcome when its
+        swap went out in a frame; a shed or a stale stamp there is
+        re-sent at once, as :meth:`rpc` would have.  Returns None if
+        attempts ran out this round."""
         for attempt in range(self.config.max_op_attempts):
             if attempt and not self._retry_permitted():
                 return None
+            first, answer = answer, None
             try:
-                swap = self.rpc("write", stripe, index, "swap", value, ntid,
-                                trace_ctx=trace_ctx)
+                if isinstance(first, NodeBusyError):
+                    self._sleep_backoff(0)
+                if first is None or isinstance(
+                    first, (NodeBusyError, StalePlacementError)
+                ):
+                    swap = self.rpc("write", stripe, index, "swap", value, ntid,
+                                    trace_ctx=trace_ctx)
+                elif isinstance(first, Exception):
+                    raise first
+                else:
+                    swap = first
             except NodeBusyError:
                 self._sleep_backoff(attempt)
                 continue
@@ -1040,42 +1136,46 @@ class ProtocolClient:
         todo: frozenset[int],
         done: frozenset[int],
         trace_parent: TraceContext | None = None,
+        answers: dict[int, object] | None = None,
     ) -> frozenset[int]:
         """Fig. 5 lines 7-20: drive adds to the ``todo`` positions until
         done, retrying ORDER and handling failures.  ``done`` is the set
-        D of positions already holding the write; returns it updated."""
+        D of positions already holding the write; returns it updated.
+        ``answers``, when given, are the first spin's answers: adds
+        already sent, resumed instead of re-sent."""
         otid = swap.otid
         epoch = swap.epoch
+        parents = None if trace_parent is None else {stripe: trace_parent}
         todo = set(todo)
         done = set(done)
         order_spins = 0
         for spin in range(self.config.max_op_attempts):
             if not todo or not done:
                 break
-            if spin and not self._retry_permitted():
-                break
-            results = self._issue_adds(
-                stripe, ntid, otid, epoch, diff, todo,
-                trace_parent=trace_parent,
-            )
+            if answers is not None:
+                results, answers = answers, None
+            else:
+                if spin and not self._retry_permitted():
+                    break
+                _, sent = self._send_adds(
+                    {stripe: ([ntid.index], [diff], [(ntid, otid)], epoch)},
+                    sorted(todo), parents,
+                )
+                results = sent[stripe, ntid.index]
             crashed: set[int] = set()
-            busy: set[int] = set()
-            stale: set[int] = set()
+            resend: set[int] = set()
             normal: dict[int, AddResult] = {}
             for j, res in results.items():
                 if isinstance(res, AddResult):
                     normal[j] = res
-                elif isinstance(res, NodeBusyError):
-                    busy.add(j)  # shed by admission control: just retry
-                elif isinstance(res, StalePlacementError):
-                    stale.add(j)  # our map is behind; refetch and retry
+                elif isinstance(res, (NodeBusyError, StalePlacementError)):
+                    # Shed by admission control, or our map was behind
+                    # (the frame refetched it): just retry.
+                    resend.add(j)
                 else:  # fail-stop detected mid-batch
                     crashed.add(j)
-            if stale and self.placement is not None:
-                self.placement.invalidate(stripe)
-                self.stats.bump("stale_refetches")
             done |= {j for j, r in normal.items() if r.status is AddStatus.OK}
-            retry = busy | stale | {
+            retry = resend | {
                 j
                 for j, r in normal.items()
                 if r.status is AddStatus.ORDER
@@ -1105,69 +1205,6 @@ class ProtocolClient:
                 self._sleep_backoff(spin)
             todo = retry
         return frozenset(done)
-
-    def _issue_adds(
-        self,
-        stripe: int,
-        ntid: Tid,
-        otid: Tid | None,
-        epoch: int,
-        diff: np.ndarray,
-        targets: set[int],
-        trace_parent: TraceContext | None = None,
-    ) -> dict[int, AddResult | Exception]:
-        """Dispatch adds per the configured strategy.
-
-        For unicast strategies the client scales the diff by alpha_{ji}
-        itself; for BROADCAST it ships the raw diff once and nodes apply
-        their own coefficients (§3.11).
-        """
-        strategy = self.config.strategy
-        if strategy is WriteStrategy.BROADCAST:
-            return self._broadcast_adds(
-                stripe, ntid, otid, epoch, diff, targets,
-                trace_parent=trace_parent,
-            )
-
-        def one(j: int, leg: bool = True) -> AddResult:
-            payload = gf.mul_block(self.code.coefficient(j, ntid.index), diff)
-            ctx = (
-                self._trace_ids.child(trace_parent)
-                if trace_parent is not None
-                else None
-            )
-            return self.rpc(
-                "write", stripe, j, "add", payload, ntid, otid, epoch,
-                leg=leg, trace_ctx=ctx,
-            )
-
-        ordered = sorted(targets)
-        if strategy is WriteStrategy.SERIAL:
-            cp = self.crashpoints
-            results: dict[int, AddResult | Exception] = {}
-            for j in ordered:
-                try:
-                    results[j] = one(j, leg=False)
-                except (NodeUnavailableError, NodeBusyError,
-                        StalePlacementError) as exc:
-                    results[j] = exc
-                # Per-add granularity (which add-subset completed) only
-                # exists for SERIAL; batch strategies land between
-                # write.after_swap and write.before_note_completed.
-                if cp.enabled:
-                    cp.hit("write.after_add", stripe=stripe, tid=str(ntid),
-                           position=j)
-            return results
-        if strategy is WriteStrategy.PARALLEL:
-            return self.fan_out("write", ordered, one)
-        if strategy is WriteStrategy.HYBRID:
-            size = max(1, self.config.hybrid_group_size)
-            results = {}
-            for start in range(0, len(ordered), size):
-                group = ordered[start : start + size]
-                results.update(self.fan_out("write", group, one))
-            return results
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     def _broadcast_adds(
         self,

@@ -37,9 +37,11 @@ from repro.errors import ClientCrash
 #: crash-point taxonomy table; the explorer sweeps every entry.
 CRASH_POINT_CATALOGUE: dict[str, tuple[str, str]] = {
     "write.after_swap": (
-        "WRITE Fig. 5, after line 3 (swap at the data node, before any add)",
-        "data node holds the new tid/value, no redundant node does; "
-        "recovery rolls the write back",
+        "WRITE Fig. 5, after line 3: the swap round answered (every data "
+        "node's swap frame), before any add",
+        "each swapped data node holds its new tid/value, no redundant "
+        "node does; recovery rolls the write back (or forward, when the "
+        "data blocks alone are consistent)",
     ),
     "write.after_add": (
         "WRITE Fig. 5, lines 4-6, after the i-th serial add "
@@ -53,13 +55,6 @@ CRASH_POINT_CATALOGUE: dict[str, tuple[str, str]] = {
         "write is durable at all n nodes but its tid is never handed to "
         "GC by this client; stays in recentlists until another client's "
         "recovery or GC collects it",
-    ),
-    "write_stripe.after_swaps": (
-        "STRIPE WRITE (§3.11), every data node's swap frame answered, "
-        "before any summed add",
-        "each data node holds its new tid/value, no redundant node "
-        "holds any; recovery rolls every block of the stripe forward "
-        "(the data blocks alone are consistent) or back",
     ),
     "recovery.phase1.after_lock": (
         "RECOVERY Fig. 6 phase 1, after the i-th trylock succeeded "

@@ -93,14 +93,16 @@ class ReedSolomonCode:
         data block ``i`` from ``old`` to ``new`` (Fig. 5 line 10)."""
         return field.delta_block(self.coefficient(j, i), new, old)
 
-    def redundant_delta(
-        self, indices: list[int], diffs: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        """The change of each of the n-k redundant blocks when data
-        blocks ``indices`` change by ``diffs`` (each new - old): the
-        generator's parity rows, restricted to those columns, applied
-        to the differences.  One block's case is :meth:`delta`."""
-        return matrix.matvec_blocks(self.generator[self.k :, indices], diffs)
+    def parity_delta(
+        self, j: int, indices: list[int], diffs: list[np.ndarray]
+    ) -> np.ndarray:
+        """The change of redundant block ``j`` when data blocks
+        ``indices`` change by ``diffs`` (each new - old): generator row
+        ``j``, restricted to those columns, applied to the differences.
+        One block's case is one scalar multiply."""
+        if len(indices) == 1:
+            return field.mul_block(self.coefficient(j, indices[0]), diffs[0])
+        return matrix.matvec_blocks(self.generator[j : j + 1, indices], diffs)[0]
 
     # -- decoding ---------------------------------------------------------
 

@@ -86,13 +86,18 @@ class TestCostModel:
     def test_stripe_write_row(self):
         model = CostModel(n=N, k=K, block_size=BS)
         # A full stripe: k swap frames and p add frames, in two rounds.
-        assert model.stripe_write_messages(K + P) == 2 * N
-        assert model.stripe_write_rounds(1) == 2
-        assert model.stripe_write_bytes_floor(K, 1) == (2 * K + P) * BS
+        assert model.write_messages(K, frames=K + P) == 2 * N
+        assert model.write_rounds(K, calls=1) == 2
+        assert model.write_bytes_floor(K, calls=1) == (2 * K + P) * BS
         serial = CostModel(n=N, k=K, block_size=BS, strategy="serial")
-        assert serial.stripe_write_rounds(1) == 1 + P
+        assert serial.write_rounds(K, calls=1) == 1 + P
         hybrid = CostModel(n=N, k=K, block_size=BS, strategy="hybrid")
-        assert hybrid.stripe_write_rounds(1) is None
+        assert hybrid.write_rounds(K, calls=1) is None
+        # BROADCAST: k swap frames, then one AJX-bcast frame per block.
+        bcast = CostModel(n=N, k=K, block_size=BS, strategy="broadcast")
+        assert bcast.write_messages(K, frames=2 * K) == K * (P + 3)
+        assert bcast.write_rounds(K, calls=1) == 1 + K
+        assert bcast.write_bytes_floor(K, calls=1) == 3 * K * BS
 
     def test_unknown_strategy_and_phase_rejected(self):
         with pytest.raises(ValueError):
@@ -152,9 +157,8 @@ class TestExactMode:
 
     @pytest.mark.parametrize("strategy", list(WriteStrategy))
     def test_stripe_writes_audit_exactly(self, strategy):
-        """One full stripe, then two stripes in one call: the stripe
-        write row is exact, and the per-block write row counts only the
-        single writes (every block, under BROADCAST)."""
+        """A single write, one full stripe, then two stripes in one call:
+        the one write row is exact under every strategy."""
         obs = Observability.create()
         cluster = Cluster(k=K, n=N, block_size=BS, seed=3, observability=obs)
         client = cluster.protocol_client("cm", ClientConfig(strategy=strategy))
@@ -169,14 +173,13 @@ class TestExactMode:
             obs.registry.snapshot()
         )
         assert report.passed, report.summary()
-        by_kind = {v.kind: v for v in report.verdicts}
-        stripe_row, write_row = by_kind["write_stripe"], by_kind["write"]
+        write_row = {v.kind: v for v in report.verdicts}["write"]
+        assert "write_stripe" not in {v.kind for v in report.verdicts}
         if strategy is WriteStrategy.BROADCAST:
-            assert stripe_row.measured_messages == 0
-            assert write_row.measured_rounds == 2 * (1 + 3 * K)
-        else:
-            assert stripe_row.measured_messages > 0
-            assert write_row.measured_messages == 2 * (1 + P)
+            # Three swap rounds, one AJX-bcast round per block.
+            assert write_row.measured_rounds == 3 + (1 + 3 * K)
+        elif strategy is WriteStrategy.PARALLEL:
+            assert write_row.measured_rounds == 2 * 3
 
     def test_stripe_frames_beyond_n_per_round_fail(self):
         """A stripe write that sends a node more than one frame per
@@ -192,14 +195,14 @@ class TestExactMode:
                 row["value"] += extra
         for row in snapshot["counters"]:
             if row["name"] == "rpc_messages_total" and (
-                row["labels"].get("kind") == "write_stripe"
+                row["labels"].get("kind") == "write"
             ):
                 row["value"] += 2 * extra
                 break
         report = CostAuditor(
             CostModel(n=N, k=K, block_size=BS), fault_free=True
         ).audit(snapshot)
-        bad = next(v for v in report.verdicts if v.kind == "write_stripe")
+        bad = next(v for v in report.verdicts if v.kind == "write")
         assert bad.excess_messages == 0
         assert not bad.ok
         assert "n per round" in bad.note

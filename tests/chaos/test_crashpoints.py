@@ -18,7 +18,7 @@ class TestCatalogue:
     def test_covers_write_recovery_gc_and_monitor(self):
         prefixes = {p.split(".")[0] for p in CRASH_POINT_CATALOGUE}
         assert prefixes == {
-            "write", "write_stripe", "recovery", "gc", "monitor",
+            "write", "recovery", "gc", "monitor",
             "rebalance", "directory",
         }
 

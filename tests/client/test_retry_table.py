@@ -127,3 +127,15 @@ class TestSingleOutcomeAttempts:
             client.rpc("monitor", 0, 0, "probe")
         assert transport.calls == 1
         assert client.stats.stale_refetches == 0
+
+
+class TestFramesCountStaleAnswers:
+    def test_stale_gc_frame_counts_one_refetch(self, client):
+        """A frame's stale answer is counted where it is seen, once per
+        stripe it invalidates."""
+        from repro.client.gc import GcManager
+
+        client.write(0, 0, [7] * 32)
+        script(client, [stale()])
+        assert GcManager(client).run_once() == 2  # the stale frame unanswered
+        assert client.stats.stale_refetches == 1

@@ -144,6 +144,20 @@ class TestDeltaUpdates:
             field.iadd_block(stripe[j], code.delta(j, 1, new, old))
         assert code.is_consistent_stripe(stripe)
 
+    @pytest.mark.parametrize("indices", [[1], [0, 2], [0, 1, 2]])
+    def test_parity_delta_sums_the_block_deltas(self, rng, indices):
+        """A write call's add for redundant block j carries the sum of
+        its blocks' Fig. 5 deltas; one block's is that block's delta."""
+        code = ReedSolomonCode(3, 5)
+        old = make_data(rng, 3)
+        new = make_data(rng, 3)
+        diffs = [field.sub_block(new[i], old[i]) for i in indices]
+        for j in range(3, 5):
+            expected = np.zeros(64, dtype=np.uint8)
+            for i in indices:
+                field.iadd_block(expected, code.delta(j, i, new[i], old[i]))
+            assert np.array_equal(code.parity_delta(j, indices, diffs), expected)
+
     def test_interleaved_concurrent_deltas_commute(self, rng):
         """The Fig. 3(C) property: two writers updating different data
         blocks may interleave their adds arbitrarily and the stripe
