@@ -302,7 +302,7 @@ class CostModel:
         if phase == "recovery_phase1":
             return recoveries * self.n  # serial trylock chain
         if phase == "recovery_phase2":
-            return recoveries  # one pfor fan-out
+            return recoveries  # one frame round
         if phase == "recovery_phase3":
             return recoveries * 2  # reconstruct batch + finalize batch
         raise ValueError(f"unknown recovery phase {phase!r}")

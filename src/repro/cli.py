@@ -569,12 +569,13 @@ def _cost_report_workload(
 ) -> Observability:
     """A seeded, strictly fault-free workload that lights up every op
     kind the cost model predicts: one-block writes (Fig. 1's swap +
-    adds), reads, one recovery on a healthy stripe (all three phases),
-    a GC round, a monitor sweep, a parity scrub, and, last so that no
+    adds), reads, one degraded read (one ``get_state`` round of 2n
+    messages), one recovery on a healthy stripe (all three phases), a
+    GC round, a monitor sweep, a parity scrub, and, last so that no
     other row's traffic depends on them, two multi-block write calls
     (one full stripe, then two stripes in one call), which the same
-    ``write`` row covers.  No crash, no chaos — the
-    measured wire traffic must equal the paper's failure-free columns.
+    ``write`` row covers.  No crash, no chaos — the measured wire
+    traffic must equal the paper's failure-free columns.
     With ``directory_replicas`` > 0 all slot bindings ride the
     replicated quorum directory, so the ``"directory"`` kind is also
     exercised and audited exactly.
@@ -600,6 +601,7 @@ def _cost_report_workload(
         client.write(i % stripes, i % k, value.astype(np.uint8))
     for i in range(writes):
         client.read(i % stripes, i % k)
+    client.read_degraded(0, 0)
     client._start_recovery(0)
     GcManager(client).run_once()
     Monitor(client).sweep(range(stripes))

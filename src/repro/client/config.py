@@ -73,12 +73,13 @@ class ClientConfig:
     #: node's health EWMA (:meth:`HealthRegistry.hedge_delay`).
     hedge_delay: float | None = None
 
-    #: Test-only seeded regression: when True, ``_setlock_robust``
-    #: silently drops the release RPC — a faithful reintroduction of
-    #: the pre-PR-2 bug where a dropped setlock release wedged stripes
-    #: forever.  Exists so the crash-point explorer's own detection
-    #: path (catch → delta-debug → minimal schedule) can be exercised
-    #: against a known-real bug.  Never set outside tests/explorer.
+    #: Test-only seeded regression: when True, ``_set_locks`` leaves
+    #: every release (a setlock to UNL) out of its round — a faithful
+    #: reintroduction of an early bug where a dropped setlock release
+    #: wedged stripes forever.  Exists so the crash-point explorer's own
+    #: detection path (catch → delta-debug → minimal schedule) can be
+    #: exercised against a known-real bug.  Never set outside
+    #: tests/explorer.
     test_drop_setlock_release: bool = False
 
     #: Extension beyond the paper: when a read hits an out-of-service

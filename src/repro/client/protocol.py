@@ -73,6 +73,11 @@ from repro.storage.state import (
 #: propagates to the operation-level loops.
 BUSY_RETRY_LIMIT = 8
 
+#: The outcomes a call that must be answered repeats by default: a shed
+#: past its busy bound, or a node found unreachable (the repeat reaches
+#: its replacement).
+UNANSWERED = (NodeBusyError, NodeUnavailableError)
+
 
 @dataclass
 class ClientStats:
@@ -247,6 +252,13 @@ class ProtocolClient:
         """The node serving one stripe position now."""
         return self._locate(stripe, index)[2]
 
+    def _every_position(
+        self, stripe: int, args: tuple = ()
+    ) -> dict[tuple[int, int], tuple]:
+        """Every position of ``stripe``, each with ``args``: the batches
+        of a frame round over the whole stripe."""
+        return dict.fromkeys(zip([stripe] * self.n, range(self.n)), args)
+
     def _remap(self, stripe: int, index: int, slot: int, failed: str) -> None:
         """Point the failed node's slot at a fresh replacement (§3.5)."""
         self.stats.bump("remaps")
@@ -276,7 +288,6 @@ class ProtocolClient:
         index: int,
         op: str,
         *args,
-        leg: bool = False,
         trace_ctx: TraceContext | None = None,
         slot: int | None = None,
     ):
@@ -286,29 +297,20 @@ class ProtocolClient:
 
         ``kind`` names the logical operation the RPC serves (write, read,
         recovery_phase1, gc, ...).  It is stamped on the call's
-        :class:`Envelope` and counts one round trip for the cost auditor,
-        unless the call is one ``leg`` of a :meth:`fan_out` that already
-        counted the round.  The node gets a frame of one address,
-        ``{addr: (gen, args)}``.  ``slot`` names the serving slot instead
-        of the stripe's placement (see :meth:`_resolve`).
+        :class:`Envelope` and counts one round trip for the cost auditor.
+        The node gets a frame of one address, ``{addr: (gen, args)}``.
+        ``slot`` names the serving slot instead of the stripe's placement
+        (see :meth:`_resolve`).
 
         The outcomes in :attr:`_RETRIES` are absorbed here; a detected
         fail-stop remaps the slot and re-raises so the caller enters
         recovery (see :meth:`_attempt`)."""
-        if not leg:
-            self._account_round(kind)
+        self._account_round(kind)
         trace = None if trace_ctx is None else trace_ctx.wire()
         return self._retrying(
             stripe, op,
             lambda: self._attempt(kind, stripe, index, op, args, trace, slot),
         )
-
-    def fan_out(self, kind: str, indices, body) -> dict:
-        """One round of ``kind``: ``body(j)`` for every position in
-        ``indices`` in parallel, each result (or exception) by position.
-        A body sends its RPCs as legs of the round, ``rpc(..., leg=True)``."""
-        self._account_round(kind)
-        return pfor(list(indices), body)
 
     def fan_out_frames(
         self,
@@ -317,6 +319,8 @@ class ProtocolClient:
         batches: dict[tuple[int, int], tuple],
         spans: dict[tuple[int, int], TraceContext] | None = None,
         build: Callable[..., tuple] | None = None,
+        retry_on: tuple[type[Exception], ...] | None = None,
+        budget: bool = False,
     ) -> tuple[int, dict[tuple[int, int], object]]:
         """One round of ``kind`` that sends ``op`` once to every node
         serving a position in ``batches``: the node's frame carries each
@@ -324,68 +328,101 @@ class ProtocolClient:
         ``build``, with ``build(*args)``, called in the frame's leg.
 
         Each frame is one :meth:`_send`, so it is counted, breakered and
-        health-scored like any call, and it is never retried.  Returns
-        the number of frames answered, and each position's result: the
-        node's answer, or the exception that kept it from one (an
-        unresolvable position, or a frame that was shed, timed out or
-        found its node gone).  A stripe answered with a stale stamp has
-        its placement invalidated, counted once in ``stale_refetches``,
-        so it is refetched before it is used again.  With ``spans``,
-        each frame goes out under a child of the span its first position
-        holds there, and every position it carried then holds the
-        frame's span."""
-        results: dict[tuple[int, int], object] = {}
-        frames: dict[tuple[int, str], list[tuple]] = {}
-        for key in sorted(batches):
-            try:
-                gen, slot, dst = self._locate(*key)
-            except ReproError as exc:
-                results[key] = exc
-                continue
-            frames.setdefault((slot, dst), []).append((key, gen, batches[key]))
-        if not frames:
-            return 0, results
-        traces = None
-        if spans is not None:
-            traces = {
-                target: self._trace_ids.child(spans[frame[0][0]])
-                for target, frame in frames.items()
-            }
-        volume = self.volume
+        health-scored like any call.  Returns the number of frames
+        answered, and each position's result in the order of
+        ``batches``: the node's answer, or the exception that kept it
+        from one (an unresolvable position, or a frame that was shed,
+        timed out or found its node gone).  With ``spans``, each frame
+        goes out under a child of the span its first position holds
+        there, and every position it carried then holds the frame's span.
 
-        def send(target: tuple[int, str]):
-            frame = frames[target]
-            return self._send(
-                kind, *frame[0][0], *target, op,
-                {
-                    BlockAddr(volume, *key): (
-                        gen, args if build is None else build(*args)
-                    )
-                    for key, gen, args in frame
-                },
-                None if traces is None else traces[target].wire(),
-            )
+        Without ``retry_on`` nothing is re-sent, and a stripe answered
+        with a stale stamp has its placement invalidated, counted once
+        in ``stale_refetches``, so it is refetched before it is used
+        again.
 
+        With ``retry_on`` (the re-send rule, :meth:`_until_answered` for
+        frames) a position whose answer is retryable goes out again in
+        the next frame round, within the same counted round: a busy,
+        stale or unbound answer as :attr:`_RETRIES` says, and a
+        ``retry_on`` outcome up to ``max_op_attempts`` times, each repeat
+        spending a retry-budget token with ``budget``.  A position that
+        runs out of those holds :class:`NodeUnavailableError`."""
+        results: dict[tuple[int, int], object] = dict.fromkeys(batches)
         answered = 0
-        stale: set[int] = set()
-        for target, answer in self.fan_out(kind, sorted(frames), send).items():
-            frame = frames[target]
-            if isinstance(answer, Exception):
-                answer = [answer] * len(frame)
-            else:
-                answered += 1
-            for (key, _, _), result in zip(frame, answer):
-                results[key] = result
-                if isinstance(result, StalePlacementError):
-                    stale.add(key[0])
+        tries: dict[tuple[int, int], list] = {}
+        locate = self._locate if retry_on is None else self._resolve
+        volume = self.volume
+        env = Envelope(kind=kind, timeout=self.config.rpc_timeout)
+        if batches:
+            self._account_round(kind)
+        while batches:
+            # Per target: the positions its frame carries, and the frame
+            # as it goes on the wire, both in frame order.
+            frames: dict[tuple[int, str], tuple[list, dict]] = {}
+            order = sorted(batches)
+            for key in order:
+                try:
+                    gen, slot, dst = locate(*key)
+                except ReproError as exc:
+                    results[key] = exc
+                    continue
+                keys, frame = frames.setdefault((slot, dst), ([], {}))
+                keys.append(key)
+                frame[BlockAddr(volume, *key)] = gen, batches[key]
+            traces = None if spans is None else {
+                target: self._trace_ids.child(spans[keys[0]])
+                for target, (keys, _) in frames.items()
+            }
+
+            def send(target: tuple[int, str]):
+                keys, frame = frames[target]
+                if build is not None:
+                    frame = {
+                        addr: (gen, build(*args))
+                        for addr, (gen, args) in frame.items()
+                    }
+                return self._send(
+                    env if traces is None else Envelope(
+                        kind, traces[target].wire(), env.timeout
+                    ),
+                    *keys[0], *target, op, frame,
+                )
+
+            for target, answer in pfor(sorted(frames), send).items():
+                keys = frames[target][0]
+                if isinstance(answer, Exception):
+                    answer = [answer] * len(keys)
+                else:
+                    answered += 1
+                results.update(zip(keys, answer))
                 if traces is not None:
-                    spans[key] = traces[target]
-        for stripe in sorted(stale):
-            self.placement.invalidate(stripe)
-            self.stats.bump("stale_refetches")
-            if self.tracer.enabled:
-                self.tracer.emit(self.client_id, "placement.refetch",
-                                 stripe=stripe, op=op)
+                    spans.update(dict.fromkeys(keys, traces[target]))
+            if retry_on is None:
+                for stripe in sorted({
+                    key[0] for key in order
+                    if isinstance(results[key], StalePlacementError)
+                }):
+                    self._absorbed(stripe, op, StalePlacementError, {})
+                break
+            failed = [key for key in order if isinstance(results[key], Exception)]
+            again = {}
+            for key in failed:
+                result = results[key]
+                tried = tries.setdefault(key, [0, {}])
+                if self._absorbed(key[0], op, type(result), tried[1]):
+                    again[key] = batches[key]
+                elif isinstance(result, retry_on):
+                    tried[:] = tried[0] + 1, {}
+                    if tried[0] < self.config.max_op_attempts and (
+                        not budget or self._retry_permitted()
+                    ):
+                        again[key] = batches[key]
+                    else:
+                        results[key] = NodeUnavailableError(
+                            f"slot for stripe {key[0]} pos {key[1]}"
+                        )
+            batches = again
         return answered, results
 
     def _until_answered(
@@ -395,48 +432,58 @@ class ProtocolClient:
         index: int,
         op: str,
         *args,
-        leg: bool = True,
         budget: bool = False,
-        retry_on: tuple[type[Exception], ...] = (
-            NodeBusyError, NodeUnavailableError,
-        ),
+        retry_on: tuple[type[Exception], ...] = UNANSWERED,
         slot: int | None = None,
     ):
         """:meth:`rpc`, repeated through ``retry_on`` outcomes (a node
         found unreachable is retried on its replacement) for up to
         ``max_op_attempts`` attempts; with ``budget`` every repeat spends
-        a retry-budget token.  Gives up with :class:`NodeUnavailableError`."""
+        a retry-budget token.  Gives up with :class:`NodeUnavailableError`.
+        A frame round's re-send rule (:meth:`fan_out_frames`) is the same
+        loop, per position."""
         for attempt in range(self.config.max_op_attempts):
             if budget and attempt and not self._retry_permitted():
                 break
             try:
-                return self.rpc(
-                    kind, stripe, index, op, *args, leg=leg, slot=slot
-                )
+                return self.rpc(kind, stripe, index, op, *args, slot=slot)
             except retry_on:
                 continue
         raise NodeUnavailableError(f"slot for stripe {stripe} pos {index}")
 
     def _retrying(self, stripe: int, op: str, attempt):
         """Run ``attempt()`` until it returns, absorbing the retryable
-        outcomes of :attr:`_RETRIES`.  Each bound counts over the whole
-        call, so one outcome never resets another's count; a spent bound
-        (or a refused pre-retry action) re-raises the last outcome."""
+        outcomes of :attr:`_RETRIES` (see :meth:`_absorbed`); a spent
+        bound (or a refused pre-retry action) re-raises the last
+        outcome."""
         retries: dict[type, int] = {}
         while True:
             try:
                 return attempt()
             except tuple(self._RETRIES) as exc:
-                outcome = type(exc)
-                limit, counter, event, prepare = self._RETRIES[outcome]
-                done = retries.get(outcome, 0)
-                if done >= limit or not prepare(self, stripe, done):
+                if not self._absorbed(stripe, op, type(exc), retries):
                     raise
-                retries[outcome] = done + 1
-                if counter is not None:
-                    self.stats.bump(counter)
-                if event is not None and self.tracer.enabled:
-                    self.tracer.emit(self.client_id, event, stripe=stripe, op=op)
+
+    def _absorbed(
+        self, stripe: int, op: str, outcome: type, retries: dict[type, int]
+    ) -> bool:
+        """Whether one more attempt absorbs an ``outcome``: True only for
+        an outcome of :attr:`_RETRIES` whose bound, counted in
+        ``retries`` over the whole call so one outcome never resets
+        another's count, is not spent, and whose pre-retry action
+        agrees.  A granted retry is counted and traced."""
+        if outcome not in self._RETRIES:
+            return False
+        limit, counter, event, prepare = self._RETRIES[outcome]
+        done = retries.get(outcome, 0)
+        if done >= limit or not prepare(self, stripe, done):
+            return False
+        retries[outcome] = done + 1
+        if counter is not None:
+            self.stats.bump(counter)
+        if event is not None and self.tracer.enabled:
+            self.tracer.emit(self.client_id, event, stripe=stripe, op=op)
+        return True
 
     def _attempt(self, kind, stripe, index, op, args, trace, slot=None):
         """One RPC attempt: the position resolved (or the given ``slot``),
@@ -445,19 +492,19 @@ class ProtocolClient:
         for :meth:`_retrying` to refetch."""
         gen, slot, dst = self._resolve(stripe, index, slot)
         frame = {BlockAddr(self.volume, stripe, index): (gen, args)}
-        (result,) = self._send(kind, stripe, index, slot, dst, op, frame, trace)
+        env = Envelope(kind=kind, trace=trace, timeout=self.config.rpc_timeout)
+        (result,) = self._send(env, stripe, index, slot, dst, op, frame)
         if isinstance(result, Exception):
             raise result
         return result
 
-    def _send(self, kind, stripe, index, slot, dst, op, frame, trace) -> list:
-        """One message to ``dst``, serving ``slot``: the breaker's
-        :meth:`_gate`, one call carrying ``frame``, and its outcome
-        recorded by :meth:`_observe` against the frame's first
-        position ``(stripe, index)``.  Returns the node's results, one
-        per address in frame order."""
+    def _send(self, env, stripe, index, slot, dst, op, frame) -> list:
+        """One message to ``dst``, serving ``slot``, under the call
+        header ``env``: the breaker's :meth:`_gate`, one call carrying
+        ``frame``, and its outcome recorded by :meth:`_observe` against
+        the frame's first position ``(stripe, index)``.  Returns the
+        node's results, one per address in frame order."""
         self._gate(dst)
-        env = Envelope(kind=kind, trace=trace, timeout=self.config.rpc_timeout)
         start = time.perf_counter()
         try:
             results = self.transport.call(self.client_id, dst, op, frame, env=env)
@@ -561,8 +608,8 @@ class ProtocolClient:
     def _account_round(self, kind: str) -> None:
         """Count logical round trips for the cost auditor.  A "round" is
         one client-side wait-for-answers step: a serial RPC is one
-        round each; a pfor/broadcast batch is one round total (the
-        paper's latency unit in Fig. 1)."""
+        round each; a frame round or a broadcast is one round total,
+        re-sends included (the paper's latency unit in Fig. 1)."""
         if self.metrics.enabled:
             self.metrics.counter("rpc_rounds_total", kind=kind).inc()
 
@@ -708,32 +755,26 @@ class ProtocolClient:
         a value some prefix of completed/in-flight writes produced —
         within the §3.1 regular-register guarantee.
         """
-        snaps = self.fan_out(
-            "read_degraded", range(self.n),
-            lambda j: self.rpc("read_degraded", stripe, j, "get_state", leg=True),
+        _, snaps = self.fan_out_frames(
+            "read_degraded", "get_state",
+            self._every_position(stripe), retry_on=(),
         )
         data: dict[int, StateSnapshot] = {
             j: res
-            for j, res in snaps.items()
+            for (_, j), res in snaps.items()
             if isinstance(res, StateSnapshot) and j not in exclude
         }
         if self.config.verified_reads:
             # Drop any snapshot whose bytes fail their own fingerprint:
             # a convicted liar must not poison the consistent-set
             # selection or the decode below.
-            for j in sorted(data):
-                snap_j = data[j]
-                if (
-                    snap_j.block is not None
-                    and snap_j.fingerprint is not None
-                    and content_fingerprint(snap_j.block) != snap_j.fingerprint
-                ):
-                    node_id = self.node_of(stripe, j)
-                    self._note_corruption("media", stripe, j, node_id)
-                    self.health.observe_failure(
-                        node_id, "corruption", self.config.suspicion_threshold
-                    )
-                    del data[j]
+            for j in sorted(self._liars(data)):
+                node_id = self.node_of(stripe, j)
+                self._note_corruption("media", stripe, j, node_id)
+                self.health.observe_failure(
+                    node_id, "corruption", self.config.suspicion_threshold
+                )
+                del data[j]
         cset = find_consistent(data, self.k)
         if len(cset) < self.k:
             return None
@@ -750,6 +791,16 @@ class ProtocolClient:
     # ------------------------------------------------------------------
     # end-to-end integrity
     # ------------------------------------------------------------------
+
+    @staticmethod
+    def _liars(data: dict[int, StateSnapshot]) -> frozenset[int]:
+        """The positions whose snapshot's bytes fail their own
+        fingerprint."""
+        return frozenset(
+            j for j, snap in data.items()
+            if snap.block is not None and snap.fingerprint is not None
+            and content_fingerprint(snap.block) != snap.fingerprint
+        )
 
     def _verify_read(self, stripe: int, index: int, block: np.ndarray) -> str:
         """Cross-check a just-read block against the serving node's
@@ -772,7 +823,7 @@ class ProtocolClient:
             # A lost or shed probe is asked again: the block in hand
             # may be the one the wire damaged.
             fp = self._until_answered(
-                "audit", stripe, index, "fingerprint", leg=False,
+                "audit", stripe, index, "fingerprint",
                 budget=True, retry_on=(NodeBusyError, RpcTimeoutError),
             )
         except (NodeUnavailableError, NodeBusyError):
@@ -1226,9 +1277,7 @@ class ProtocolClient:
         results: dict[int, AddResult | Exception] = {}
         gen = None
         for j in sorted(targets):
-            gen, slot, node_id = self._retrying(
-                stripe, "add", lambda: self._resolve(stripe, j)
-            )
+            gen, slot, node_id = self._locate(stripe, j)
             try:
                 self._gate(node_id)
             except CircuitOpenError as exc:
@@ -1270,25 +1319,20 @@ class ProtocolClient:
         """Fig. 5 lines 15-19: on ORDER, ask done nodes whether the
         previous write's tid was garbage collected (write completed) and
         drop crashed nodes from D."""
-
-        results = self.fan_out(
-            "write", sorted(done),
-            lambda j: self.rpc("write", stripe, j, "checktid", ntid, otid, leg=True),
+        _, results = self.fan_out_frames(
+            "write", "checktid",
+            {(stripe, j): (ntid, otid) for j in sorted(done)}, retry_on=(),
         )
-        statuses = {
-            j: r for j, r in results.items() if isinstance(r, CheckTidStatus)
-        }
-        if any(r is CheckTidStatus.GC for r in statuses.values()):
+        if CheckTidStatus.GC in results.values():
             otid = None  # previous write known complete; stop ordering
-        done = done - {j for j, r in statuses.items() if r is CheckTidStatus.INIT}
-        # Unreachable nodes also leave D (they have crashed).  Busy ones
-        # do NOT: a shed probe says nothing about the node's state.
-        done -= {
-            j
-            for j, r in results.items()
-            if not isinstance(r, (CheckTidStatus, NodeBusyError))
+        # INIT nodes leave D, and so do unreachable ones (they have
+        # crashed).  Busy ones do NOT: a shed probe says nothing about
+        # the node's state.
+        return otid, {
+            j for (_, j), r in results.items()
+            if r is not CheckTidStatus.INIT
+            and isinstance(r, (CheckTidStatus, NodeBusyError))
         }
-        return otid, done
 
     def _note_completed(self, stripe: int, ntid: Tid, done: frozenset[int]) -> None:
         """Record a completed write for two-phase GC (Fig. 5 line 21)."""
@@ -1401,7 +1445,7 @@ class ProtocolClient:
             try:
                 result = self._until_answered(
                     "recovery_phase1", stripe, j, "trylock", LockMode.L1,
-                    self.client_id, leg=False, budget=True,
+                    self.client_id, budget=True,
                 )
             except NodeUnavailableError:
                 result = None
@@ -1413,56 +1457,30 @@ class ProtocolClient:
                 cp.hit("recovery.phase1.after_lock", stripe=stripe, position=j)
         return True
 
-    def _setlock_robust(
-        self, kind: str, stripe: int, pos: int, lm: LockMode
-    ) -> None:
-        """Idempotent setlock, one leg of a :meth:`_set_locks` round,
-        that retries through sheds and timeouts.  A dropped release
-        would leak a lock the same client can never reclaim, wedging the
-        stripe for every future recovery; an unavailable node needs no
-        release (its replacement comes up unlocked)."""
-        if self.config.test_drop_setlock_release and lm is LockMode.UNL:
-            return  # seeded regression: drop releases (see ClientConfig)
-        try:
-            self._until_answered(
-                kind, stripe, pos, "setlock", lm, self.client_id,
-                retry_on=(NodeBusyError, RpcTimeoutError),
-            )
-        except NodeUnavailableError:
-            pass
-
-    def _get_states(self, stripe: int, indices: list[int]) -> dict[int, StateSnapshot]:
-        results = self.fan_out(
-            "recovery_phase2", indices,
-            lambda j: self._until_answered(
-                "recovery_phase2", stripe, j, "get_state", budget=True
-            ),
+    def _get_states(self, stripe: int) -> dict[int, StateSnapshot]:
+        """Phase 2's round: every position's state snapshot, a position
+        re-sent through sheds and remaps while the retry budget lasts;
+        the first position left without one raises its outcome."""
+        _, results = self.fan_out_frames(
+            "recovery_phase2", "get_state", self._every_position(stripe),
+            retry_on=UNANSWERED, budget=True,
         )
-        out: dict[int, StateSnapshot] = {}
-        for j, res in results.items():
-            if isinstance(res, StateSnapshot):
-                out[j] = res
-            else:
+        for res in results.values():
+            if not isinstance(res, StateSnapshot):
                 raise res
-        return out
+        return {j: res for (_, j), res in results.items()}
 
     def _phase2_find_consistent(
         self, stripe: int, exclude: frozenset[int] = frozenset()
     ) -> tuple[dict[int, StateSnapshot], frozenset[int]]:
         cp = self.crashpoints
-        data = self._get_states(stripe, list(range(self.n)))
+        data = self._get_states(stripe)
         if self.config.verified_reads:
             # A block failing its own fingerprint must never be decoded
             # *from*: its tid metadata is indistinguishably clean, so
             # without this check a no-exclude recovery could launder the
             # corruption into a freshly fingerprinted stripe.
-            liars = frozenset(
-                j
-                for j, snap in data.items()
-                if snap.block is not None
-                and snap.fingerprint is not None
-                and content_fingerprint(snap.block) != snap.fingerprint
-            )
+            liars = self._liars(data)
             for j in sorted(liars - exclude):
                 self._note_corruption("media", stripe, j, self.node_of(stripe, j))
             exclude = exclude | liars
@@ -1507,8 +1525,7 @@ class ProtocolClient:
                         f"after waiting (k={self.k})"
                     )
                 time.sleep(self.config.backoff)
-                fresh = self._get_states(stripe, list(range(self.n)))
-                data.update(fresh)
+                data.update(self._get_states(stripe))
                 cset = find_consistent(data, self.k) - exclude
                 slack = max(
                     0,
@@ -1549,8 +1566,10 @@ class ProtocolClient:
                    cset=sorted(cset))
         available = {j: data[j].block for j in cset if data[j].block is not None}
         blocks = self.code.reconstruct_stripe(available)
-        epochs = self._phase3_round(
-            stripe, "reconstruct", lambda j: (cset, blocks[j])
+        _, epochs = self.fan_out_frames(
+            "recovery_phase3", "reconstruct",
+            {(stripe, j): (cset, blocks[j]) for j in range(self.n)},
+            retry_on=UNANSWERED,
         )
         if self.metrics.enabled:
             self.metrics.counter("recovery_reconstruct_bytes_total").inc(
@@ -1558,7 +1577,7 @@ class ProtocolClient:
             )
         numeric = [e for e in epochs.values() if isinstance(e, int)]
         if len(numeric) < self.n:
-            failed = [j for j, e in epochs.items() if not isinstance(e, int)]
+            failed = [j for (_, j), e in epochs.items() if not isinstance(e, int)]
             raise DataLossError(
                 f"stripe {stripe}: could not write recovered blocks to {failed}"
             )
@@ -1566,30 +1585,28 @@ class ProtocolClient:
         if cp.enabled:
             cp.hit("recovery.phase3.before_finalize", stripe=stripe,
                    epoch=new_epoch)
-        results = self._phase3_round(stripe, "finalize", lambda j: (new_epoch,))
+        _, results = self.fan_out_frames(
+            "recovery_phase3", "finalize",
+            self._every_position(stripe, (new_epoch,)), retry_on=UNANSWERED,
+        )
         errors = [r for r in results.values() if isinstance(r, Exception)]
         if errors:
             raise errors[0]
 
-    def _phase3_round(self, stripe: int, op: str, args_for) -> dict:
-        """One phase-3 round: ``op`` to all n positions in parallel, each
-        leg retried through unavailable or busy nodes before it gives up
-        with :class:`NodeUnavailableError` (returned, pfor-style)."""
-        return self.fan_out(
-            "recovery_phase3", range(self.n),
-            lambda j: self._until_answered(
-                "recovery_phase3", stripe, j, op, *args_for(j)
-            ),
-        )
-
     def _set_locks(
         self, kind: str, stripe: int, modes: dict[int, LockMode]
     ) -> None:
-        """One round: set each position's lock to ``modes[j]``."""
-        self.fan_out(
-            kind, modes,
-            lambda j: self._setlock_robust(kind, stripe, j, modes[j]),
-        )
+        """One round: set each position's lock to ``modes[j]``, re-sent
+        through sheds and timeouts.  A lost release would leak a lock
+        the same client can never reclaim, wedging the stripe for every
+        future recovery; an unavailable node needs no release (its
+        replacement comes up unlocked), so it is not re-sent."""
+        self.fan_out_frames(kind, "setlock", {
+            (stripe, j): (lm, self.client_id)
+            for j, lm in modes.items()
+            # The seeded regression drops releases (see ClientConfig).
+            if not (self.config.test_drop_setlock_release and lm is LockMode.UNL)
+        }, retry_on=(NodeBusyError, RpcTimeoutError))
 
     def _unlock_all(self, stripe: int) -> None:
         self._set_locks(

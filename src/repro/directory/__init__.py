@@ -6,7 +6,8 @@ Two implementations share one duck-typed API (``bind`` / ``node_id`` /
 
 :mod:`repro.directory.local`
     The original single in-process map — zero network cost, but a
-    single point of failure (the gap ROADMAP item 2 names).
+    single point of failure: one process holds every slot binding.
+    The replicated directory below closes that gap.
 
 :mod:`repro.directory.replica` / :mod:`repro.directory.quorum`
     A replicated directory *service*: 3–5 replicas reachable only

@@ -9,7 +9,6 @@ from repro.net.chaos import (
 )
 from repro.net.local import DelayModel, LocalTransport
 from repro.net.message import Envelope, estimate_size
-from repro.net.rpc import pfor
 from repro.net.tcp import TcpTransport
 from repro.net.transport import RpcHandler, Transport
 
@@ -26,5 +25,4 @@ __all__ = [
     "TcpTransport",
     "Transport",
     "estimate_size",
-    "pfor",
 ]

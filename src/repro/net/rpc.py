@@ -18,8 +18,9 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 # A process-wide pool is enough: protocol fan-out is small (n <= 32) and
-# pfor bodies are short RPCs.  Sized generously so nested pfors from
-# several concurrent clients do not starve each other.
+# pfor bodies are short RPCs.  Sized generously so the frame rounds of
+# several concurrent clients, and the directory fan-outs that a remap
+# starts from inside a frame's leg, do not starve each other.
 _POOL_SIZE = 64
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()

@@ -121,8 +121,7 @@ class Rebalancer:
         repeated through sheds, timeouts and remaps while the retry
         budget lasts; every op used here is idempotent or replay-safe."""
         return self.client._until_answered(
-            "rebalance", stripe, j, op, *args, leg=False, budget=True,
-            slot=slot,
+            "rebalance", stripe, j, op, *args, budget=True, slot=slot,
         )
 
     # ------------------------------------------------------------------
