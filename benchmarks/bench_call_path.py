@@ -1,0 +1,120 @@
+"""Microbench — interpreted work on the client's call path.
+
+Counts the Python opcodes one operation executes, in every Python frame
+it enters (client, transport, storage node), with ``sys.settrace`` and
+the frame legs of a round run inline on the caller's thread.  Unlike a
+timer the count is deterministic, so it tells a few percent of extra
+bookkeeping on the call path apart on any machine:
+
+* ``read``, ``write`` (one block) and ``probe`` (a one-position
+  :meth:`~repro.client.protocol.ProtocolClient.rpc`) on a 4-of-6
+  volume of 1 KiB blocks;
+* ``read_degraded`` of a healthy stripe on a 6-of-9 volume of 8 KiB
+  blocks: one ``get_state`` frame round over nine positions.
+
+Each count must stay within 5 % of its ceiling.  The ceilings are
+CPython 3.11 counts (other versions compile to other opcodes, so there
+the counts are only recorded).
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+
+import repro.client.protocol as protocol
+from repro.client.gc import GcManager
+from repro.core.cluster import Cluster
+
+from benchmarks.conftest import bench_record as record
+from benchmarks.conftest import print_table
+
+#: Opcodes per operation on CPython 3.11.
+CEILINGS = {"read": 1088, "write": 4998, "probe": 939, "read_degraded": 12106}
+SLACK = 0.05
+
+
+def _inline_pfor(items, body):
+    """:func:`repro.net.rpc.pfor` without the thread pool."""
+    results = {}
+    for item in items:
+        try:
+            results[item] = body(item)
+        except Exception as exc:
+            results[item] = exc
+    return results
+
+
+def _opcodes(op) -> int:
+    """Opcodes one call of ``op`` executes."""
+    count = 0
+
+    def per_opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return per_opcode
+
+    def per_frame(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return per_opcode
+
+    previous = sys.gettrace()
+    sys.settrace(per_frame)
+    try:
+        op()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def _block(size: int, tag: int) -> np.ndarray:
+    return ((np.arange(size, dtype=np.uint32) * 7 + tag) % 256).astype(np.uint8)
+
+
+def _client(k: int, n: int, block_size: int):
+    """A client of a fresh cluster whose stripe 0 is written."""
+    client = Cluster(k, n, block_size=block_size, seed=1).protocol_client("c")
+    for i in range(k):
+        client.write(0, i, _block(block_size, i))
+    return client
+
+
+def _measure() -> dict[str, int]:
+    small = _client(4, 6, 1024)
+    value = _block(1024, 9)
+    wide = _client(6, 9, 8192)
+    gc = GcManager(small)
+    ops = {
+        "read": lambda: small.read(0, 1),
+        "write": lambda: small.write(0, 1, value),
+        "probe": lambda: small.rpc("monitor", 0, 1, "probe"),
+        "read_degraded": lambda: wide.read_degraded(0, 0),
+    }
+    counts = {}
+    for name, op in ops.items():
+        op()  # first-call work (lazy state, caches) stays out of the count
+        # Collect the finished writes' tids, so every write meets the
+        # same node state.
+        gc.run_once()
+        gc.run_once()
+        counts[name] = _opcodes(op)
+    return counts
+
+
+def bench_call_path(monkeypatch):
+    """Opcodes per call-path operation stay within their ceilings."""
+    monkeypatch.setattr(protocol, "pfor", _inline_pfor)
+    counts = _measure()
+    assert _measure() == counts  # deterministic
+    python = "%d.%d" % sys.version_info[:2]
+    print_table(
+        f"Call-path opcodes per operation (CPython {python}, legs inline)",
+        ["operation", "opcodes", "ceiling"],
+        [[name, count, CEILINGS[name]] for name, count in counts.items()],
+    )
+    record("call_path", python=python, opcodes=counts, ceilings=CEILINGS)
+    if sys.version_info[:2] == (3, 11):
+        for name, count in counts.items():
+            assert count <= CEILINGS[name] * (1 + SLACK), (name, count)

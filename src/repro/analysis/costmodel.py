@@ -173,22 +173,20 @@ class OpCounts:
     directory_repairs: int = 0
 
 
-def op_counts(snapshot: dict, wire: dict[str, MeasuredKind]) -> OpCounts:
+def op_counts(snapshot: dict) -> OpCounts:
     def client(name: str) -> int:
         return int(sum_counters(snapshot, f"client_{name}_total"))
 
-    degraded = wire.get("read_degraded")
     return OpCounts(
         writes=client("writes"),
         write_attempts=client("write_attempts"),
         stripe_writes=client("stripe_writes"),
         stripe_frames=client("stripe_frames"),
         reads=client("reads"),
-        # One degraded read = one fan-out round, so the round counter
-        # *is* the invocation count (covers hedges that lost the race
-        # and fallbacks that found no consistent set, which the
-        # client_degraded_reads counter deliberately excludes).
-        degraded_invocations=degraded.rounds if degraded else 0,
+        # Counted on entry, so hedges that lost the race and fallbacks
+        # that found no consistent set count too (client_degraded_reads
+        # deliberately excludes both).
+        degraded_invocations=client("degraded_invocations"),
         recoveries_completed=client("recoveries_completed"),
         recoveries_yielded=client("recoveries_yielded"),
         gc_batches=int(sum_counters(snapshot, "gc_batches_total")),
@@ -281,7 +279,8 @@ class CostModel:
         return reads * self.block_size
 
     def degraded_messages(self, invocations: int) -> int:
-        """One degraded read snapshots all n nodes (request + response)."""
+        """One degraded read snapshots all n nodes (request + response)
+        in one round."""
         return invocations * 2 * self.n
 
     def recovery_messages(self, phase: str, recoveries: int, failures: int = 0) -> int:
@@ -483,7 +482,7 @@ class CostAuditor:
     ) -> CostAuditReport:
         model = self.model
         wire = measured_kinds(snapshot)
-        counts = op_counts(snapshot, wire)
+        counts = op_counts(snapshot)
         ledger = self._ledger_explainers(snapshot, ledger_counts)
         retries = self._retry_explainers(counts)
         report = CostAuditReport(
@@ -596,6 +595,7 @@ class CostAuditor:
         check(
             "read_degraded",
             model.degraded_messages(counts.degraded_invocations),
+            counts.degraded_invocations,
             note=f"{counts.degraded_invocations} degraded fan-outs",
         )
         rec = counts.recoveries_completed

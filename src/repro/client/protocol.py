@@ -68,14 +68,14 @@ from repro.storage.state import (
 )
 
 
-#: Retries a NodeBusyError (server-side admission shed) is given inside
-#: one :meth:`ProtocolClient.rpc`, with jittered backoff, before it
-#: propagates to the operation-level loops.
+#: Re-sends a NodeBusyError (server-side admission shed) is given for
+#: one position of a frame round, with jittered backoff, before it is
+#: the position's result for the operation-level loops.
 BUSY_RETRY_LIMIT = 8
 
-#: The outcomes a call that must be answered repeats by default: a shed
-#: past its busy bound, or a node found unreachable (the repeat reaches
-#: its replacement).
+#: The outcomes a round that must be answered re-sends: a shed past its
+#: busy bound, or a node found unreachable (the re-send reaches its
+#: replacement).
 UNANSWERED = (NodeBusyError, NodeUnavailableError)
 
 
@@ -94,6 +94,7 @@ class ClientStats:
     rpc_timeouts: int = 0  # RPCs that hit their deadline (gray/lossy net)
     suspicion_remaps: int = 0  # remaps triggered by the breaker tripping
     degraded_reads: int = 0  # reads served by decode instead of recovery
+    degraded_invocations: int = 0  # read_degraded calls, served or not
     hedged_reads: int = 0  # reads where the hedge (reconstruct race) fired
     busy_rejections: int = 0  # NodeBusyError sheds observed (admission)
     unbound_retries: int = 0  # UnknownSlotError retries (mid-reconfiguration)
@@ -241,12 +242,16 @@ class ProtocolClient:
             slot = slots[index]
         return gen, slot, self.directory.node_id(slot)
 
-    def _locate(self, stripe: int, index: int) -> tuple[int | None, int, str]:
-        """:meth:`_resolve`, with an unbound slot retried exactly as an
-        RPC's own lookup is."""
-        return self._retrying(
-            stripe, "lookup", lambda: self._resolve(stripe, index)
-        )
+    def _locate(self, stripe: int, index: int, slot: int | None = None):
+        """:meth:`_resolve`, with an unbound slot retried as
+        :attr:`_RETRIES` says."""
+        retries: dict[type, int] = {}
+        while True:
+            try:
+                return self._resolve(stripe, index, slot)
+            except UnknownSlotError:
+                if not self._absorbed(stripe, "lookup", UnknownSlotError, retries):
+                    raise
 
     def node_of(self, stripe: int, index: int) -> str:
         """The node serving one stripe position now."""
@@ -288,29 +293,27 @@ class ProtocolClient:
         index: int,
         op: str,
         *args,
-        trace_ctx: TraceContext | None = None,
+        retry_on: tuple[type[Exception], ...] = (),
+        budget: bool = False,
         slot: int | None = None,
+        spans: dict[tuple[int, int], TraceContext] | None = None,
     ):
-        """Send ``op`` to the block at position ``index`` of ``stripe``:
-        the one data-plane call of the client and of every agent (monitor,
-        scrub, GC, rebuild, rebalance) that drives it.
-
-        ``kind`` names the logical operation the RPC serves (write, read,
-        recovery_phase1, gc, ...).  It is stamped on the call's
-        :class:`Envelope` and counts one round trip for the cost auditor.
-        The node gets a frame of one address, ``{addr: (gen, args)}``.
-        ``slot`` names the serving slot instead of the stripe's placement
-        (see :meth:`_resolve`).
-
-        The outcomes in :attr:`_RETRIES` are absorbed here; a detected
-        fail-stop remaps the slot and re-raises so the caller enters
-        recovery (see :meth:`_attempt`)."""
-        self._account_round(kind)
-        trace = None if trace_ctx is None else trace_ctx.wire()
-        return self._retrying(
-            stripe, op,
-            lambda: self._attempt(kind, stripe, index, op, args, trace, slot),
+        """Send ``op`` with ``args`` to the block at position ``index``
+        of ``stripe`` and return the node's answer: a round of
+        :meth:`fan_out_frames` with one position, the data-plane call of
+        the client and of every agent (monitor, scrub, rebuild,
+        rebalance) that drives it.  The keyword arguments are the
+        round's.  A result that is an exception is raised: a detected
+        fail-stop has remapped the slot, so the caller enters recovery
+        or repeats."""
+        _, results = self.fan_out_frames(
+            kind, op, {(stripe, index): args}, spans,
+            retry_on=retry_on, budget=budget, slot=slot,
         )
+        result = results[stripe, index]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def fan_out_frames(
         self,
@@ -321,11 +324,16 @@ class ProtocolClient:
         build: Callable[..., tuple] | None = None,
         retry_on: tuple[type[Exception], ...] | None = None,
         budget: bool = False,
+        slot: int | None = None,
     ) -> tuple[int, dict[tuple[int, int], object]]:
         """One round of ``kind`` that sends ``op`` once to every node
         serving a position in ``batches``: the node's frame carries each
         of its positions with that position's arguments, or, with
         ``build``, with ``build(*args)``, called in the frame's leg.
+        ``kind`` is stamped on every frame's :class:`Envelope`, and the
+        round counts one round trip for the cost auditor.  ``slot``
+        names the serving slot instead of the placement (see
+        :meth:`_resolve`).
 
         Each frame is one :meth:`_send`, so it is counted, breakered and
         health-scored like any call.  Returns the number of frames
@@ -335,69 +343,90 @@ class ProtocolClient:
         timed out or found its node gone).  With ``spans``, each frame
         goes out under a child of the span its first position holds
         there, and every position it carried then holds the frame's span.
+        A round of one position sends its frame from the caller's thread.
 
         Without ``retry_on`` nothing is re-sent, and a stripe answered
         with a stale stamp has its placement invalidated, counted once
         in ``stale_refetches``, so it is refetched before it is used
         again.
 
-        With ``retry_on`` (the re-send rule, :meth:`_until_answered` for
-        frames) a position whose answer is retryable goes out again in
-        the next frame round, within the same counted round: a busy,
-        stale or unbound answer as :attr:`_RETRIES` says, and a
-        ``retry_on`` outcome up to ``max_op_attempts`` times, each repeat
-        spending a retry-budget token with ``budget``.  A position that
-        runs out of those holds :class:`NodeUnavailableError`."""
+        With ``retry_on`` (the re-send rule) a position whose answer is
+        retryable goes out again in the next frame round, within the
+        same counted round: a busy, stale or unbound answer as
+        :attr:`_RETRIES` says, and a ``retry_on`` outcome up to
+        ``max_op_attempts`` times, each repeat spending a retry-budget
+        token with ``budget``.  A position that runs out of those holds
+        :class:`NodeUnavailableError`."""
         results: dict[tuple[int, int], object] = dict.fromkeys(batches)
         answered = 0
         tries: dict[tuple[int, int], list] = {}
         locate = self._locate if retry_on is None else self._resolve
         volume = self.volume
-        env = Envelope(kind=kind, timeout=self.config.rpc_timeout)
+        env = Envelope(kind, None, self.config.rpc_timeout)
         if batches:
             self._account_round(kind)
         while batches:
-            # Per target: the positions its frame carries, and the frame
-            # as it goes on the wire, both in frame order.
-            frames: dict[tuple[int, str], tuple[list, dict]] = {}
-            order = sorted(batches)
-            for key in order:
+            if len(batches) == 1:
+                # One position: no grouping, and its frame goes out from
+                # this thread.  Whatever it raises is its result, as a
+                # pfor leg's is.
+                (key,) = order = list(batches)
                 try:
-                    gen, slot, dst = locate(*key)
-                except ReproError as exc:
-                    results[key] = exc
-                    continue
-                keys, frame = frames.setdefault((slot, dst), ([], {}))
-                keys.append(key)
-                frame[BlockAddr(volume, *key)] = gen, batches[key]
-            traces = None if spans is None else {
-                target: self._trace_ids.child(spans[keys[0]])
-                for target, (keys, _) in frames.items()
-            }
-
-            def send(target: tuple[int, str]):
-                keys, frame = frames[target]
-                if build is not None:
-                    frame = {
-                        addr: (gen, build(*args))
-                        for addr, (gen, args) in frame.items()
-                    }
-                return self._send(
-                    env if traces is None else Envelope(
-                        kind, traces[target].wire(), env.timeout
-                    ),
-                    *keys[0], *target, op, frame,
-                )
-
-            for target, answer in pfor(sorted(frames), send).items():
-                keys = frames[target][0]
-                if isinstance(answer, Exception):
-                    answer = [answer] * len(keys)
-                else:
+                    gen, at, dst = locate(*key, slot)
+                    args = batches[key]
+                    frame = {BlockAddr(volume, *key): (
+                        gen, args if build is None else build(*args)
+                    )}
+                    head = env
+                    if spans is not None:
+                        spans[key] = trace = self._trace_ids.child(spans[key])
+                        head = Envelope(kind, trace.wire(), env.timeout)
+                    (results[key],) = self._send(head, *key, at, dst, op, frame)
                     answered += 1
-                results.update(zip(keys, answer))
-                if traces is not None:
-                    spans.update(dict.fromkeys(keys, traces[target]))
+                except Exception as exc:
+                    results[key] = exc
+            else:
+                order = sorted(batches)
+                # Per target: the positions its frame carries, and the
+                # frame as it goes on the wire, both in frame order.
+                frames: dict[tuple[int, str], tuple[list, dict]] = {}
+                for key in order:
+                    try:
+                        gen, at, dst = locate(*key, slot)
+                    except ReproError as exc:
+                        results[key] = exc
+                        continue
+                    keys, frame = frames.setdefault((at, dst), ([], {}))
+                    keys.append(key)
+                    frame[BlockAddr(volume, *key)] = gen, batches[key]
+                traces = None if spans is None else {
+                    target: self._trace_ids.child(spans[keys[0]])
+                    for target, (keys, _) in frames.items()
+                }
+
+                def send(target: tuple[int, str]):
+                    keys, frame = frames[target]
+                    if build is not None:
+                        frame = {
+                            addr: (gen, build(*args))
+                            for addr, (gen, args) in frame.items()
+                        }
+                    return self._send(
+                        env if traces is None else Envelope(
+                            kind, traces[target].wire(), env.timeout
+                        ),
+                        *keys[0], *target, op, frame,
+                    )
+
+                for target, answer in pfor(sorted(frames), send).items():
+                    keys = frames[target][0]
+                    if isinstance(answer, Exception):
+                        answer = [answer] * len(keys)
+                    else:
+                        answered += 1
+                    results.update(zip(keys, answer))
+                    if traces is not None:
+                        spans.update(dict.fromkeys(keys, traces[target]))
             if retry_on is None:
                 for stripe in sorted({
                     key[0] for key in order
@@ -405,10 +434,11 @@ class ProtocolClient:
                 }):
                     self._absorbed(stripe, op, StalePlacementError, {})
                 break
-            failed = [key for key in order if isinstance(results[key], Exception)]
             again = {}
-            for key in failed:
+            for key in order:
                 result = results[key]
+                if not isinstance(result, Exception):
+                    continue
                 tried = tries.setdefault(key, [0, {}])
                 if self._absorbed(key[0], op, type(result), tried[1]):
                     again[key] = batches[key]
@@ -424,45 +454,6 @@ class ProtocolClient:
                         )
             batches = again
         return answered, results
-
-    def _until_answered(
-        self,
-        kind: str,
-        stripe: int,
-        index: int,
-        op: str,
-        *args,
-        budget: bool = False,
-        retry_on: tuple[type[Exception], ...] = UNANSWERED,
-        slot: int | None = None,
-    ):
-        """:meth:`rpc`, repeated through ``retry_on`` outcomes (a node
-        found unreachable is retried on its replacement) for up to
-        ``max_op_attempts`` attempts; with ``budget`` every repeat spends
-        a retry-budget token.  Gives up with :class:`NodeUnavailableError`.
-        A frame round's re-send rule (:meth:`fan_out_frames`) is the same
-        loop, per position."""
-        for attempt in range(self.config.max_op_attempts):
-            if budget and attempt and not self._retry_permitted():
-                break
-            try:
-                return self.rpc(kind, stripe, index, op, *args, slot=slot)
-            except retry_on:
-                continue
-        raise NodeUnavailableError(f"slot for stripe {stripe} pos {index}")
-
-    def _retrying(self, stripe: int, op: str, attempt):
-        """Run ``attempt()`` until it returns, absorbing the retryable
-        outcomes of :attr:`_RETRIES` (see :meth:`_absorbed`); a spent
-        bound (or a refused pre-retry action) re-raises the last
-        outcome."""
-        retries: dict[type, int] = {}
-        while True:
-            try:
-                return attempt()
-            except tuple(self._RETRIES) as exc:
-                if not self._absorbed(stripe, op, type(exc), retries):
-                    raise
 
     def _absorbed(
         self, stripe: int, op: str, outcome: type, retries: dict[type, int]
@@ -484,19 +475,6 @@ class ProtocolClient:
         if event is not None and self.tracer.enabled:
             self.tracer.emit(self.client_id, event, stripe=stripe, op=op)
         return True
-
-    def _attempt(self, kind, stripe, index, op, args, trace, slot=None):
-        """One RPC attempt: the position resolved (or the given ``slot``),
-        a frame of one address sent by :meth:`_send`, and its one result
-        unwrapped: a stale stamp's :class:`StalePlacementError` is raised
-        for :meth:`_retrying` to refetch."""
-        gen, slot, dst = self._resolve(stripe, index, slot)
-        frame = {BlockAddr(self.volume, stripe, index): (gen, args)}
-        env = Envelope(kind=kind, trace=trace, timeout=self.config.rpc_timeout)
-        (result,) = self._send(env, stripe, index, slot, dst, op, frame)
-        if isinstance(result, Exception):
-            raise result
-        return result
 
     def _send(self, env, stripe, index, slot, dst, op, frame) -> list:
         """One message to ``dst``, serving ``slot``, under the call
@@ -755,6 +733,7 @@ class ProtocolClient:
         a value some prefix of completed/in-flight writes produced —
         within the §3.1 regular-register guarantee.
         """
+        self.stats.bump("degraded_invocations")
         _, snaps = self.fan_out_frames(
             "read_degraded", "get_state",
             self._every_position(stripe), retry_on=(),
@@ -822,9 +801,9 @@ class ProtocolClient:
         try:
             # A lost or shed probe is asked again: the block in hand
             # may be the one the wire damaged.
-            fp = self._until_answered(
+            fp = self.rpc(
                 "audit", stripe, index, "fingerprint",
-                budget=True, retry_on=(NodeBusyError, RpcTimeoutError),
+                retry_on=(NodeBusyError, RpcTimeoutError), budget=True,
             )
         except (NodeUnavailableError, NodeBusyError):
             return "unverified"
@@ -1011,10 +990,13 @@ class ProtocolClient:
         outcome.  The first attempt keeps ``ntid``: ``swap`` is its swap
         answer, and ``adds`` its add answers by position (None to re-send
         them to the positions outside ``applied``); ``span`` is the
-        trace span of its swap frame.  Every retry takes a fresh tid."""
+        trace span of its swap frame.  Every swap sent here goes out
+        under a child of ``root``, and the adds under the swap's span.
+        Every retry takes a fresh tid."""
         redundant = frozenset(range(self.k, self.n))
         full = redundant | {index}
         cp = self.crashpoints
+        spans = None if root is None else {(stripe, index): span}
         for attempt in range(self.config.max_write_attempts):
             if attempt:
                 if not self._retry_permitted():
@@ -1025,10 +1007,11 @@ class ProtocolClient:
                 self.stats.bump("write_attempts")
                 ntid = self._next_tid(index)
                 swap, adds, applied = None, None, set()
-                span = self._trace_ids.child(root) if root is not None else None
             if not isinstance(swap, SwapResult) or swap.block is None:
+                if spans is not None:
+                    spans[stripe, index] = root
                 swap = self._swap_until_valid(
-                    stripe, index, value, ntid, span, answer=swap
+                    stripe, index, value, ntid, spans, answer=swap
                 )
                 if swap is None:
                     continue  # recovery intervened; retry with a fresh tid
@@ -1037,7 +1020,8 @@ class ProtocolClient:
             diff = gf.sub_block(value, swap.block)  # v - w, to be scaled
             done = self._run_adds(
                 stripe, ntid, swap, diff, redundant - applied,
-                applied | {index}, span, answers=adds,
+                applied | {index},
+                None if spans is None else spans[stripe, index], answers=adds,
             )
             if done == full:
                 if cp.enabled:
@@ -1140,14 +1124,17 @@ class ProtocolClient:
         index: int,
         value: np.ndarray,
         ntid: Tid,
-        trace_ctx: TraceContext | None = None,
+        spans: dict[tuple[int, int], TraceContext] | None = None,
         answer: SwapResult | Exception | None = None,
     ) -> SwapResult | None:
         """Fig. 5 lines 3-6: swap, running recovery when the node is out
         of service.  ``answer`` is the first attempt's outcome when its
         swap went out in a frame; a shed or a stale stamp there is
-        re-sent at once, as :meth:`rpc` would have.  Returns None if
+        re-sent at once, as :meth:`rpc` would have.  With ``spans``,
+        every swap sent goes out under a child of the block's span
+        there, which then holds the last one's span.  Returns None if
         attempts ran out this round."""
+        parent = None if spans is None else spans[stripe, index]
         for attempt in range(self.config.max_op_attempts):
             if attempt and not self._retry_permitted():
                 return None
@@ -1158,8 +1145,10 @@ class ProtocolClient:
                 if first is None or isinstance(
                     first, (NodeBusyError, StalePlacementError)
                 ):
+                    if spans is not None:
+                        spans[stripe, index] = parent
                     swap = self.rpc("write", stripe, index, "swap", value, ntid,
-                                    trace_ctx=trace_ctx)
+                                    spans=spans)
                 elif isinstance(first, Exception):
                     raise first
                 else:
@@ -1437,15 +1426,15 @@ class ProtocolClient:
         cp = self.crashpoints
         acquired: list[tuple[int, LockMode]] = []
         for j in range(self.n):
-            # Every attempt is its own round.  A shed was already backed
-            # off inside rpc, a timed-out trylock may have been granted
-            # (the re-grant makes retrying safe), and an unreachable node
-            # was remapped, so the retry reaches its replacement.  A
-            # spent retry budget yields rather than hammers.
+            # One round per position, its re-sends included.  A shed is
+            # backed off first, a timed-out trylock may have been granted
+            # (the re-grant makes re-sending safe), and an unreachable
+            # node was remapped, so the re-send reaches its replacement.
+            # A spent retry budget yields rather than hammers.
             try:
-                result = self._until_answered(
+                result = self.rpc(
                     "recovery_phase1", stripe, j, "trylock", LockMode.L1,
-                    self.client_id, budget=True,
+                    self.client_id, retry_on=UNANSWERED, budget=True,
                 )
             except NodeUnavailableError:
                 result = None
@@ -1535,19 +1524,18 @@ class ProtocolClient:
                 target = self.k + slack
             # Re-take full locks before new adds slip in; any redundant
             # node whose recentlist moved is ejected and we loop again.
-            recent = {}
-            for j in range(self.k, self.n):
-                try:
-                    recent[j] = self.rpc(
-                        "recovery_phase2", stripe, j, "getrecent", LockMode.L1,
-                        self.client_id,
-                    )
-                except (NodeUnavailableError, NodeBusyError):
-                    recent[j] = None
+            # A position left without an answer is ejected too.
+            _, recent = self.fan_out_frames(
+                "recovery_phase2", "getrecent",
+                {
+                    (stripe, j): (LockMode.L1, self.client_id)
+                    for j in range(self.k, self.n)
+                },
+                retry_on=(),
+            )
             cset = cset - {
-                j
-                for j in range(self.k, self.n)
-                if j in cset and recent.get(j) != data[j].recentlist
+                j for (_, j), got in recent.items()
+                if j in cset and got != data[j].recentlist
             }
             if len(cset) >= self.k and waits > self.config.recovery_wait_limit:
                 break

@@ -11,15 +11,17 @@
   paper's pseudocode is written for a single stripe; a real volume has
   many stripes, each an independent instance of the per-block state
   machine, and the address selects which instance an RPC touches.
+
+Both are named tuples: immutable, and hashed and compared in C, which
+the call path does for every frame address and tid it handles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Tid:
+class Tid(NamedTuple):
     """Unique identifier of one WRITE operation."""
 
     seq: int  # client-local sequence number
@@ -30,8 +32,7 @@ class Tid:
         return f"Tid({self.seq},{self.index},{self.client})"
 
 
-@dataclass(frozen=True, slots=True)
-class BlockAddr:
+class BlockAddr(NamedTuple):
     """Address of one block slot within one stripe of one volume."""
 
     volume: str

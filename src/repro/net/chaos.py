@@ -476,7 +476,7 @@ class ChaosTransport(Transport):
                 time.sleep(budget)
                 try:
                     self.inner.call(
-                        src, dst, op, *args, env=replace(env, timeout=None)
+                        src, dst, op, *args, env=env._replace(timeout=None)
                     )
                 except (NodeUnavailableError, NodeBusyError):
                     pass
@@ -488,7 +488,7 @@ class ChaosTransport(Transport):
             if budget is not None:
                 budget -= decision.delay
 
-        env = replace(env, timeout=budget)
+        env = env._replace(timeout=budget)
         result = self.inner.call(src, dst, op, *args, env=env)
         if decision.corrupt:
             corrupted = _corrupt_response(

@@ -12,7 +12,8 @@ there to count the size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,12 +21,11 @@ import numpy as np
 SCALAR_BYTES = 8
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """What an RPC carries besides its operation and arguments.
 
     Built once by the caller and handed unchanged (or narrowed with
-    :func:`dataclasses.replace`) through every layer as the keyword-only
+    ``_replace``) through every layer as the keyword-only
     ``env=`` argument of ``Transport.call`` / ``broadcast`` and
     ``RpcHandler.handle``, the only keyword argument on the wire.  Layers
     read it; none strips it, and it is never part of the sized payload,

@@ -29,10 +29,11 @@ RECONS/EXP, which ordinary recovery's pickup path finalizes in place;
 the rebalancer itself never needs to reconcile.
 
 The rebalancer drives a :class:`~repro.client.protocol.ProtocolClient`
-and sends every RPC through its one call path, ``rpc(..., slot=)``: the
-same breaker gate, health scoring, shed backoff and retry budget as any
-other agent, with the slot looked up fresh on every attempt so a remap
-is followed.  The calls are issued sequentially and carry *no*
+and sends every RPC as one of its one-position frame rounds,
+``rpc(..., slot=)``: the same breaker gate, health scoring, shed
+backoff and retry budget as any other agent, re-sent through sheds,
+timeouts and remaps within the round, with the slot looked up fresh on
+every re-send so a remap is followed.  The calls are issued sequentially and carry *no*
 placement-generation stamp: the rebalancer is the one party that must
 reach old placements (and retired blocks) by design.
 """
@@ -44,7 +45,7 @@ from typing import TYPE_CHECKING
 
 from repro.client.consistency import find_consistent
 from repro.crashpoints import NULL_CRASHPOINTS
-from repro.errors import ReproError
+from repro.errors import NodeBusyError, NodeUnavailableError, ReproError
 from repro.placement.map import PlacementMap
 from repro.storage.state import LockMode, OpMode, StateSnapshot
 
@@ -120,8 +121,10 @@ class Rebalancer:
         """One migration RPC to position ``j`` of ``stripe`` at ``slot``,
         repeated through sheds, timeouts and remaps while the retry
         budget lasts; every op used here is idempotent or replay-safe."""
-        return self.client._until_answered(
-            "rebalance", stripe, j, op, *args, budget=True, slot=slot,
+        return self.client.rpc(
+            "rebalance", stripe, j, op, *args,
+            retry_on=(NodeBusyError, NodeUnavailableError), budget=True,
+            slot=slot,
         )
 
     # ------------------------------------------------------------------

@@ -115,7 +115,7 @@ class TestSnapshotExtraction:
         assert wire["write"].rounds == 12
         assert wire["write"].bytes_sent >= 6 * (P + 1) * BS
         assert wire["read"].messages == 12
-        counts = op_counts(snapshot, wire)
+        counts = op_counts(snapshot)
         assert counts.writes == 6
         assert counts.reads == 6
         assert counts.recoveries_completed == 1
@@ -254,6 +254,39 @@ class TestExactMode:
             CostModel(n=N, k=K, block_size=BS), fault_free=True
         ).audit(snapshot)
         assert not report.passed
+
+    @pytest.mark.parametrize("resent", [0, 2 * N])
+    def test_degraded_read_takes_one_round(self, resent):
+        """One degraded read is one round of 2n messages: a snapshot
+        with two rounds for it fails the exact audit, also when the
+        second round's messages are there too."""
+        obs = Observability.create()
+        cluster = Cluster(k=K, n=N, block_size=BS, seed=3, observability=obs)
+        client = cluster.protocol_client("cm")
+        client.write(0, 0, np.full(BS, 1, dtype=np.uint8))
+        client.read_degraded(0, 0)
+        snapshot = obs.registry.snapshot()
+        model = CostModel(n=N, k=K, block_size=BS)
+        row = next(
+            v for v in CostAuditor(model, fault_free=True).audit(
+                snapshot
+            ).verdicts if v.kind == "read_degraded"
+        )
+        assert row.ok
+        assert (row.measured_messages, row.measured_rounds) == (2 * N, 1)
+        for row in snapshot["counters"]:
+            labels = row["labels"]
+            if labels.get("kind") != "read_degraded":
+                continue
+            if row["name"] == "rpc_rounds_total":
+                row["value"] += 1
+            elif row["name"] == "rpc_messages_total" and resent:
+                row["value"] += resent // 2  # each direction's half
+        report = CostAuditor(model, fault_free=True).audit(snapshot)
+        assert not report.passed
+        bad = next(v for v in report.verdicts if v.kind == "read_degraded")
+        assert bad.measured_messages == 2 * N + resent
+        assert not bad.ok
 
     def test_bytes_outside_envelope_fail(self):
         snapshot = _fault_free_workload(with_agents=False)

@@ -219,3 +219,23 @@ def test_order_check_drops_a_crashed_node_after_one_message():
     assert log.count(crashed, "checktid") == 1
     assert log.count(node_at(cluster, 3), "checktid") == 0
     assert len(log.calls) == 3
+
+
+def test_dropped_fingerprint_probe_is_resent_within_its_round():
+    """A read's fingerprint probe that must be answered is re-sent in
+    its one ``audit`` round, as every one-position call is."""
+    cluster = make_cluster()
+    target = node_at(cluster, 1)
+    # On this link: read (op 0), then the fingerprint probe (1).
+    drop_once(cluster, target, "fingerprint", 1)
+    client = cluster.protocol_client(CLIENT, ClientConfig(
+        rpc_timeout=0.05, backoff=0.0005, backoff_cap=0.001,
+        verified_reads=True,
+    ))
+    client.transport = log = CallLog(client.transport)
+    assert np.array_equal(client.read(0, 1), value(1))
+    assert log.calls == [(target, "read")] + [(target, "fingerprint")] * 2
+    assert cluster.chaos.ledger_counts() == {"drop": 1}
+    assert client.stats.rpc_timeouts == 1
+    assert client.stats.verified_reads == 1
+    assert rounds(cluster, "audit") == 1

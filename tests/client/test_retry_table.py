@@ -4,7 +4,8 @@ Each retryable outcome has its own bound, and every bound counts over
 the whole call: a stale-placement refetch between two runs of sheds
 does not hand the busy bound a fresh count.  A call that sees only one
 kind of outcome makes exactly ``bound + 1`` attempts before the outcome
-reaches the caller.
+reaches the caller.  Every attempt is part of the call's one round, and
+each retry of a stale or unbound outcome is traced once.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.client.protocol import BUSY_RETRY_LIMIT
 from repro.core.cluster import Cluster
 from repro.directory.local import UnknownSlotError
 from repro.errors import NodeBusyError, StalePlacementError
+from repro.obs import Observability
 
 
 class ScriptedTransport:
@@ -64,7 +66,10 @@ def stale() -> StalePlacementError:
 def client():
     """A client with a placement cache (pool mode), so a stale answer
     is refetched rather than surfaced at once."""
-    cluster = Cluster(2, 4, block_size=32, pool=6, seed=5)
+    cluster = Cluster(
+        2, 4, block_size=32, pool=6, seed=5,
+        observability=Observability.create(),
+    )
     client = cluster.protocol_client(
         "scripted", ClientConfig(backoff=0.0001, backoff_cap=0.0002)
     )
@@ -75,7 +80,21 @@ def client():
 def script(client, outcomes: list[Exception]) -> ScriptedTransport:
     transport = ScriptedTransport(client.transport, outcomes)
     client.transport = transport
+    client.tracer.drain()
     return transport
+
+
+def retries(client) -> list[tuple[str, str]]:
+    """``(event, op)`` of each retry the client traced since
+    :func:`script`."""
+    return [
+        (e.kind, e.detail["op"]) for e in client.tracer.drain()
+        if e.source == client.client_id
+    ]
+
+
+def rounds(client) -> int:
+    return client.metrics.sum_counter("rpc_rounds_total", kind="monitor")
 
 
 class TestBoundsSpanTheCall:
@@ -87,6 +106,8 @@ class TestBoundsSpanTheCall:
         assert client.stats.busy_rejections == BUSY_RETRY_LIMIT + 1
         assert client.stats.stale_refetches == 1
         assert transport.calls == BUSY_RETRY_LIMIT + 2
+        assert retries(client) == [("placement.refetch", "probe")]
+        assert rounds(client) == 1
 
     def test_mixed_outcomes_within_bounds_succeed(self, client):
         transport = script(client, [busy()] * 4 + [stale()] + [busy()] * 4)
@@ -94,6 +115,8 @@ class TestBoundsSpanTheCall:
         assert client.stats.busy_rejections == 8
         assert client.stats.stale_refetches == 1
         assert transport.calls == 10
+        assert retries(client) == [("placement.refetch", "probe")]
+        assert rounds(client) == 1
 
 
 class TestSingleOutcomeAttempts:
@@ -103,6 +126,8 @@ class TestSingleOutcomeAttempts:
             client.rpc("monitor", 0, 0, "probe")
         assert transport.calls == BUSY_RETRY_LIMIT + 1 == 9
         assert client.stats.busy_rejections == 9
+        assert retries(client) == []
+        assert rounds(client) == 1
 
     def test_stale_only(self, client):
         transport = script(client, [stale()] * 20)
@@ -110,14 +135,20 @@ class TestSingleOutcomeAttempts:
             client.rpc("monitor", 0, 0, "probe")
         assert transport.calls == 4
         assert client.stats.stale_refetches == 3
+        assert retries(client) == [("placement.refetch", "probe")] * 3
+        assert rounds(client) == 1
 
     def test_unbound_only(self, client):
         directory = CountingUnboundDirectory(client.directory)
         client.directory = directory
+        transport = script(client, [])
         with pytest.raises(UnknownSlotError):
             client.rpc("monitor", 0, 0, "probe")
         assert directory.lookups == 4
+        assert transport.calls == 0
         assert client.stats.unbound_retries == 3
+        assert retries(client) == [("directory.unbound_retry", "probe")] * 3
+        assert rounds(client) == 1
 
     def test_stale_without_placement_cache_surfaces_at_once(self):
         client = Cluster(2, 4, block_size=32).protocol_client("static")

@@ -235,7 +235,7 @@ class TestOverloadIsNotFailure:
         """An admission shed from a directory replica is overload, not
         evidence of failure: it propagates as ``NodeBusyError`` and the
         replica's health score (the ``node_health_score`` gauge) does
-        not move — the same rule ``ProtocolClient._attempt`` applies
+        not move — the same rule ``ProtocolClient._observe`` applies
         to storage nodes."""
         from repro.core.cluster import Cluster
         from repro.errors import NodeBusyError

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.client.config import ClientConfig, WriteStrategy
 from repro.core.cluster import Cluster
+from repro.errors import NodeBusyError
 from repro.obs import (
     Observability,
     TraceContext,
@@ -20,6 +21,25 @@ def make_observed_cluster(**client_kwargs):
     config = ClientConfig(**client_kwargs) if client_kwargs else None
     volume = cluster.client("c1", config)
     return obs, cluster, volume
+
+
+class ShedFirst:
+    """Sheds the first call of ``op`` before it reaches its node, and
+    hands every other call to the real transport."""
+
+    def __init__(self, inner, op: str):
+        self._inner = inner
+        self._op = op
+        self.shed = 0
+
+    def call(self, src, dst, op, *args, **kwargs):
+        if op == self._op and not self.shed:
+            self.shed += 1
+            raise NodeBusyError(dst)
+        return self._inner.call(src, dst, op, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
 class TestAllocator:
@@ -73,6 +93,29 @@ class TestWriteSpanTree:
         assert add.events[0].detail["parent"] == swap.span_id
         assert add.events[0].detail["status"] == "OK"
         assert add.source != swap.source
+
+    def test_resent_swap_keeps_the_tree(self):
+        """A swap frame shed before it reached its node is re-sent under
+        a fresh child of the root, and the adds hang under the swap
+        that landed: the same tree as an unshed write."""
+        obs, _cluster, volume = make_observed_cluster(backoff=0.0001)
+        client = volume.protocol
+        client.transport = ShedFirst(client.transport, "swap")
+        volume.write_block(0, b"traced payload")
+        assert client.transport.shed == 1
+        assert client.stats.busy_rejections == 1
+
+        root = build_span_tree(obs.tracer.drain(), "c1:w1")
+        assert {e.kind for e in root.events} == {"write.begin", "write.end"}
+        assert len(root.children) == 1
+        swap = root.children[0]
+        assert [e.kind for e in swap.events] == ["node.swap"]
+        assert swap.events[0].detail["parent"] == root.span_id
+        assert swap.events[0].detail["ok"] is True
+        assert len(swap.children) == 1
+        add = swap.children[0]
+        assert [e.kind for e in add.events] == ["node.add"]
+        assert add.events[0].detail["parent"] == swap.span_id
 
     def test_render_shows_whole_tree(self):
         obs, _cluster, volume = make_observed_cluster()
