@@ -31,7 +31,7 @@ from benchmarks.conftest import bench_record as record
 from benchmarks.conftest import print_table
 
 #: Opcodes per operation on CPython 3.11.
-CEILINGS = {"read": 1088, "write": 4998, "probe": 939, "read_degraded": 12106}
+CEILINGS = {"read": 1013, "write": 4799, "probe": 864, "read_degraded": 11431}
 SLACK = 0.05
 
 

@@ -765,7 +765,7 @@ class ProtocolClient:
         self.stats.bump("degraded_reads")
         self.tracer.emit(self.client_id, "read.degraded", stripe=stripe,
                          index=index)
-        return self.code.decode(available)[index]
+        return self.code.decode_one(index, available)
 
     # ------------------------------------------------------------------
     # end-to-end integrity

@@ -9,6 +9,7 @@ The public object is :class:`ReedSolomonCode`:
 
 * ``encode(data_blocks)``      -> full stripe of n blocks
 * ``decode(available)``        -> original k data blocks from any k
+* ``decode_one(index, avail)`` -> stripe block ``index`` alone from any k
 * ``reconstruct_stripe(avail)``-> all n blocks (used by recovery)
 * ``coefficient(j, i)``        -> alpha_{ji} for the delta update
 * ``delta(j, i, new, old)``    -> what a client sends to redundant node j
@@ -106,6 +107,15 @@ class ReedSolomonCode:
 
     # -- decoding ---------------------------------------------------------
 
+    def _decode_indices(self, available: Mapping[int, np.ndarray]) -> tuple[int, ...]:
+        """The k smallest available indices; raises :class:`DecodeError`
+        when fewer than k blocks are available."""
+        if len(available) < self.k:
+            raise DecodeError(
+                f"need at least k={self.k} blocks, got {len(available)}"
+            )
+        return tuple(sorted(available))[: self.k]
+
     def _decode_matrix(self, indices: tuple[int, ...]) -> np.ndarray:
         """k x k matrix mapping blocks at ``indices`` back to data blocks."""
         cached = self._decode_cache.get(indices)
@@ -125,15 +135,30 @@ class ReedSolomonCode:
         are ignored (the k smallest indices are used, preferring the
         cheap systematic path when all data blocks survive).
         """
-        if len(available) < self.k:
-            raise DecodeError(
-                f"need at least k={self.k} blocks, got {len(available)}"
-            )
-        indices = tuple(sorted(available))[: self.k]
+        indices = self._decode_indices(available)
         if indices == tuple(range(self.k)):
             return [available[i].copy() for i in range(self.k)]
         inverse = self._decode_matrix(indices)
         return matrix.matvec_blocks(inverse, [available[i] for i in indices])
+
+    def decode_one(
+        self, index: int, available: Mapping[int, np.ndarray]
+    ) -> np.ndarray:
+        """Recover stripe block ``index`` alone from any k available ones.
+
+        One row of the decode matrix applied to the k blocks ``decode``
+        would use: k multiply-adds where ``decode`` does k².  A redundant
+        ``index`` takes its generator row times the inverse.  The bytes
+        equal those of ``decode(available)[index]`` (or, redundant, of
+        ``reconstruct_stripe(available)[index]``).
+        """
+        if not 0 <= index < self.n:
+            raise IndexError(f"stripe index {index} out of range for n={self.n}")
+        indices = self._decode_indices(available)
+        inverse = self._decode_matrix(indices)
+        row = (inverse[index : index + 1] if index < self.k
+               else matrix.matmul(self.generator[index : index + 1], inverse))
+        return matrix.matvec_blocks(row, [available[i] for i in indices])[0]
 
     def reconstruct_stripe(
         self, available: Mapping[int, np.ndarray]

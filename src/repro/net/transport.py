@@ -154,6 +154,11 @@ class Transport(ABC):
                     self._blocked_pairs.discard(frozenset((a, b)))
 
     def _check_reachable(self, src: str, dst: str) -> None:
+        # Fault-free fast path.  Each emptiness test is atomic under the
+        # GIL, and a crash racing it is no different from one landing
+        # just after the locked check below.
+        if not (self._crashed or self._blocked_pairs):
+            return
         with self._lock:
             if src in self._crashed:
                 # A crashed node cannot act; treating its own calls as

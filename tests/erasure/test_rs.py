@@ -213,3 +213,27 @@ class TestDeltaUpdates:
         first = code._decode_cache[(1, 2)]
         code.decode({1: stripe[1], 2: stripe[2]})
         assert code._decode_cache[(1, 2)] is first
+
+
+class TestDecodeOne:
+    @pytest.mark.parametrize("size", [8 * 1024, 64 * 1024])
+    def test_matches_decode_for_every_k_subset(self, rng, size):
+        """Both kernel paths: 8 KiB gathers bytes, 64 KiB byte pairs."""
+        k, n = 6, 9
+        code = ReedSolomonCode(k, n)
+        stripe = code.encode(make_data(rng, k, size))
+        for subset in itertools.combinations(range(n), k):
+            available = {j: stripe[j] for j in subset}
+            data = code.decode(available)
+            for i in range(k):
+                assert np.array_equal(code.decode_one(i, available), data[i])
+            redundant = code.encode_redundant(data)[0]
+            assert np.array_equal(code.decode_one(k, available), redundant)
+
+    def test_rejects_too_few_blocks_and_bad_index(self, rng):
+        code = ReedSolomonCode(3, 5)
+        stripe = code.encode(make_data(rng, 3))
+        with pytest.raises(DecodeError):
+            code.decode_one(0, {1: stripe[1], 4: stripe[4]})
+        with pytest.raises(IndexError):
+            code.decode_one(5, dict(enumerate(stripe)))

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.gf import field
+from repro.gf.tables import MUL_TABLE
 
 elements = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -174,3 +178,88 @@ class TestBlockKernels:
         b[3] ^= 1
         assert not field.blocks_equal(a, b)
         assert not field.blocks_equal(a, a[:4])
+
+
+class TestPairKernel:
+    """Blocks of at least ``PAIR_FLOOR`` bytes multiply through uint16
+    pair tables; the bytes must equal the one-byte gather's."""
+
+    SIZE = field.PAIR_FLOOR
+
+    @staticmethod
+    def gather(coeff: int, blk: np.ndarray) -> np.ndarray:
+        return MUL_TABLE[coeff][blk]
+
+    def test_every_coefficient_matches_byte_gather(self, rng):
+        blk = rng.integers(0, 256, self.SIZE, dtype=np.uint8)
+        for coeff in range(2, 256):
+            out = field.mul_block(coeff, blk)
+            assert coeff in field._pair_tables  # took the pair path
+            assert out.dtype == np.uint8 and out.shape == blk.shape
+            assert np.array_equal(out, self.gather(coeff, blk)), coeff
+
+    @pytest.mark.parametrize(
+        "layout", ["odd", "read-only", "unaligned", "strided"]
+    )
+    def test_layouts_match_byte_gather(self, rng, layout):
+        data = rng.integers(0, 256, 2 * self.SIZE, dtype=np.uint8)
+        if layout == "strided":
+            blk = data[::2]
+        elif layout == "odd":
+            blk = data[: self.SIZE + 1]
+        elif layout == "read-only":
+            blk = np.frombuffer(data[: self.SIZE].tobytes(), dtype=np.uint8)
+            assert not blk.flags.writeable
+        else:
+            blk = data[1 : self.SIZE + 1]
+            assert not blk.view(np.uint16).flags.aligned
+        for coeff in (2, 37, 255):
+            assert np.array_equal(field.mul_block(coeff, blk),
+                                  self.gather(coeff, blk))
+
+    @pytest.mark.parametrize("coeff", [0, 1, 2, 142, 255])
+    def test_kernels_agree_with_byte_gather(self, rng, coeff):
+        new = rng.integers(0, 256, self.SIZE, dtype=np.uint8)
+        old = rng.integers(0, 256, self.SIZE, dtype=np.uint8)
+        acc = rng.integers(0, 256, self.SIZE, dtype=np.uint8)
+        assert np.array_equal(field.mul_block(coeff, new),
+                              self.gather(coeff, new))
+        expected = acc ^ self.gather(coeff, new)
+        assert field.addmul_block(acc, coeff, new) is acc
+        assert np.array_equal(acc, expected)
+        assert np.array_equal(field.delta_block(coeff, new, old),
+                              self.gather(coeff, new ^ old))
+
+    def test_cache_stays_bounded(self, rng):
+        blk = rng.integers(0, 256, self.SIZE, dtype=np.uint8)
+        for coeff in range(2, 256):
+            field.mul_block(coeff, blk)
+            assert len(field._pair_tables) <= field._PAIR_CACHE_LIMIT
+
+    def test_threads_get_correct_bytes_while_cache_clears(self, rng):
+        blk = rng.integers(0, 256, self.SIZE, dtype=np.uint8)
+        expected = {c: self.gather(c, blk) for c in range(2, 256)}
+        wrong: list[tuple[int, int]] = []
+
+        def worker(seed: int) -> None:
+            order = np.random.default_rng(seed).permutation(np.arange(2, 256))
+            for coeff in map(int, order):
+                acc = np.zeros_like(blk)
+                field.addmul_block(acc, coeff, blk)
+                if not np.array_equal(acc, expected[coeff]):
+                    wrong.append((seed, coeff))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(field._pair_tables) <= field._PAIR_CACHE_LIMIT
