@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.core.cluster import Cluster
 from repro.client.config import ClientConfig
+from repro.net.local import DelayModel
 from repro.workloads.driver import drive_concurrently
 from repro.workloads.patterns import UniformPattern, ZipfPattern
 
@@ -19,10 +20,15 @@ from benchmarks.conftest import print_table
 BLOCKS = 24
 OPS_EACH = 120
 CLIENTS = 3
+#: A modeled network delay, so the clients' writes overlap at every
+#: message as they would on separate hosts; with no delay in-process
+#: clients interleave only at lock waits and the interpreter's switch
+#: interval, and same-block writes rarely race.
+OVERLAP = DelayModel(latency=50e-6)
 
 
 def _run(make_pattern) -> tuple[float, int, int]:
-    cluster = Cluster(k=2, n=4, block_size=128)
+    cluster = Cluster(k=2, n=4, block_size=128, delay=OVERLAP)
     volumes = [
         cluster.client(f"c{i}", ClientConfig(backoff=0.0002)) for i in range(CLIENTS)
     ]

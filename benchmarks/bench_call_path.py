@@ -1,8 +1,9 @@
 """Microbench — interpreted work on the client's call path.
 
 Counts the Python opcodes one operation executes, in every Python frame
-it enters (client, transport, storage node), with ``sys.settrace`` and
-the frame legs of a round run inline on the caller's thread.  Unlike a
+it enters (client, transport, storage node), with ``sys.settrace``.  A
+zero-delay in-process transport runs a round's frame legs on the
+caller's thread, so the count covers every leg.  Unlike a
 timer the count is deterministic, so it tells a few percent of extra
 bookkeeping on the call path apart on any machine:
 
@@ -23,7 +24,6 @@ import sys
 
 import numpy as np
 
-import repro.client.protocol as protocol
 from repro.client.gc import GcManager
 from repro.core.cluster import Cluster
 
@@ -31,19 +31,8 @@ from benchmarks.conftest import bench_record as record
 from benchmarks.conftest import print_table
 
 #: Opcodes per operation on CPython 3.11.
-CEILINGS = {"read": 1013, "write": 4799, "probe": 864, "read_degraded": 11431}
+CEILINGS = {"read": 1003, "write": 4676, "probe": 864, "read_degraded": 11108}
 SLACK = 0.05
-
-
-def _inline_pfor(items, body):
-    """:func:`repro.net.rpc.pfor` without the thread pool."""
-    results = {}
-    for item in items:
-        try:
-            results[item] = body(item)
-        except Exception as exc:
-            results[item] = exc
-    return results
 
 
 def _opcodes(op) -> int:
@@ -103,14 +92,13 @@ def _measure() -> dict[str, int]:
     return counts
 
 
-def bench_call_path(monkeypatch):
+def bench_call_path():
     """Opcodes per call-path operation stay within their ceilings."""
-    monkeypatch.setattr(protocol, "pfor", _inline_pfor)
     counts = _measure()
     assert _measure() == counts  # deterministic
     python = "%d.%d" % sys.version_info[:2]
     print_table(
-        f"Call-path opcodes per operation (CPython {python}, legs inline)",
+        f"Call-path opcodes per operation (CPython {python})",
         ["operation", "opcodes", "ceiling"],
         [[name, count, CEILINGS[name]] for name, count in counts.items()],
     )

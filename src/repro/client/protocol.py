@@ -51,7 +51,7 @@ from repro.gf import field as gf
 from repro.ids import BlockAddr, Tid
 from repro.net.backpressure import BackoffPolicy, RetryBudget
 from repro.net.message import Envelope
-from repro.net.rpc import pfor, _pool_instance
+from repro.net.rpc import _pool_instance
 from repro.net.transport import Transport
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.trace import NULL_TRACER, TraceContext, TraceIdAllocator
@@ -343,7 +343,10 @@ class ProtocolClient:
         timed out or found its node gone).  With ``spans``, each frame
         goes out under a child of the span its first position holds
         there, and every position it carried then holds the frame's span.
-        A round of one position sends its frame from the caller's thread.
+        A round of one position sends its frame from the caller's thread;
+        a wider round's frames are legs of the transport's
+        :meth:`~repro.net.transport.Transport.fan_out`, which decides
+        where they run.
 
         Without ``retry_on`` nothing is re-sent, and a stripe answered
         with a stale stamp has its placement invalidated, counted once
@@ -369,7 +372,7 @@ class ProtocolClient:
             if len(batches) == 1:
                 # One position: no grouping, and its frame goes out from
                 # this thread.  Whatever it raises is its result, as a
-                # pfor leg's is.
+                # fan-out leg's is.
                 (key,) = order = list(batches)
                 try:
                     gen, at, dst = locate(*key, slot)
@@ -418,7 +421,9 @@ class ProtocolClient:
                         *keys[0], *target, op, frame,
                     )
 
-                for target, answer in pfor(sorted(frames), send).items():
+                for target, answer in self.transport.fan_out(
+                    sorted(frames), send
+                ).items():
                     keys = frames[target][0]
                     if isinstance(answer, Exception):
                         answer = [answer] * len(keys)
@@ -1238,9 +1243,12 @@ class ProtocolClient:
                 self.stats.bump("order_retries")
                 self.tracer.emit(self.client_id, "write.order_retry",
                                  stripe=stripe, tid=str(ntid))
-                order_spins += 1
                 otid, done = self._check_ordering(stripe, ntid, otid, done)
+                # Spin 0 restarts the backoff from its base: the wait
+                # for another write's adds is usually short, and must
+                # not inherit the long sleeps of this client's last op.
                 self._sleep_backoff(order_spins)
+                order_spins += 1
             elif retry:
                 self._sleep_backoff(spin)
             todo = retry

@@ -48,7 +48,6 @@ from repro.errors import (
 )
 from repro.net.backpressure import BackoffPolicy
 from repro.net.message import Envelope
-from repro.net.rpc import pfor
 from repro.obs.metrics import NULL_REGISTRY
 from repro.placement.map import PlacementMap
 from repro.obs.trace import NULL_TRACER
@@ -138,12 +137,13 @@ class ReplicatedDirectory:
     def _fanout(self, op: str, *args: object) -> dict[str, object]:
         """One logical quorum round: ``op`` to every replica in parallel.
 
-        Failures come back as exception values (pfor semantics); each
+        Failures come back as exception values (the transport's
+        :meth:`~repro.net.transport.Transport.fan_out`); each
         failed leg is counted as a bounded-cost-audit explainer."""
         metrics = self.metrics
         if metrics.enabled:
             metrics.counter("rpc_rounds_total", kind="directory").inc()
-        results = pfor(
+        results = self.transport.fan_out(
             self.replica_ids, lambda rid: self._call_replica(rid, op, *args)
         )
         if metrics.enabled:

@@ -37,12 +37,13 @@ import random
 import threading
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import NodeBusyError, NodeUnavailableError, RpcTimeoutError
 from repro.net.message import NO_ENVELOPE, Envelope, estimate_size
+from repro.net.rpc import pfor
 from repro.storage.state import ReadResult
 from repro.net.transport import (
     UNATTRIBUTED_KIND,
@@ -76,7 +77,7 @@ def _corrupt_response(result: object, key: tuple) -> object | None:
     bit = int(_unit(*key, "bit") * block.size * 8)
     bit = min(bit, block.size * 8 - 1)
     block[bit // 8] ^= np.uint8(1 << (bit % 8))
-    return [replace(read, block=block)]
+    return [read._replace(block=block)]
 
 
 @dataclass(frozen=True)
@@ -408,6 +409,11 @@ class ChaosTransport(Transport):
         self.inner.heal(side_a, side_b)
 
     # -- faulty messaging ----------------------------------------------------
+
+    def fan_out(self, items, body):
+        # Injected delays, stalls and gray nodes sleep inside a leg, and
+        # a deadline must fire per leg, not after the legs before it.
+        return pfor(items, body)
 
     def _call_impl(
         self,

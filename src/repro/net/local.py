@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.errors import RpcTimeoutError
 from repro.net.message import NO_ENVELOPE, Envelope, estimate_size
+from repro.net.rpc import pfor
 from repro.net.transport import RpcHandler, Transport, classify_outcome as _classify
 
 
@@ -57,6 +58,14 @@ class LocalTransport(Transport):
         super().register(node_id, handler)
         with self._lock:
             self._target_locks.setdefault(node_id, threading.Lock())
+
+    def fan_out(self, items, body):
+        # A modeled delay sleeps in every leg; the pool overlaps those
+        # sleeps as the paper's hosts overlap their network time.  With
+        # no delay a leg waits on nothing outside this interpreter.
+        if self.delay.latency or self.delay.bandwidth:
+            return pfor(items, body)
+        return super().fan_out(items, body)
 
     def _sleep(self, seconds: float) -> None:
         if seconds > 0:

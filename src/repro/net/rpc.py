@@ -1,10 +1,17 @@
-"""Client-side parallel calls (pfor).
+"""Parallel calls on a shared thread pool (pfor).
 
 The paper's pseudocode uses ``pfor`` — a parallel-for over storage
 nodes.  :func:`pfor` reproduces it with a shared thread pool: results
 come back as a dict, and per-target failures are captured as exception
 objects so one crashed node does not abort the batch (the protocol
 decides what a failure means).
+
+The data plane fans out through
+:meth:`~repro.net.transport.Transport.fan_out`, and only a transport
+whose legs can sleep (a modeled delay, injected faults) hands them to
+this pool.  Its other users need real concurrency or sit outside the
+data plane: the hedged read's race, the gray soak's overload burst and
+the FAB/GWGR baselines.
 """
 
 from __future__ import annotations
@@ -17,10 +24,11 @@ from typing import TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-# A process-wide pool is enough: protocol fan-out is small (n <= 32) and
-# pfor bodies are short RPCs.  Sized generously so the frame rounds of
-# several concurrent clients, and the directory fan-outs that a remap
-# starts from inside a frame's leg, do not starve each other.
+# A process-wide pool is enough: fan-out is small (n <= 32) and pfor
+# bodies are short RPCs.  Sized generously so the frame rounds of
+# several concurrent clients on an overlapping transport, the directory
+# fan-outs that a remap starts from inside a frame's leg, hedges and
+# the gray soak's burst do not starve each other.
 _POOL_SIZE = 64
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()

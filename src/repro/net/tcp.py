@@ -2,8 +2,9 @@
 
 The paper's prototype was "implemented in C using RPC in user mode
 running over TCP" (§5.1).  This transport is the Python analogue: every
-storage node listens on a loopback TCP socket served by a thread pool,
-clients keep one connection per (caller, target) pair, and RPCs are
+storage node listens on a loopback TCP socket and serves each accepted
+connection on a thread of its own, clients keep one connection per
+(caller, target) pair, and RPCs are
 length-prefixed pickled ``(op, args, envelope)`` frames.  The
 protocol stack above is completely unchanged —
 ``Cluster(transport=TcpTransport())`` runs the same state
@@ -13,6 +14,8 @@ shortcut.
 
 Fail-stop semantics: crashing a node closes its listener and all of its
 connections; subsequent calls surface as :class:`NodeUnavailableError`.
+The servers are threads of this process, so a fan-out's legs run on the
+caller's thread (:meth:`~repro.net.transport.Transport.fan_out`).
 Pickle is used for framing — acceptable here because both ends are this
 process/test-suite on loopback (never expose this to untrusted peers).
 """

@@ -20,6 +20,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable
+from typing import TypeVar
 
 from repro.errors import (
     NodeBusyError,
@@ -30,6 +31,9 @@ from repro.errors import (
 )
 from repro.net.message import NO_ENVELOPE, Envelope, estimate_size
 from repro.obs.metrics import NULL_REGISTRY
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 #: Callback invoked with the id of a node that just crashed.
 FailureListener = Callable[[str], None]
@@ -260,6 +264,27 @@ class Transport(ABC):
         env: Envelope = NO_ENVELOPE,
     ) -> object:
         """Transport-specific body of :meth:`call` (uninstrumented)."""
+
+    def fan_out(
+        self, items: Iterable[T], body: Callable[[T], R]
+    ) -> dict[T, R | Exception]:
+        """One leg of ``body`` per item, results gathered by item: the
+        paper's ``pfor`` over storage nodes.
+
+        As with :func:`~repro.net.rpc.pfor`, an exception a leg raises
+        is that leg's result, never raised, and the other legs still run.
+        Here the legs run on the caller's thread, in the order given:
+        this transport delivers every message inside this process, so a
+        leg only ever waits on this interpreter and a thread per leg
+        would overlap nothing.  A transport whose delivery can sleep (a
+        modeled delay, an injected fault) runs its legs on the pool."""
+        results: dict[T, R | Exception] = {}
+        for item in items:
+            try:
+                results[item] = body(item)
+            except Exception as exc:  # delivered per-leg
+                results[item] = exc
+        return results
 
     def broadcast(
         self,

@@ -9,8 +9,8 @@ This module mirrors the global variables of the paper's Figs. 4-6:
 * ``recentlist`` / ``oldlist`` — sets of (tid, time) recording which
   WRITEs touched the block; the consistency oracle of recovery.
 
-The result dataclasses carry exactly the tuples the pseudocode returns
-(e.g. ``swap`` returns <block, epoch, otid, lmode>).
+The result types are named tuples carrying exactly the tuples the
+pseudocode returns (e.g. ``swap`` returns <block, epoch, otid, lmode>).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +50,7 @@ class CheckTidStatus(enum.Enum):
     NOCHANGE = "NOCHANGE"
 
 
-@dataclass(frozen=True, slots=True)
-class TidEntry:
+class TidEntry(NamedTuple):
     """One recentlist/oldlist item: a tid plus the node-local time it
     was recorded (used to find "the tid with largest time" in swap and
     to detect stale unfinished writes in the monitor)."""
@@ -60,35 +60,30 @@ class TidEntry:
     wall_time: float  # wall-clock stamp for staleness monitoring
 
 
-@dataclass(frozen=True, slots=True)
-class ReadResult:
+class ReadResult(NamedTuple):
     block: np.ndarray | None  # None is the pseudocode's bottom
     lmode: LockMode
 
 
-@dataclass(frozen=True, slots=True)
-class SwapResult:
+class SwapResult(NamedTuple):
     block: np.ndarray | None
     epoch: int
     otid: Tid | None
     lmode: LockMode
 
 
-@dataclass(frozen=True, slots=True)
-class AddResult:
+class AddResult(NamedTuple):
     status: AddStatus
     opmode: OpMode
     lmode: LockMode
 
 
-@dataclass(frozen=True, slots=True)
-class TryLockResult:
+class TryLockResult(NamedTuple):
     ok: bool
     oldlmode: LockMode  # mode to restore if the recovery aborts
 
 
-@dataclass(frozen=True, slots=True)
-class StateSnapshot:
+class StateSnapshot(NamedTuple):
     """What ``get_state`` returns for recovery (Fig. 6 line 28).
 
     Deviation from the paper noted in DESIGN.md: ``block`` is returned
@@ -109,8 +104,7 @@ class StateSnapshot:
     fingerprint: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class FingerprintResult:
+class FingerprintResult(NamedTuple):
     """What the ``fingerprint`` RPC returns: the digest recorded when
     the block was last legitimately mutated (``stored``), the digest of
     the bytes the node would serve right now (``live``), and enough

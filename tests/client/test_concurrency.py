@@ -17,6 +17,14 @@ import pytest
 
 from repro.client.config import ClientConfig, WriteStrategy
 from repro.core.cluster import Cluster
+from repro.net.local import DelayModel
+
+#: A modeled network delay.  It puts a round's legs on the pool, and
+#: each message's sleep lets the other clients' threads run, so these
+#: clients overlap at every message as clients on separate hosts do.
+#: With no delay, in-process clients interleave only at lock waits and
+#: the interpreter's switch interval.
+OVERLAP = DelayModel(latency=50e-6)
 
 
 @dataclass
@@ -86,7 +94,7 @@ class TestDifferentBlocksSameStripe:
         "strategy", [WriteStrategy.SERIAL, WriteStrategy.PARALLEL, WriteStrategy.BROADCAST]
     )
     def test_two_writers_converge_consistent(self, strategy):
-        cluster = Cluster(k=2, n=4, block_size=64)
+        cluster = Cluster(k=2, n=4, block_size=64, delay=OVERLAP)
         a = cluster.protocol_client("a", ClientConfig(strategy=strategy))
         b = cluster.protocol_client("b", ClientConfig(strategy=strategy))
 
@@ -100,7 +108,7 @@ class TestDifferentBlocksSameStripe:
         assert b.read(0, 1)[0] == (100 + 39) % 256
 
     def test_many_writers_many_stripes(self):
-        cluster = Cluster(k=3, n=5, block_size=32)
+        cluster = Cluster(k=3, n=5, block_size=32, delay=OVERLAP)
         clients = [cluster.protocol_client(f"c{i}") for i in range(4)]
 
         def worker(client, seed):
@@ -119,7 +127,7 @@ class TestDifferentBlocksSameStripe:
 
 class TestSameBlock:
     def test_concurrent_same_block_writes_serialize(self):
-        cluster = Cluster(k=2, n=4, block_size=64)
+        cluster = Cluster(k=2, n=4, block_size=64, delay=OVERLAP)
         clients = [cluster.protocol_client(f"c{i}") for i in range(3)]
         written: set[int] = set()
         lock = threading.Lock()
@@ -139,7 +147,7 @@ class TestSameBlock:
         assert final in written  # never garbage
 
     def test_regular_register_semantics_under_contention(self):
-        cluster = Cluster(k=2, n=4, block_size=64)
+        cluster = Cluster(k=2, n=4, block_size=64, delay=OVERLAP)
         writer_clients = [cluster.protocol_client(f"w{i}") for i in range(2)]
         reader = cluster.protocol_client("r")
         checker = HistoryChecker()
@@ -171,7 +179,7 @@ class TestSameBlock:
 
 class TestReadersDontBlockWriters:
     def test_interleaved_read_write_throughput(self):
-        cluster = Cluster(k=2, n=4, block_size=32)
+        cluster = Cluster(k=2, n=4, block_size=32, delay=OVERLAP)
         writer = cluster.protocol_client("w")
         readers = [cluster.protocol_client(f"r{i}") for i in range(3)]
         done = threading.Event()

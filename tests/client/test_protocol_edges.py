@@ -132,3 +132,25 @@ class TestHybridGrouping:
         )
         vol.write(0, 0, fill(32, 7))
         assert cluster.stripe_consistent(0)
+
+
+class TestOrderBackoff:
+    def test_first_order_retry_backs_off_from_the_base(self, small_cluster):
+        """A write whose adds meet ORDER sleeps its backoff sequence from
+        attempt 0 (which resets the policy to its base), so its first
+        wait does not inherit the long sleeps of the client's earlier
+        operations."""
+        stalled = small_cluster.protocol_client("stalled")
+        # A write that swapped and never sent its adds: the redundant
+        # nodes have not seen its tid, so the next write meets ORDER.
+        stalled.rpc("write", 0, 0, "swap", fill(64, 1), stalled._next_tid(0))
+        writer = small_cluster.protocol_client(
+            "writer", ClientConfig(order_retry_limit=2)
+        )
+        attempts: list[int] = []
+        writer._sleep_backoff = attempts.append
+        writer.write(0, 0, fill(64, 2))
+        assert writer.stats.order_retries >= 2
+        assert attempts[:2] == [0, 1]
+        assert writer.read(0, 0)[0] == 2
+        assert small_cluster.stripe_consistent(0)
