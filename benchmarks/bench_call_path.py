@@ -11,7 +11,10 @@ bookkeeping on the call path apart on any machine:
   :meth:`~repro.client.protocol.ProtocolClient.rpc`) on a 4-of-6
   volume of 1 KiB blocks;
 * ``read_degraded`` of a healthy stripe on a 6-of-9 volume of 8 KiB
-  blocks: one ``get_state`` frame round over nine positions.
+  blocks: one ``get_state`` frame round over nine positions;
+* ``wire_read``, ``wire_swap`` and ``wire_add``: the TCP codec
+  (:mod:`repro.net.wire`) encoding and decoding one such request and
+  its answer, 1 KiB block payloads included.
 
 Each count must stay within 5 % of its ceiling.  The ceilings are
 CPython 3.11 counts (other versions compile to other opcodes, so there
@@ -26,12 +29,26 @@ import numpy as np
 
 from repro.client.gc import GcManager
 from repro.core.cluster import Cluster
+from repro.ids import BlockAddr, Tid
+from repro.net import wire
+from repro.net.message import Envelope
+from repro.storage.state import (
+    AddResult,
+    AddStatus,
+    LockMode,
+    OpMode,
+    ReadResult,
+    SwapResult,
+)
 
 from benchmarks.conftest import bench_record as record
 from benchmarks.conftest import print_table
 
 #: Opcodes per operation on CPython 3.11.
-CEILINGS = {"read": 1003, "write": 4676, "probe": 864, "read_degraded": 11108}
+CEILINGS = {
+    "read": 1003, "write": 4676, "probe": 864, "read_degraded": 11108,
+    "wire_read": 668, "wire_swap": 963, "wire_add": 942,
+}
 SLACK = 0.05
 
 
@@ -70,6 +87,40 @@ def _client(k: int, n: int, block_size: int):
     return client
 
 
+def _wire_round_trip(op: str, args: tuple, answer: list):
+    """One request and its answer through the codec, both ways."""
+    env = Envelope("read" if op == "read" else "write")
+
+    def run():
+        code, _, _, _ = wire.decode_request(
+            wire.encode_request(op, (args,), env)[wire.PREFIX.size:]
+        )
+        wire.decode_answer(
+            code, wire.encode_answer(code, answer)[wire.PREFIX.size:]
+        )
+
+    return run
+
+
+def _wire_ops() -> dict:
+    addr = BlockAddr("vol", 12, 1)
+    block = _block(1024, 3)
+    ntid, otid = Tid(41, 1, "bench-0"), Tid(40, 1, "bench-1")
+    return {
+        "wire_read": _wire_round_trip(
+            "read", {addr: (None, ())}, [ReadResult(block, LockMode.UNL)]
+        ),
+        "wire_swap": _wire_round_trip(
+            "swap", {addr: (None, (block, ntid))},
+            [SwapResult(block, 0, otid, LockMode.UNL)],
+        ),
+        "wire_add": _wire_round_trip(
+            "add", {addr.sibling(4): (None, (block, ntid, otid, 0))},
+            [AddResult(AddStatus.OK, OpMode.NORM, LockMode.UNL)],
+        ),
+    }
+
+
 def _measure() -> dict[str, int]:
     small = _client(4, 6, 1024)
     value = _block(1024, 9)
@@ -88,6 +139,9 @@ def _measure() -> dict[str, int]:
         # same node state.
         gc.run_once()
         gc.run_once()
+        counts[name] = _opcodes(op)
+    for name, op in _wire_ops().items():
+        op()
         counts[name] = _opcodes(op)
     return counts
 

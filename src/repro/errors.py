@@ -19,7 +19,7 @@ class ReproError(Exception):
     """Base class for all errors raised by this package."""
 
     def __reduce__(self):
-        # Survive pickling over TcpTransport with fields intact.
+        # Survive pickling with fields intact.
         return _rebuild, (type(self), self.args, self.__dict__)
 
 

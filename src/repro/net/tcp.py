@@ -4,8 +4,12 @@ The paper's prototype was "implemented in C using RPC in user mode
 running over TCP" (§5.1).  This transport is the Python analogue: every
 storage node listens on a loopback TCP socket and serves each accepted
 connection on a thread of its own, clients keep one connection per
-(caller, target) pair, and RPCs are
-length-prefixed pickled ``(op, args, envelope)`` frames.  The
+(caller, target) pair, and every request and answer is one
+length-prefixed frame in the spelled-out layout of
+:mod:`repro.net.wire`: a fixed ``struct`` layout per storage and
+directory op, a tagged layout over a closed type set for everything
+else.  Decoding runs no code a peer chose, so a malformed or hostile
+frame costs the receiver the connection and nothing more.  The
 protocol stack above is completely unchanged —
 ``Cluster(transport=TcpTransport())`` runs the same state
 machines over real kernel sockets, which the integration tests use to
@@ -13,52 +17,48 @@ check that nothing in the protocol secretly relies on the in-process
 shortcut.
 
 Fail-stop semantics: crashing a node closes its listener and all of its
-connections; subsequent calls surface as :class:`NodeUnavailableError`.
+connections; subsequent calls surface as :class:`NodeUnavailableError`,
+and so does an answer that does not decode.
 The servers are threads of this process, so a fan-out's legs run on the
 caller's thread (:meth:`~repro.net.transport.Transport.fan_out`).
-Pickle is used for framing — acceptable here because both ends are this
-process/test-suite on loopback (never expose this to untrusted peers).
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
-import struct
 import threading
 
 from repro.errors import NodeUnavailableError, RpcTimeoutError, UnknownNodeError
+from repro.net import wire
 from repro.net.message import NO_ENVELOPE, Envelope
 from repro.net.transport import RpcHandler, Transport
 
-_HEADER = struct.Struct("!I")
 _MAX_FRAME = 64 * 1024 * 1024
 #: Seconds a dial to a node's listener may take before the node counts
 #: as unavailable (per-call deadlines bound the round trip itself).
 _CONNECT_TIMEOUT = 10.0
 
 
-def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, size: int) -> bytes:
-    chunks = []
-    remaining = size
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    """Fill ``view`` from ``sock``."""
+    while view:
+        got = sock.recv_into(view)
+        if not got:
             raise ConnectionError("peer closed")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        view = view[got:]
 
 
-def _recv_frame(sock: socket.socket) -> bytes:
-    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+def _recv_frame(sock: socket.socket) -> bytearray:
+    """One frame's body, read into a buffer of its own: decoded blocks
+    are views over it, so it is never reused."""
+    prefix = bytearray(wire.PREFIX.size)
+    _recv_into(sock, memoryview(prefix))
+    (length,) = wire.PREFIX.unpack(prefix)
     if length > _MAX_FRAME:
         raise ConnectionError(f"frame of {length} bytes exceeds limit")
-    return _recv_exact(sock, length)
+    body = bytearray(length)
+    _recv_into(sock, memoryview(body))
+    return body
 
 
 class _NodeServer:
@@ -102,23 +102,26 @@ class _NodeServer:
     def _serve(self, conn: socket.socket) -> None:
         try:
             while True:
-                op, args, env = pickle.loads(_recv_frame(conn))
+                # A frame that does not decode raises WireError, a
+                # ConnectionError: the connection closes unanswered.
+                code, op, args, env = wire.decode_request(_recv_frame(conn))
                 try:
                     controller = self.admission()
                     if controller is not None:
                         # Shed before service: the reject costs the
                         # node no handler time, and NodeBusyError
-                        # travels back as an ordinary ("err", exc).
+                        # travels back as an ordinary error answer.
                         controller.acquire(self.node_id, op=op)
                     try:
-                        result = ("ok", self.handler.handle(op, *args, env=env))
+                        result = self.handler.handle(op, *args, env=env)
                     finally:
                         if controller is not None:
                             controller.release(self.node_id)
+                    reply = wire.encode_answer(code, result)
                 except Exception as exc:  # deliver server-side errors
-                    result = ("err", exc)
-                _send_frame(conn, pickle.dumps(result))
-        except (ConnectionError, OSError, EOFError):
+                    reply = wire.encode_error(exc)
+                conn.sendall(reply)
+        except (ConnectionError, OSError):
             pass
         finally:
             conn.close()
@@ -212,40 +215,50 @@ class TcpTransport(Transport):
         env: Envelope = NO_ENVELOPE,
     ) -> object:
         self._check_reachable(src, dst)
-        request = pickle.dumps((op, args, env))
+        request = wire.encode_request(op, args, env)
         self._record_request(op, args, env.kind)
         conn, lock = self._connection(src, dst)
+        timeout = env.timeout
         try:
             with lock:
-                conn.settimeout(env.timeout)
-                try:
-                    _send_frame(conn, request)
+                if timeout is None:
+                    conn.sendall(request)
                     payload = _recv_frame(conn)
-                finally:
-                    conn.settimeout(None)
+                else:
+                    # Each settimeout toggles the socket's blocking mode
+                    # with a syscall: only a call with a deadline pays.
+                    conn.settimeout(timeout)
+                    try:
+                        conn.sendall(request)
+                        payload = _recv_frame(conn)
+                    finally:
+                        conn.settimeout(None)
+            # The answer's layout is the request's op code, the first
+            # byte of its body.
+            failed, result = wire.decode_answer(request[wire.PREFIX.size], payload)
         except socket.timeout as exc:
             # The stream position is now unknown (a late reply would
             # desync framing); drop the connection and report a timeout,
             # which is suspicion — not proof — of failure.
-            with self._lock:
-                stale = self._conns.pop((src, dst), None)
-            if stale is not None:
-                stale.close()
-            raise RpcTimeoutError(dst, op, env.timeout) from exc
+            self._drop(src, dst)
+            raise RpcTimeoutError(dst, op, timeout) from exc
         except (ConnectionError, OSError) as exc:
-            with self._lock:
-                stale = self._conns.pop((src, dst), None)
-            if stale is not None:
-                stale.close()
+            # Also an answer that does not decode (WireError).
+            self._drop(src, dst)
             # Distinguish a crash (fail-stop, detectable) from a race
             # where the node was re-registered mid-call.
             self._check_reachable(src, dst)
             raise NodeUnavailableError(dst, f"connection failed: {exc}") from exc
-        status, result = pickle.loads(payload)
         self._record_response(op, result, env.kind)
-        if status == "err":
+        if failed:
             raise result
         return result
+
+    def _drop(self, src: str, dst: str) -> None:
+        with self._lock:
+            stale = self._conns.pop((src, dst), None)
+        if stale is not None:
+            stale.close()
 
     def close(self) -> None:
         """Shut down all listeners and connections (test teardown)."""

@@ -1,18 +1,23 @@
-"""Pickle-safety audit: every error must survive the TCP wire intact.
+"""Error fidelity audit: every error must survive the TCP wire intact.
 
-``TcpTransport`` ships a server-side exception back to the caller as a
-pickled ``("err", exc)`` frame and re-raises the unpickled object.  An
-exception whose ``__init__`` signature differs from ``(message,)``
-silently breaks under the *default* pickle path — it is re-constructed
-with the rendered message as its first field, corrupting attributes
-(this bit ``StalePlacementError`` and ``CorruptionDetected`` in earlier
-PRs before they grew ``__reduce__``).
+``TcpTransport`` ships a server-side exception back to the caller as an
+error answer in the wire codec's registered error taxonomy
+(:mod:`repro.net.wire`: a class code, the error's ``args`` and its
+attributes) and re-raises the decoded object.  Errors also still cross
+pickle (schedule replay artifacts), where an exception whose
+``__init__`` signature differs from ``(message,)`` silently breaks
+under the *default* path — it is re-constructed with the rendered
+message as its first field, corrupting attributes (this bit
+``StalePlacementError`` and ``CorruptionDetected`` in earlier PRs before
+they grew ``__reduce__``).
 
 This suite is the proactive version of those fixes: one representative
 instance of **every** concrete error class crosses a real TCP
-round-trip, and a registry-completeness check fails the moment someone
-adds a new ``ReproError`` subclass without registering a sample here —
-the next incident is caught at review time, not in a soak.
+round-trip and a raw pickle round-trip, and a registry-completeness
+check fails the moment someone adds a new ``ReproError`` subclass
+without registering a sample here — the next incident is caught at
+review time, not in a soak.  ``tests/net/test_wire.py`` checks every
+sample is in the codec's taxonomy.
 """
 
 from __future__ import annotations
@@ -141,8 +146,8 @@ def tcp():
 
 # ClientCrash is excluded from the wire case on purpose: it is a
 # BaseException modeling fail-stop death, and the TCP server's
-# ``except Exception`` deliberately does NOT convert it into an
-# ("err", exc) frame — a dead client never replies.  Its pickle
+# ``except Exception`` deliberately does NOT convert it into an error
+# answer — a dead client never replies.  Its pickle
 # fidelity still matters (schedule replay artifacts), covered by the
 # raw-pickle case below.
 WIRE_SAMPLES = [cls for cls in SAMPLES if cls is not ClientCrash]

@@ -204,8 +204,9 @@ class Liar(RpcHandler):
 
 class TestIntegrityErrorsOverTheWire:
     def test_corruption_detected_over_tcp(self, tcp):
-        """The exception crosses the pickle boundary with every field
-        intact (it defines __reduce__ for its positional __init__)."""
+        """The exception crosses the wire codec with every field intact
+        (it is rebuilt from its args and attributes, never by its
+        positional __init__)."""
         from repro.errors import CorruptionDetected
 
         tcp.register("server", Liar())
