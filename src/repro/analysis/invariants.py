@@ -187,8 +187,8 @@ def check_stripe(
         # Opt-in (not in STRIPE_INVARIANTS): at quiescence every NORM
         # block's bytes must match the digest sealed at its last
         # legitimate mutation — any split means at-rest corruption
-        # survived repair.  Positions without a fingerprint (restored
-        # from pre-fingerprint records) are unverifiable, not wrong.
+        # survived repair.  Positions without a fingerprint (never
+        # sealed) are unverifiable, not wrong.
         stale = {
             j: st.fingerprint
             for j, st in states.items()

@@ -33,6 +33,10 @@ class up by name: a code indexes one of these tables, and a code, tag,
 length or enum index outside them is a :class:`WireError`.  Encoding a
 value outside the set is a :class:`TypeError` at the sender.  The
 layout table is the spec; ``docs/PROTOCOL.md`` §10 spells it out.
+
+A **WAL record** (what ``storage/wal.py`` frames on its media) is the
+same codec: a head (stripe, index, epoch, volume name), then the
+``get_state`` answer layout with its tid entries sorted.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from repro.net.message import NO_ENVELOPE, Envelope
 from repro.storage.state import (
     AddResult,
     AddStatus,
+    BlockState,
     CheckTidStatus,
     FingerprintResult,
     LockMode,
@@ -223,9 +228,8 @@ def _get_entries(buf, pos: int) -> tuple[frozenset[TidEntry], int]:
     found = []
     for _ in range(count):
         tid, pos = _get_tid(buf, pos)
-        seq_time, wall_time = _STAMP.unpack_from(buf, pos)
+        found.append(_new(TidEntry, (tid, *_STAMP.unpack_from(buf, pos))))
         pos += _STAMP.size
-        found.append(TidEntry(tid, seq_time, wall_time))
     return frozenset(found), pos
 
 
@@ -1175,3 +1179,49 @@ def decode_answer(code: int, buf) -> tuple[bool, object]:
     if pos != len(buf):
         raise WireError(f"answer of {len(buf)} bytes holds {pos}")
     return status == _ERR, value
+
+
+# -- WAL records ---------------------------------------------------------
+
+#: WAL record head: stripe, index, epoch (the volume name follows)
+_RECORD = struct.Struct("<qiq")
+
+
+def encode_record(addr: BlockAddr, state: BlockState) -> bytes:
+    """A WAL record: ``addr`` and the slot's epoch, then its durable
+    state in the ``get_state`` answer layout.  Lock fields are volatile
+    and not written; tid entries go sorted, so equal states encode to
+    equal bytes."""
+    out = bytearray(_RECORD.pack(addr.stripe, addr.index, state.epoch))
+    _put_name(out, addr.volume)
+    _put_state(out, StateSnapshot(
+        state.opmode, state.recons_set, sorted(state.oldlist),
+        sorted(state.recentlist), state.block, state.fingerprint,
+    ))
+    return bytes(out)
+
+
+def decode_record(payload) -> tuple[BlockAddr, BlockState]:
+    """Inverse of :func:`encode_record`, lock fields UNL.  The block is
+    a writable view over a private copy of ``payload``.  WireError when
+    ``payload`` does not fit the layout exactly."""
+    buf = bytearray(payload)
+    try:
+        stripe, index, epoch = _RECORD.unpack_from(buf)
+        volume, pos = _get_name(buf, _RECORD.size)
+        snap, pos = _get_state(buf, pos)
+    except _DECODE_ERRORS as exc:
+        raise WireError(f"malformed WAL record: {exc!r}") from exc
+    if pos != len(buf):
+        raise WireError(f"WAL record of {len(buf)} bytes holds {pos}")
+    if snap.block is None:
+        raise WireError("WAL record without a block")
+    return BlockAddr(volume, stripe, index), BlockState(
+        block=snap.block,
+        opmode=snap.opmode,
+        epoch=epoch,
+        recentlist=set(snap.recentlist),
+        oldlist=set(snap.oldlist),
+        recons_set=snap.recons_set,
+        fingerprint=snap.fingerprint,
+    )

@@ -99,8 +99,7 @@ class StateSnapshot(NamedTuple):
     recentlist: frozenset[TidEntry]
     block: np.ndarray | None
     #: Content fingerprint recorded when ``block`` was last mutated
-    #: (None for INIT garbage and for states restored from pre-
-    #: fingerprint WAL records).
+    #: (None for INIT garbage).
     fingerprint: str | None = None
 
 
@@ -112,7 +111,7 @@ class FingerprintResult(NamedTuple):
     ``stored != live`` means the medium corrupted the block at rest —
     every legitimate mutation path updates both under the node lock."""
 
-    stored: str | None  # None: INIT garbage or pre-fingerprint state
+    stored: str | None  # None: INIT garbage, never sealed
     live: str
     opmode: OpMode
     pending: bool  # recentlist non-empty: writes not yet collected

@@ -11,8 +11,13 @@ of that story:
   append-only log and synced (write-ahead, sync-on-commit);
 * each record is a **full image** of one block slot's durable state —
   block bytes, ``opmode``, ``epoch``, ``recentlist``/``oldlist``,
-  ``recons_set`` — so replay is a pure last-writer-wins fold over
-  (addr, lsn) and is idempotent and order-insensitive by construction;
+  ``recons_set``, ``fingerprint`` — so replay is a pure last-writer-wins
+  fold over (addr, lsn) and is idempotent and order-insensitive by
+  construction;
+* a record is :func:`repro.net.wire.encode_record`: the address and
+  epoch, then the ``get_state`` answer layout the TCP wire already
+  spells out.  Replay only parses it — media bytes never run code — and
+  a payload that does not decode exactly is a torn record;
 * the log is periodically compacted into a snapshot (one record per
   live address, rewritten atomically);
 * the store holds no live state of its own: the node's block map is
@@ -42,18 +47,16 @@ rebuild — durability faults are detected, never silently absorbed.
 
 from __future__ import annotations
 
-import pickle
 import struct
 import threading
 import zlib
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
-from repro.ids import BlockAddr, Tid
+from repro.ids import BlockAddr
 from repro.net.chaos import _unit
+from repro.net.wire import WireError, decode_record, encode_record
 from repro.obs.metrics import NULL_REGISTRY
-from repro.storage.state import BlockState, LockMode, OpMode, TidEntry
+from repro.storage.state import BlockState
 from repro.storage.store import BlockStore
 
 #: Frame header: LSN (8 bytes), payload length (4), payload CRC32 (4).
@@ -65,87 +68,31 @@ SNAPSHOT_EVERY = 256
 
 
 # ---------------------------------------------------------------------------
-# record codec
+# frames
 # ---------------------------------------------------------------------------
-
-
-def state_to_record(addr: BlockAddr, state: BlockState) -> dict:
-    """Project the *durable* part of a :class:`BlockState` to a plain
-    dict (lock fields are volatile and deliberately dropped)."""
-
-    def entries(items: set[TidEntry]) -> list[tuple]:
-        return sorted(
-            (e.tid.seq, e.tid.index, e.tid.client, e.seq_time, e.wall_time)
-            for e in items
-        )
-
-    return {
-        "addr": (addr.volume, addr.stripe, addr.index),
-        "opmode": state.opmode.value,
-        "epoch": state.epoch,
-        "recons": None
-        if state.recons_set is None
-        else sorted(state.recons_set),
-        "recent": entries(state.recentlist),
-        "old": entries(state.oldlist),
-        "block": state.block.tobytes(),
-        # Persisted alongside the bytes (not recomputed at replay): a
-        # media flip that damages "block" leaves this digest stale, so
-        # at-rest corruption stays detectable across a crash-restart.
-        "fingerprint": state.fingerprint,
-    }
-
-
-def record_to_state(record: dict) -> tuple[BlockAddr, BlockState]:
-    """Inverse of :func:`state_to_record`; lock fields come back UNL."""
-
-    def entries(items: list[tuple]) -> set[TidEntry]:
-        return {
-            TidEntry(tid=Tid(seq, index, client), seq_time=st, wall_time=wt)
-            for seq, index, client, st, wt in items
-        }
-
-    volume, stripe, index = record["addr"]
-    block = np.frombuffer(bytes(record["block"]), dtype=np.uint8).copy()
-    state = BlockState(
-        block=block,
-        opmode=OpMode(record["opmode"]),
-        lmode=LockMode.UNL,
-        epoch=record["epoch"],
-        recentlist=entries(record["recent"]),
-        oldlist=entries(record["old"]),
-        recons_set=None
-        if record["recons"] is None
-        else frozenset(record["recons"]),
-        # .get: records written before fingerprints existed restore
-        # with None (unverifiable, not wrong).
-        fingerprint=record.get("fingerprint"),
-    )
-    return BlockAddr(volume, stripe, index), state
-
-
-def _encode_record(record: dict) -> bytes:
-    """A record's frame payload: what the log keeps per address."""
-    return pickle.dumps(record, protocol=4)
 
 
 def _frame(lsn: int, payload: bytes) -> bytes:
     return _FRAME.pack(lsn, len(payload), zlib.crc32(payload)) + payload
 
 
-def encode_frame(lsn: int, record: dict) -> bytes:
-    return _frame(lsn, _encode_record(record))
+def encode_frame(lsn: int, addr: BlockAddr, state: BlockState) -> bytes:
+    return _frame(lsn, encode_record(addr, state))
 
 
-def decode_frame(data: bytes) -> tuple[int, dict] | None:
-    """Parse one frame; None means torn (short or checksum mismatch)."""
+def decode_frame(data: bytes) -> tuple[int, BlockAddr, BlockState] | None:
+    """Parse one frame; None means torn (short, checksum mismatch, or a
+    payload that is not a record)."""
     if len(data) < _FRAME.size:
         return None
     lsn, length, crc = _FRAME.unpack_from(data)
-    payload = data[_FRAME.size :]
+    payload = memoryview(data)[_FRAME.size :]
     if len(payload) != length or zlib.crc32(payload) != crc:
         return None
-    return lsn, pickle.loads(payload)
+    try:
+        return lsn, *decode_record(payload)
+    except WireError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +260,13 @@ def _flip_block_bit(frame: bytes, frac: float) -> bytes | None:
     (a unit draw) selects which bit.  None when the frame has no block
     to corrupt (already torn, or unparseable)."""
     parsed = decode_frame(frame)
-    if parsed is None:
+    if parsed is None or not parsed[2].block.size:
         return None
-    lsn, record = parsed
-    block = record.get("block")
-    if not block:
-        return None
-    data = bytearray(block)
-    bit = min(int(frac * len(data) * 8), len(data) * 8 - 1)
-    data[bit // 8] ^= 1 << (bit % 8)
-    record = dict(record)
-    record["block"] = bytes(data)
-    return encode_frame(lsn, record)
+    lsn, addr, state = parsed
+    block = state.block  # a private, writable copy of the frame's block
+    bit = min(int(frac * block.size * 8), block.size * 8 - 1)
+    block[bit // 8] ^= 1 << (bit % 8)
+    return encode_frame(lsn, addr, state)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +285,17 @@ class ReplayResult:
     max_lsn: int = 0
 
 
-def fold_records(records: list[tuple[int, dict]]) -> dict[BlockAddr, BlockState]:
+def fold_records(
+    records: list[tuple[int, BlockAddr, BlockState]],
+) -> dict[BlockAddr, BlockState]:
     """Last-writer-wins fold: for each address keep the record with the
     highest LSN.  Pure, idempotent, order-insensitive — the property
     the WAL's full-image record format buys."""
-    best: dict[BlockAddr, tuple[int, dict]] = {}
-    for lsn, record in records:
-        addr = BlockAddr(*record["addr"])
+    best: dict[BlockAddr, tuple[int, BlockState]] = {}
+    for lsn, addr, state in records:
         if addr not in best or lsn > best[addr][0]:
-            best[addr] = (lsn, record)
-    out: dict[BlockAddr, BlockState] = {}
-    for lsn, record in best.values():
-        addr, state = record_to_state(record)
-        out[addr] = state
-    return out
+            best[addr] = (lsn, state)
+    return {addr: state for addr, (_, state) in best.items()}
 
 
 def replay(frames: list[bytes], header_lsn: int) -> ReplayResult:
@@ -364,12 +303,13 @@ def replay(frames: list[bytes], header_lsn: int) -> ReplayResult:
 
     Damage taxonomy (all make the result *dirty*, states empty):
 
-    * **torn record** — a frame fails to parse (short / CRC mismatch);
+    * **torn record** — a frame fails to parse (short, CRC mismatch, or
+      a payload that does not decode as a record);
     * **lost record** — LSNs are not consecutive (a middle frame gone);
     * **lost tail**   — the last parsed LSN is behind the commit header.
     """
     result = ReplayResult()
-    records: list[tuple[int, dict]] = []
+    records: list[tuple[int, BlockAddr, BlockState]] = []
     prev_lsn: int | None = None
     for i, frame in enumerate(frames):
         decoded = decode_frame(frame)
@@ -377,7 +317,7 @@ def replay(frames: list[bytes], header_lsn: int) -> ReplayResult:
             result.clean = False
             result.reason = f"torn record at frame {i}"
             return result
-        lsn, record = decoded
+        lsn = decoded[0]
         if prev_lsn is not None and lsn != prev_lsn + 1:
             result.clean = False
             result.reason = (
@@ -385,7 +325,7 @@ def replay(frames: list[bytes], header_lsn: int) -> ReplayResult:
             )
             return result
         prev_lsn = lsn
-        records.append((lsn, record))
+        records.append(decoded)
     result.records = len(records)
     result.max_lsn = prev_lsn or 0
     if result.max_lsn < header_lsn:
@@ -456,7 +396,7 @@ class WalStore(BlockStore):
             payload = self._records.get(addr)
         if payload is None:
             return None
-        return record_to_state(pickle.loads(payload))[1]
+        return decode_record(payload)[1]
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -479,7 +419,7 @@ class WalStore(BlockStore):
         with self._lock:
             if result.clean:
                 self._records = {
-                    addr: _encode_record(state_to_record(addr, state))
+                    addr: encode_record(addr, state)
                     for addr, state in result.states.items()
                 }
                 self._lsn = max(result.max_lsn, self._lsn)
@@ -498,7 +438,7 @@ class WalStore(BlockStore):
     # -- internals -----------------------------------------------------------
 
     def _append(self, addr: BlockAddr, state: BlockState) -> None:
-        payload = _encode_record(state_to_record(addr, state))
+        payload = encode_record(addr, state)
         with self._lock:
             if not self._open:
                 raise RuntimeError("WalStore is crashed; reopen() first")

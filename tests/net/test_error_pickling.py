@@ -3,10 +3,11 @@
 ``TcpTransport`` ships a server-side exception back to the caller as an
 error answer in the wire codec's registered error taxonomy
 (:mod:`repro.net.wire`: a class code, the error's ``args`` and its
-attributes) and re-raises the decoded object.  Errors also still cross
-pickle (schedule replay artifacts), where an exception whose
+attributes) and re-raises the decoded object.  Nothing in the package
+pickles errors any more; the raw-pickle case guards ``errors.py``'s
+``__reduce__`` for callers who do.  Without it an exception whose
 ``__init__`` signature differs from ``(message,)`` silently breaks
-under the *default* path — it is re-constructed with the rendered
+under pickle's *default* path — it is re-constructed with the rendered
 message as its first field, corrupting attributes (this bit
 ``StalePlacementError`` and ``CorruptionDetected`` in earlier PRs before
 they grew ``__reduce__``).
@@ -147,9 +148,8 @@ def tcp():
 # ClientCrash is excluded from the wire case on purpose: it is a
 # BaseException modeling fail-stop death, and the TCP server's
 # ``except Exception`` deliberately does NOT convert it into an error
-# answer — a dead client never replies.  Its pickle
-# fidelity still matters (schedule replay artifacts), covered by the
-# raw-pickle case below.
+# answer — a dead client never replies.  Its ``__reduce__`` is still
+# covered by the raw-pickle case below.
 WIRE_SAMPLES = [cls for cls in SAMPLES if cls is not ClientCrash]
 
 

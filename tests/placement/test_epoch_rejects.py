@@ -95,7 +95,7 @@ class TestEpochRejectAcrossRemap:
             {BlockAddr("vol0", stripe, moved): (0, ())},
         )
         # The stale stamp is the address's answer, and it crossed the
-        # transport intact (pickled over TCP).
+        # transport intact (in the wire codec's error taxonomy over TCP).
         assert isinstance(answer, StalePlacementError)
         assert answer.stripe == stripe
         assert answer.seen_gen == 0

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ids import BlockAddr, Tid
+from repro.net import wire
+from repro.net.wire import WireError, decode_record, encode_record
 from repro.storage import wal
-from repro.storage.state import BlockState, LockMode, OpMode, TidEntry
+from repro.storage.state import (
+    BlockState,
+    LockMode,
+    OpMode,
+    StateSnapshot,
+    TidEntry,
+)
 from repro.storage.wal import (
     MediaFaultPlan,
     SimMedia,
@@ -17,9 +29,7 @@ from repro.storage.wal import (
     decode_frame,
     encode_frame,
     fold_records,
-    record_to_state,
     replay,
-    state_to_record,
 )
 
 
@@ -45,7 +55,7 @@ class TestRecordCodec:
             oldlist={_entry(2)},
             recons_set=frozenset({0, 2}),
         )
-        addr, back = record_to_state(state_to_record(_addr(4, 1), state))
+        addr, back = decode_record(encode_record(_addr(4, 1), state))
         assert addr == _addr(4, 1)
         assert np.array_equal(back.block, state.block)
         assert back.opmode is OpMode.RECONS
@@ -56,25 +66,125 @@ class TestRecordCodec:
 
     def test_lock_fields_are_volatile(self):
         state = _state(1, lmode=LockMode.L1, lid="writer", lock_time=9.0)
-        _, back = record_to_state(state_to_record(_addr(), state))
+        _, back = decode_record(encode_record(_addr(), state))
         assert back.lmode is LockMode.UNL
         assert back.lid is None
         assert back.lock_time == 0.0
 
     def test_frame_roundtrip(self):
-        record = state_to_record(_addr(), _state(9))
-        lsn, back = decode_frame(encode_frame(42, record))
+        state = _state(9, recentlist={_entry(3)}, fingerprint="f00d")
+        lsn, addr, back = decode_frame(encode_frame(42, _addr(), state))
         assert lsn == 42
-        assert back == record
+        assert addr == _addr()
+        assert encode_record(addr, back) == encode_record(_addr(), state)
 
     def test_torn_frame_decodes_to_none(self):
-        frame = encode_frame(1, state_to_record(_addr(), _state(9)))
+        frame = encode_frame(1, _addr(), _state(9))
         for cut in (0, 5, len(frame) // 2, len(frame) - 1):
             assert decode_frame(frame[:cut]) is None
         # Bit rot inside the payload is caught by the CRC too.
         corrupt = bytearray(frame)
         corrupt[-1] ^= 0xFF
         assert decode_frame(bytes(corrupt)) is None
+
+    def test_equal_states_encode_equal_and_decode_private(self):
+        entries = [_entry(seq, seq % 3, f"c{seq}", t=seq) for seq in range(40)]
+        forward = _state(4, recentlist=set(entries), oldlist=set(entries[:9]))
+        backward = _state(
+            4, recentlist=set(reversed(entries)), oldlist=set(entries[8::-1])
+        )
+        assert encode_record(_addr(), forward) == encode_record(
+            _addr(), backward
+        )
+
+        # Replay and audits hand out blocks nobody else holds: writable,
+        # and no view over the payload the store keeps for compaction.
+        store = WalStore()
+        store.persist(_addr(), forward, redundant=False)
+        store.crash()
+        replayed = store.reopen().states[_addr()].block
+        audited = store.persisted_state(_addr()).block
+        kept = np.frombuffer(store._records[_addr()], np.uint8)
+        for block in (replayed, audited):
+            assert block.flags.writeable
+            assert not np.shares_memory(block, kept)
+        assert not np.shares_memory(replayed, audited)
+
+
+_HOOK_RAN = []
+
+
+def _hook():
+    _HOOK_RAN.append("ran")
+
+
+class _Booby:
+    def __reduce__(self):
+        return _hook, ()
+
+
+def _sealed(payload: bytes, lsn: int = 1) -> bytes:
+    """A frame around ``payload`` whose header and CRC are valid."""
+    return wal._FRAME.pack(lsn, len(payload), zlib.crc32(payload)) + payload
+
+
+_RECORD = encode_record(_addr(), _state(9, recentlist={_entry(2)}))
+#: The opmode byte follows the head (stripe, index, epoch, volume name).
+_OPMODE_AT = wire._RECORD.size + 2 + len(_addr().volume)
+
+
+def _blockless_record() -> bytes:
+    """A well-formed head and ``get_state`` layout whose block is None
+    (what an INIT node answers), which no durable slot holds."""
+    out = bytearray(_RECORD[:_OPMODE_AT])
+    wire._put_state(out, StateSnapshot(OpMode.NORM, None, (), (), None))
+    return bytes(out)
+
+
+class TestHostileMedia:
+    """Replay parses media bytes and never runs or trusts them: a
+    CRC-valid payload that is not a record is a torn record."""
+
+    def test_pickle_payload_is_torn_and_never_runs(self):
+        _HOOK_RAN.clear()
+        result = replay([_sealed(pickle.dumps(_Booby()))], header_lsn=1)
+        assert not result.clean
+        assert "torn record" in result.reason
+        assert _HOOK_RAN == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\x80\x04garbage that is not a record",
+            _RECORD[: len(_RECORD) // 2],
+            _RECORD[:-1],
+            _RECORD + b"\x00",
+            # An opmode index past the enum's members.
+            _RECORD[:_OPMODE_AT] + b"\x09" + _RECORD[_OPMODE_AT + 1 :],
+            _blockless_record(),
+        ],
+        ids=[
+            "garbage", "truncated", "one_short", "trailing", "bad_enum",
+            "no_block",
+        ],
+    )
+    def test_sealed_non_record_replays_dirty(self, payload):
+        assert decode_frame(_sealed(payload)) is None
+        with pytest.raises(WireError):
+            decode_record(payload)
+        result = replay([_sealed(payload)], header_lsn=1)
+        assert not result.clean
+        assert "torn record" in result.reason
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.binary(max_size=200), st.integers(0, len(_RECORD)))
+    def test_random_sealed_payload_never_raises(self, noise, cut):
+        for payload in (noise, _RECORD[:cut] + noise):
+            decoded = decode_frame(_sealed(payload))
+            if decoded is not None:
+                lsn, addr, state = decoded
+                assert lsn == 1 and type(addr) is BlockAddr
+                assert state.block.dtype == np.uint8
 
 
 class TestWalStoreLifecycle:
@@ -181,7 +291,9 @@ class TestReplayProperties:
     """Satellite property: replay is an idempotent, order-insensitive
     fold, so any clean log prefix replays to the same state twice."""
 
-    def _random_records(self, rng: random.Random) -> list[tuple[int, dict]]:
+    def _random_records(
+        self, rng: random.Random
+    ) -> list[tuple[int, BlockAddr, BlockState]]:
         records = []
         for lsn in range(1, rng.randrange(5, 40)):
             stripe = rng.randrange(4)
@@ -191,7 +303,7 @@ class TestReplayProperties:
                 opmode=rng.choice([OpMode.NORM, OpMode.RECONS]),
                 recentlist={_entry(rng.randrange(50))},
             )
-            records.append((lsn, state_to_record(_addr(stripe), state)))
+            records.append((lsn, _addr(stripe), state))
         return records
 
     @staticmethod
@@ -221,7 +333,7 @@ class TestReplayProperties:
     def test_any_prefix_replays_identically_twice(self):
         rng = random.Random(99)
         records = self._random_records(rng)
-        frames = [encode_frame(lsn, rec) for lsn, rec in records]
+        frames = [encode_frame(*rec) for rec in records]
         for cut in range(len(frames) + 1):
             prefix = frames[:cut]
             header = records[cut - 1][0] if cut else 0
@@ -233,7 +345,7 @@ class TestReplayProperties:
     def test_torn_tail_dirty_but_prefix_before_it_clean(self):
         rng = random.Random(7)
         records = self._random_records(rng)
-        frames = [encode_frame(lsn, rec) for lsn, rec in records]
+        frames = [encode_frame(*rec) for rec in records]
         torn = frames[:-1] + [frames[-1][: len(frames[-1]) // 2]]
         assert not replay(torn, records[-1][0]).clean
         # Drop the damage and the log is a clean (shorter) history again.
@@ -241,16 +353,16 @@ class TestReplayProperties:
 
     def test_lsn_gap_detected(self):
         records = [
-            (1, state_to_record(_addr(0), _state(1))),
-            (3, state_to_record(_addr(1), _state(2))),
+            (1, _addr(0), _state(1)),
+            (3, _addr(1), _state(2)),
         ]
-        frames = [encode_frame(lsn, rec) for lsn, rec in records]
+        frames = [encode_frame(*rec) for rec in records]
         result = replay(frames, 3)
         assert not result.clean
         assert "lost record" in result.reason
 
     def test_header_ahead_of_log_detected(self):
-        frames = [encode_frame(1, state_to_record(_addr(), _state(1)))]
+        frames = [encode_frame(1, _addr(), _state(1))]
         result = replay(frames, header_lsn=2)
         assert not result.clean
         assert "lost tail" in result.reason
@@ -259,9 +371,9 @@ class TestReplayProperties:
 class TestSimMedia:
     def test_unsynced_frames_vanish_on_crash(self):
         media = SimMedia()
-        media.append(1, encode_frame(1, state_to_record(_addr(), _state(1))))
+        media.append(1, encode_frame(1, _addr(), _state(1)))
         media.sync()
-        media.append(2, encode_frame(2, state_to_record(_addr(), _state(2))))
+        media.append(2, encode_frame(2, _addr(), _state(2)))
         # no sync for lsn 2
         media.crash()
         frames, header = media.read()
@@ -271,7 +383,7 @@ class TestSimMedia:
         plan = MediaFaultPlan(seed=0, torn=1.0, exposure=8)
         media = SimMedia(plan)
         frames = [
-            (lsn, encode_frame(lsn, state_to_record(_addr(lsn), _state(lsn))))
+            (lsn, encode_frame(lsn, _addr(lsn), _state(lsn)))
             for lsn in range(1, 4)
         ]
         media.rewrite(frames)
@@ -294,7 +406,7 @@ class TestBitFlip:
     def test_forced_flip_replays_clean_with_one_bit_changed(self):
         media = SimMedia(tag="flip")
         original = _state(5)
-        media.append(1, encode_frame(1, state_to_record(_addr(), original)))
+        media.append(1, encode_frame(1, _addr(), original))
         media.sync()
         media.crash(force="flip")
 
