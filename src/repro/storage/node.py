@@ -55,6 +55,7 @@ from repro.storage.state import (
     TryLockResult,
     content_fingerprint,
     tids,
+    zero_fingerprint,
 )
 
 #: Sentinel stripe index used by broadcast adds: "you know your own
@@ -234,9 +235,9 @@ class StorageNode(RpcHandler):
                 content = self._rng.integers(0, 256, size, dtype=np.uint8)
                 state = BlockState(block=content, opmode=OpMode.INIT)
             else:
-                zeros = np.zeros(size, dtype=np.uint8)
                 state = BlockState(
-                    block=zeros, fingerprint=content_fingerprint(zeros)
+                    block=np.zeros(size, dtype=np.uint8),
+                    fingerprint=zero_fingerprint(size),
                 )
             self._blocks[addr] = state
         return state

@@ -16,6 +16,7 @@ pseudocode returns (e.g. ``swap`` returns <block, epoch, otid, lmode>).
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -118,9 +119,26 @@ class FingerprintResult(NamedTuple):
 
 
 def content_fingerprint(block: np.ndarray) -> str:
-    """Digest of a block's content (cheap, deterministic, 16 bytes)."""
+    """Digest of a block's content: SHA-256 truncated to 16 bytes, as 32
+    lowercase hex characters.
+
+    SHA-256 rather than blake2b because OpenSSL runs it on the CPU's SHA
+    instructions where they exist (about 40 % less time per 64 KiB
+    block). The fingerprint only has to catch non-Byzantine damage (bit
+    rot, torn or misdirected writes), and a 128-bit truncation misses
+    random damage with probability 2^-128, as 128-bit blake2b did. A
+    contiguous block is hashed in place, without a copy.
+    """
     data = np.ascontiguousarray(block, dtype=np.uint8)
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
+    return hashlib.sha256(data).digest()[:16].hex()
+
+
+@functools.lru_cache(maxsize=64)
+def zero_fingerprint(size: int) -> str:
+    """``content_fingerprint`` of an all-zero block of ``size`` bytes,
+    computed once per size (every original slot starts as one; a
+    process uses a handful of block sizes, so the cache stays small)."""
+    return content_fingerprint(np.zeros(size, dtype=np.uint8))
 
 
 def tids(entries: frozenset[TidEntry] | set[TidEntry]) -> set[Tid]:

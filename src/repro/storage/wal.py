@@ -51,6 +51,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field as dc_field
+from typing import Iterable, TypeVar
 
 from repro.ids import BlockAddr
 from repro.net.chaos import _unit
@@ -61,6 +62,8 @@ from repro.storage.store import BlockStore
 
 #: Frame header: LSN (8 bytes), payload length (4), payload CRC32 (4).
 _FRAME = struct.Struct(">QII")
+
+_V = TypeVar("_V")
 
 #: Compact the log into a snapshot once it holds this many frames (or
 #: twice the live addresses, whichever is more).
@@ -279,6 +282,8 @@ class ReplayResult:
     """Outcome of replaying one media image."""
 
     states: dict[BlockAddr, BlockState] = dc_field(default_factory=dict)
+    #: The encoded record each state was decoded from, byte for byte.
+    payloads: dict[BlockAddr, bytes] = dc_field(default_factory=dict)
     clean: bool = True
     reason: str | None = None
     records: int = 0
@@ -286,16 +291,16 @@ class ReplayResult:
 
 
 def fold_records(
-    records: list[tuple[int, BlockAddr, BlockState]],
-) -> dict[BlockAddr, BlockState]:
+    records: Iterable[tuple[int, BlockAddr, _V]],
+) -> dict[BlockAddr, _V]:
     """Last-writer-wins fold: for each address keep the record with the
     highest LSN.  Pure, idempotent, order-insensitive — the property
     the WAL's full-image record format buys."""
-    best: dict[BlockAddr, tuple[int, BlockState]] = {}
-    for lsn, addr, state in records:
+    best: dict[BlockAddr, tuple[int, _V]] = {}
+    for lsn, addr, value in records:
         if addr not in best or lsn > best[addr][0]:
-            best[addr] = (lsn, state)
-    return {addr: state for addr, (_, state) in best.items()}
+            best[addr] = (lsn, value)
+    return {addr: value for addr, (_, value) in best.items()}
 
 
 def replay(frames: list[bytes], header_lsn: int) -> ReplayResult:
@@ -309,7 +314,7 @@ def replay(frames: list[bytes], header_lsn: int) -> ReplayResult:
     * **lost tail**   — the last parsed LSN is behind the commit header.
     """
     result = ReplayResult()
-    records: list[tuple[int, BlockAddr, BlockState]] = []
+    records: list[tuple[int, BlockAddr, tuple[BlockState, bytes]]] = []
     prev_lsn: int | None = None
     for i, frame in enumerate(frames):
         decoded = decode_frame(frame)
@@ -317,7 +322,7 @@ def replay(frames: list[bytes], header_lsn: int) -> ReplayResult:
             result.clean = False
             result.reason = f"torn record at frame {i}"
             return result
-        lsn = decoded[0]
+        lsn, addr, state = decoded
         if prev_lsn is not None and lsn != prev_lsn + 1:
             result.clean = False
             result.reason = (
@@ -325,7 +330,7 @@ def replay(frames: list[bytes], header_lsn: int) -> ReplayResult:
             )
             return result
         prev_lsn = lsn
-        records.append(decoded)
+        records.append((lsn, addr, (state, frame)))
     result.records = len(records)
     result.max_lsn = prev_lsn or 0
     if result.max_lsn < header_lsn:
@@ -335,7 +340,9 @@ def replay(frames: list[bytes], header_lsn: int) -> ReplayResult:
             f"log ends at {result.max_lsn}"
         )
         return result
-    result.states = fold_records(records)
+    for addr, (state, frame) in fold_records(records).items():
+        result.states[addr] = state
+        result.payloads[addr] = frame[_FRAME.size :]
     return result
 
 
@@ -361,6 +368,7 @@ class WalStore(BlockStore):
 
     def __init__(
         self,
+        *,
         media: SimMedia | None = None,
         plan: MediaFaultPlan | None = None,
         tag: str = "media",
@@ -410,18 +418,14 @@ class WalStore(BlockStore):
         self.media.crash(force=force)
 
     def reopen(self) -> ReplayResult:
-        """Replay the media.  On a clean replay the kept records are
-        rebuilt from the replayed log and the store serves again; on a
-        dirty one the caller must :meth:`reset` and bring the node up
-        fresh."""
+        """Replay the media.  On a clean replay the kept records are the
+        winning frames' payloads and the store serves again; on a dirty
+        one the caller must :meth:`reset` and bring the node up fresh."""
         frames, header_lsn = self.media.read()
         result = replay(frames, header_lsn)
         with self._lock:
             if result.clean:
-                self._records = {
-                    addr: encode_record(addr, state)
-                    for addr, state in result.states.items()
-                }
+                self._records = dict(result.payloads)
                 self._lsn = max(result.max_lsn, self._lsn)
                 self._open = True
         return result

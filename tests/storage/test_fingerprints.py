@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,11 +13,13 @@ from repro.erasure.rs import ReedSolomonCode
 from repro.erasure.striping import StripeLayout
 from repro.ids import BlockAddr, Tid
 from repro.net.wire import decode_record, encode_record
+from repro.storage import node as node_module, state as state_module
 from repro.storage.node import StorageNode, VolumeMeta
 from repro.storage.state import (
     BlockState,
     OpMode,
     content_fingerprint,
+    zero_fingerprint,
 )
 from repro.storage.wal import WalStore
 
@@ -45,11 +48,25 @@ def block(fill):
 
 
 class TestContentFingerprint:
-    def test_digest_is_blake2b_of_the_bytes(self):
+    def test_digest_is_sha256_128_of_the_bytes(self):
         data = np.arange(256, dtype=np.uint8)
         for view in (data, data[::2]):  # contiguous, then strided
-            expected = hashlib.blake2b(view.tobytes(), digest_size=16)
-            assert content_fingerprint(view) == expected.hexdigest()
+            expected = hashlib.sha256(view.tobytes()).digest()[:16].hex()
+            assert content_fingerprint(view) == expected
+
+    def test_one_bit_flip_changes_the_digest(self):
+        rng = np.random.default_rng(48)
+        for size in (1024, 4096, 8192, 65536):
+            data = rng.integers(0, 256, size, dtype=np.uint8)
+            clean = content_fingerprint(data)
+            digests = {clean}
+            for pos in (0, size // 2, size - 1):
+                damaged = data.copy()
+                damaged[pos] ^= 1
+                digests.add(content_fingerprint(damaged))
+            assert len(digests) == 4
+            for digest in digests:
+                assert re.fullmatch("[0-9a-f]{32}", digest)
 
     def test_contiguous_block_is_hashed_without_a_copy(self):
         data = np.ones(1 << 20, dtype=np.uint8)
@@ -67,6 +84,24 @@ class TestNodeMaintainsFingerprints:
         node = make_node()
         st = node.peek(addr(0))
         assert st.fingerprint == content_fingerprint(st.block)
+
+    def test_zero_block_is_sealed_once_per_size(self, monkeypatch):
+        real = state_module.content_fingerprint
+        calls = []
+
+        def counting(block):
+            calls.append(block.size)
+            return real(block)
+
+        for module in (state_module, node_module):
+            monkeypatch.setattr(module, "content_fingerprint", counting)
+        zero_fingerprint.cache_clear()
+        first, second = make_node(0), make_node(1)
+        a, b = first.peek(addr(0)), second.peek(addr(1))
+        assert calls == [BS]
+        assert a.fingerprint == b.fingerprint == real(a.block)
+        # The slots still own separate, writable blocks.
+        assert a.block is not b.block and a.block.flags.writeable
 
     def test_init_garbage_has_no_fingerprint(self):
         node = make_node(fresh=True)

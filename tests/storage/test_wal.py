@@ -229,6 +229,43 @@ class TestWalStoreLifecycle:
             assert got.recentlist == expected.recentlist
             assert got.oldlist == expected.oldlist
 
+    def test_reopen_keeps_the_replayed_payloads(self, monkeypatch):
+        monkeypatch.setattr(wal, "SNAPSHOT_EVERY", 8)
+        store = WalStore()
+        for i in range(20):
+            state = _state(i, epoch=i % 3, recentlist={_entry(i)})
+            store.persist(_addr(i % 3), state, redundant=False)
+        store.crash()
+        frames, _ = store.media.read()
+        parsed = [decode_frame(frame) for frame in frames]
+        winners = fold_records(
+            (lsn, addr, frame) for frame, (lsn, addr, _) in zip(frames, parsed)
+        )
+
+        def no_reencode(*args):
+            raise AssertionError("reopen re-encoded a replayed state")
+
+        monkeypatch.setattr(wal, "encode_record", no_reencode)
+        assert store.reopen().clean
+        assert store.addresses() == sorted(winners, key=lambda a: a.stripe)
+        for addr, frame in winners.items():
+            payload = store._records[addr]
+            assert type(payload) is bytes
+            assert payload == frame[wal._FRAME.size :]
+            durable = store.persisted_state(addr)
+            assert encode_record(addr, durable) == payload
+
+    def test_constructor_refuses_positional_arguments(self):
+        from repro.core.cluster import Cluster
+
+        with pytest.raises(TypeError):
+            WalStore(SimMedia())
+        # ``store_factory`` is called with the slot number: handing it
+        # the class must fail when the cluster is built, not as a
+        # data-loss error on some later write.
+        with pytest.raises(TypeError):
+            Cluster(k=2, n=4, block_size=16, store_factory=WalStore)
+
     def test_forced_torn_tail_is_dirty(self):
         store = WalStore()
         store.persist(_addr(), _state(1), redundant=False)
